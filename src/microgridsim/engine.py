@@ -132,6 +132,8 @@ def run_simulation(
         slack = net.slack_index()
         pq = [i for i in range(len(net.buses)) if i != slack]
         options = SolverOptions(method=_SOLVER_METHODS[cfg.solver])
+        load_buses = [net.bus_index(load.bus) for load in net.loads]
+        producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
 
     records: list[ResultRecord] = []
 
@@ -147,13 +149,13 @@ def run_simulation(
         emit(step, hour, WEATHER_OBJECT, "wind_speed", ws.wind_speed)
         emit(step, hour, WEATHER_OBJECT, "temperature", ws.temperature)
 
-        productions = [(pv.id, pv.bus, pv_power(pv, ws)) for pv in net.pvs]
-        productions += [(w.id, w.bus, wind_power(w, ws.wind_speed)) for w in net.winds]
+        productions = [(pv.id, pv_power(pv, ws)) for pv in net.pvs]
+        productions += [(w.id, wind_power(w, ws.wind_speed)) for w in net.winds]
 
         if not use_acpf:
             dispatch = simple_power_distribution(
                 [load.active_power for load in net.loads],
-                [(obj, watts) for obj, _, watts in productions],
+                productions,
             )
             for obj, watts in dispatch.produced:
                 emit(step, hour, obj, "p_out", watts)
@@ -165,12 +167,11 @@ def run_simulation(
         n = len(net.buses)
         p_watts = np.zeros(n)
         q_var = np.zeros(n)
-        for load in net.loads:
-            i = net.bus_index(load.bus)
+        for load, i in zip(net.loads, load_buses):
             p_watts[i] -= load.active_power
             q_var[i] -= load.reactive_power
-        for _, bus, watts in productions:
-            p_watts[net.bus_index(bus)] += watts
+        for (_, watts), i in zip(productions, producer_buses):
+            p_watts[i] += watts
         problem = PowerFlowProblem(
             admittance=admittance,
             slack_index=slack,

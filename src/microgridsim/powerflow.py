@@ -113,27 +113,43 @@ def newton_jacobian(
 
     Block layout [[dP/dtheta, dP/d|V|], [dQ/dtheta, dQ/d|V|]], each block
     m x m for m PQ buses, evaluated at the given state.
+
+    Every entry is the per-element polar formula, evaluated in the same
+    operation order as an element-by-element loop over (i, k), so the
+    matrix is bitwise equal to that loop's (tests keep the loop as the
+    oracle).  |V_i|^2 goes through np.float_power, which calls C pow
+    like the scalar ``v ** 2`` does; the array ``vm ** 2`` multiplies
+    and differs in the last bit for some inputs.  The complex-derivative
+    form of MATPOWER's dSbus_dV and a LAPACK solve would be faster still,
+    but they change printed digits of the results CSVs, so they are not
+    used here.
     """
-    g = admittance.conductance
-    b = admittance.susceptance
+    pq = np.asarray(pq_indices, dtype=int)
     p, q = compute_injections(v_mag, v_angle, admittance)
-    m = len(pq_indices)
-    jac = np.zeros((2 * m, 2 * m))
-    for a, i in enumerate(pq_indices):
-        for c, k in enumerate(pq_indices):
-            if i == k:
-                jac[a, c] = -q[i] - b[i, i] * v_mag[i] ** 2
-                jac[a, m + c] = p[i] / v_mag[i] + g[i, i] * v_mag[i]
-                jac[m + a, c] = p[i] - g[i, i] * v_mag[i] ** 2
-                jac[m + a, m + c] = q[i] / v_mag[i] - b[i, i] * v_mag[i]
-            else:
-                t = v_angle[i] - v_angle[k]
-                cos_t, sin_t = np.cos(t), np.sin(t)
-                vv = v_mag[i] * v_mag[k]
-                jac[a, c] = vv * (g[i, k] * sin_t - b[i, k] * cos_t)
-                jac[a, m + c] = v_mag[i] * (g[i, k] * cos_t + b[i, k] * sin_t)
-                jac[m + a, c] = -vv * (g[i, k] * cos_t + b[i, k] * sin_t)
-                jac[m + a, m + c] = v_mag[i] * (g[i, k] * sin_t - b[i, k] * cos_t)
+    vm = np.asarray(v_mag, dtype=float)[pq]
+    va = np.asarray(v_angle, dtype=float)[pq]
+    block = np.ix_(pq, pq)
+    g = admittance.conductance[block]
+    b = admittance.susceptance[block]
+    t = va[:, None] - va[None, :]
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    vv = vm[:, None] * vm[None, :]
+    gs_bc = g * sin_t - b * cos_t
+    gc_bs = g * cos_t + b * sin_t
+    m = len(pq)
+    jac = np.empty((2 * m, 2 * m))
+    jac[:m, :m] = vv * gs_bc
+    jac[:m, m:] = vm[:, None] * gc_bs
+    jac[m:, :m] = -vv * gc_bs
+    jac[m:, m:] = vm[:, None] * gs_bc
+
+    d = np.arange(m)
+    g_ii, b_ii, p_i, q_i = g[d, d], b[d, d], p[pq], q[pq]
+    vm_sq = np.float_power(vm, 2)
+    jac[d, d] = -q_i - b_ii * vm_sq
+    jac[d, m + d] = p_i / vm + g_ii * vm
+    jac[m + d, d] = p_i - g_ii * vm_sq
+    jac[m + d, m + d] = q_i / vm - b_ii * vm
     return jac
 
 

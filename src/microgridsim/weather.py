@@ -195,6 +195,9 @@ def load_weather_csv(path: str | Path) -> list[WeatherSample]:
                 raise WeatherTraceError(
                     f"cloud_factor outside [0, 1]: {cloud}", row_no
                 )
+            for name, value in (("wind_speed_mps", wind), ("temperature_c", temp)):
+                if not math.isfinite(value):
+                    raise WeatherTraceError(f"{name} must be finite, got {value}", row_no)
             if wind < 0.0:
                 raise WeatherTraceError(f"negative wind speed: {wind}", row_no)
             samples.append(WeatherSample(step, hour, cloud, wind, temp))

@@ -105,6 +105,40 @@ def finite_difference_jacobian(
     return jac
 
 
+def loop_jacobian(
+    v_mag: np.ndarray,
+    v_angle: np.ndarray,
+    admittance,
+    pq_indices: list[int],
+) -> np.ndarray:
+    """Element-by-element reference for newton_jacobian.
+
+    The double loop over PQ bus pairs that newton_jacobian's whole-array
+    form must reproduce bit for bit.
+    """
+    g = admittance.conductance
+    b = admittance.susceptance
+    p, q = compute_injections(v_mag, v_angle, admittance)
+    m = len(pq_indices)
+    jac = np.zeros((2 * m, 2 * m))
+    for a, i in enumerate(pq_indices):
+        for c, k in enumerate(pq_indices):
+            if i == k:
+                jac[a, c] = -q[i] - b[i, i] * v_mag[i] ** 2
+                jac[a, m + c] = p[i] / v_mag[i] + g[i, i] * v_mag[i]
+                jac[m + a, c] = p[i] - g[i, i] * v_mag[i] ** 2
+                jac[m + a, m + c] = q[i] / v_mag[i] - b[i, i] * v_mag[i]
+            else:
+                t = v_angle[i] - v_angle[k]
+                cos_t, sin_t = np.cos(t), np.sin(t)
+                vv = v_mag[i] * v_mag[k]
+                jac[a, c] = vv * (g[i, k] * sin_t - b[i, k] * cos_t)
+                jac[a, m + c] = v_mag[i] * (g[i, k] * cos_t + b[i, k] * sin_t)
+                jac[m + a, c] = -vv * (g[i, k] * cos_t + b[i, k] * sin_t)
+                jac[m + a, m + c] = v_mag[i] * (g[i, k] * sin_t - b[i, k] * cos_t)
+    return jac
+
+
 def make_random_scenario(rng: random.Random) -> Scenario:
     """Random valid scenario for parser round-trip property tests."""
     n_buses = rng.randint(2, 7)

@@ -1,8 +1,11 @@
 """CLI contract: subcommands, exit codes, stream discipline."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import microgridsim
 from microgridsim import bundled_scenario_path, bundled_scenario_text
 from microgridsim.cli import cli_main
 
@@ -54,6 +57,22 @@ class TestRun:
         code = cli_main(["run", CASE1, "--weather-csv", str(trace), "--out", str(out)])
         assert code == 0
         assert f"# weather_csv = {trace}" in out.read_text()
+
+    def test_non_finite_weather_trace_exits_1(self, tmp_path, capsys):
+        from microgridsim import WeatherParams, weather_series, write_weather_csv
+
+        trace = tmp_path / "wx.csv"
+        write_weather_csv(weather_series(WeatherParams(seed=4), 48), trace)
+        lines = trace.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "nan"
+        lines[5] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", CASE1, "--weather-csv", str(trace), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "row 5: wind_speed_mps must be finite" in capsys.readouterr().err
 
     def test_non_convergent_run_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
@@ -132,10 +151,15 @@ class TestUsage:
         assert "run" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        # The child finds the package where this process imported it from,
+        # whether that came from PYTHONPATH or pytest's pythonpath setting.
+        src = str(Path(microgridsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "microgridsim", "validate", CASE1],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0 diagnostics"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from microgridsim import (
     PowerFlowProblem,
     SingularMatrixError,
     SolverOptions,
+    build_admittance,
     bundled_scenario_text,
     compute_injections,
     newton_jacobian,
@@ -22,7 +24,13 @@ from microgridsim import (
     solve_newton_raphson,
     total_line_losses,
 )
-from conftest import BASE, finite_difference_jacobian, make_radial_network, problem_for
+from conftest import (
+    BASE,
+    finite_difference_jacobian,
+    loop_jacobian,
+    make_radial_network,
+    problem_for,
+)
 
 
 def resistive_two_bus(r_pu: float, p_pu: float) -> PowerFlowProblem:
@@ -185,6 +193,26 @@ class TestJacobian:
                 np.abs(analytic - numeric) <= 1e-5 * np.maximum(1.0, np.abs(numeric))
             )
 
+
+    def test_bitwise_equal_to_loop_reference(self):
+        rng = random.Random(23)
+        np_rng = np.random.default_rng(23)
+        for _ in range(120):
+            net = make_radial_network(rng, rng.randint(2, 60))
+            lines = tuple(
+                replace(line, reactance=rng.uniform(0.0, 0.02) * BASE.z_base)
+                for line in net.lines
+            )
+            admittance = build_admittance(replace(net, lines=lines), BASE)
+            n = admittance.n
+            slack = rng.randrange(n)
+            pq = [i for i in range(n) if i != slack]
+            vm = np_rng.uniform(0.95, 1.05, n)
+            va = np_rng.uniform(-0.2, 0.2, n)
+            assert np.array_equal(
+                newton_jacobian(vm, va, admittance, pq),
+                loop_jacobian(vm, va, admittance, pq),
+            )
 
 class TestGaussSeidel:
     def test_zero_injections_flat(self):

@@ -222,3 +222,23 @@ class TestTraceCsv:
         )
         with pytest.raises(WeatherTraceError, match="row 1"):
             load_weather_csv(path)
+
+    @pytest.mark.parametrize(
+        "cells, column",
+        [
+            ("0,0,0.5,nan,12.0", "wind_speed_mps"),
+            ("0,0,0.5,inf,12.0", "wind_speed_mps"),
+            ("0,0,0.5,4.0,nan", "temperature_c"),
+            ("0,0,0.5,4.0,-inf", "temperature_c"),
+        ],
+    )
+    def test_non_finite_value_cites_row(self, tmp_path, cells, column):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "step,hour,cloud_factor,wind_speed_mps,temperature_c\n"
+            "0,0,0.5,4.0,12.0\n"
+            f"{cells}\n"
+        )
+        with pytest.raises(WeatherTraceError, match=f"row 2: {column} must be finite") as exc:
+            load_weather_csv(path)
+        assert exc.value.row == 2
