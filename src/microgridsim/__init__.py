@@ -20,7 +20,6 @@ from .engine import (
     write_csv,
 )
 from .generation import (
-    GridConnection,
     SolarPanel,
     WindTurbine,
     clear_sky_factor,
@@ -32,6 +31,7 @@ from .grid import (
     Bus,
     BusKind,
     Diagnostic,
+    GridConnection,
     Line,
     LoadDevice,
     Network,

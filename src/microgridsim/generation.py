@@ -41,14 +41,6 @@ class WindTurbine:
     cut_out: float = DEFAULT_CUT_OUT
 
 
-@dataclass(frozen=True)
-class GridConnection:
-    """Utility tie point; must sit on the slack bus of its network."""
-
-    id: str
-    bus: str
-
-
 def clear_sky_factor(hour_of_day: float) -> float:
     """Daylight factor in [0, 1]: sin(pi*(hour - 6)/12) between 06:00 and 18:00.
 

@@ -9,12 +9,13 @@ can report every problem at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .generation import GridConnection, SolarPanel, WindTurbine
+from .generation import SolarPanel, WindTurbine
 
 
 class BusKind(str, Enum):
@@ -49,6 +50,14 @@ class LoadDevice:
     bus: str
     active_power: float
     reactive_power: float = 0.0
+
+
+@dataclass(frozen=True)
+class GridConnection:
+    """Utility tie point; must sit on the slack bus of its network."""
+
+    id: str
+    bus: str
 
 
 @dataclass(frozen=True)
@@ -199,12 +208,26 @@ def _connected_component(network: Network, start: int) -> set[int]:
     return seen
 
 
+def _non_finite(kind: str, obj, fields: tuple[str, ...]) -> list[Diagnostic]:
+    """invalid_value diagnostics for the named fields of obj that are NaN or infinite."""
+    return [
+        Diagnostic(
+            "invalid_value",
+            obj.id,
+            f"{kind} {obj.id!r} {name} must be finite, got {getattr(obj, name)!r}",
+            name,
+        )
+        for name in fields
+        if not math.isfinite(getattr(obj, name))
+    ]
+
+
 def validate(network: Network) -> list[Diagnostic]:
     """Check network consistency; an empty result means the network is valid.
 
     Reports duplicate identifiers, dangling bus references, disconnected
     buses, a slack count other than one, zero-impedance or self-looped
-    lines, and out-of-range device parameters.
+    lines, and non-finite or out-of-range electrical and device parameters.
     """
     diags: list[Diagnostic] = []
 
@@ -227,7 +250,10 @@ def validate(network: Network) -> list[Diagnostic]:
     bus_ids = {b.id for b in network.buses}
 
     for bus in network.buses:
-        if bus.nominal_voltage <= 0.0:
+        bad = _non_finite("bus", bus, ("nominal_voltage",))
+        if bad:
+            diags += bad
+        elif bus.nominal_voltage <= 0.0:
             diags.append(
                 Diagnostic(
                     "invalid_value",
@@ -236,7 +262,9 @@ def validate(network: Network) -> list[Diagnostic]:
                     "nominal_voltage",
                 )
             )
-    voltages = {b.nominal_voltage for b in network.buses}
+    voltages = {
+        b.nominal_voltage for b in network.buses if math.isfinite(b.nominal_voltage)
+    }
     if len(voltages) > 1:
         diags.append(
             Diagnostic(
@@ -281,7 +309,10 @@ def validate(network: Network) -> list[Diagnostic]:
                     "to_bus",
                 )
             )
-        if line.resistance < 0.0 or line.reactance < 0.0:
+        bad = _non_finite("line", line, ("resistance", "reactance"))
+        if bad:
+            diags += bad
+        elif line.resistance < 0.0 or line.reactance < 0.0:
             diags.append(
                 Diagnostic(
                     "invalid_value",
@@ -313,7 +344,10 @@ def validate(network: Network) -> list[Diagnostic]:
 
     for load in network.loads:
         check_ref("load", load.id, load.bus)
-        if load.active_power < 0.0:
+        bad = _non_finite("load", load, ("active_power", "reactive_power"))
+        if bad:
+            diags += bad
+        elif load.active_power < 0.0:
             diags.append(
                 Diagnostic(
                     "invalid_value",
@@ -324,6 +358,10 @@ def validate(network: Network) -> list[Diagnostic]:
             )
     for pv in network.pvs:
         check_ref("pv", pv.id, pv.bus)
+        bad = _non_finite("pv", pv, ("peak_power", "cloud_attenuation"))
+        if bad:
+            diags += bad
+            continue
         if pv.peak_power <= 0.0:
             diags.append(
                 Diagnostic(
@@ -344,6 +382,10 @@ def validate(network: Network) -> list[Diagnostic]:
             )
     for wind in network.winds:
         check_ref("wind", wind.id, wind.bus)
+        bad = _non_finite("wind", wind, ("peak_power", "cut_in", "rated", "cut_out"))
+        if bad:
+            diags += bad
+            continue
         if wind.peak_power <= 0.0:
             diags.append(
                 Diagnostic(

@@ -108,11 +108,14 @@ def newton_jacobian(
     v_angle: np.ndarray,
     admittance: AdmittanceMatrix,
     pq_indices: Sequence[int],
+    injections: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Analytic power-flow Jacobian restricted to the PQ buses.
 
     Block layout [[dP/dtheta, dP/d|V|], [dQ/dtheta, dQ/d|V|]], each block
-    m x m for m PQ buses, evaluated at the given state.
+    m x m for m PQ buses, evaluated at the given state.  injections is
+    (P, Q) at every bus for that state, as compute_injections returns it;
+    when omitted it is computed here.
 
     Every entry is the per-element polar formula, evaluated in the same
     operation order as an element-by-element loop over (i, k), so the
@@ -125,7 +128,9 @@ def newton_jacobian(
     used here.
     """
     pq = np.asarray(pq_indices, dtype=int)
-    p, q = compute_injections(v_mag, v_angle, admittance)
+    if injections is None:
+        injections = compute_injections(v_mag, v_angle, admittance)
+    p, q = injections
     vm = np.asarray(v_mag, dtype=float)[pq]
     va = np.asarray(v_angle, dtype=float)[pq]
     block = np.ix_(pq, pq)
@@ -158,27 +163,38 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises SingularMatrixError when the best available pivot falls below
     1e-12 in magnitude.
+
+    b rides along as column n of one working copy, so a row swap and an
+    update cover both.  Each pivot updates only the rows below it whose
+    entry in the pivot column is nonzero; the power-flow Jacobian is
+    sparse, so most rows are skipped.  For finite input this is exact: a
+    skipped row would have subtracted a signed zero, which changes no
+    value, and every updated element gets the same multiply and subtract
+    in the same pivot order as the full dense update.  Column k below the
+    pivot is never read again, so it is left as it is.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have length {n}")
+    ab = np.hstack([a, b[:, None]])
     for k in range(n):
-        pivot_row = int(np.argmax(np.abs(a[k:, k]))) + k
-        if abs(a[pivot_row, k]) < 1e-12:
+        pivot_row = int(np.abs(ab[k:, k]).argmax()) + k
+        if abs(ab[pivot_row, k]) < 1e-12:
             raise SingularMatrixError(f"pivot {k} below 1e-12")
         if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= factors * b[k]
+            ab[[k, pivot_row]] = ab[[pivot_row, k]]
+        col = ab[k + 1 :, k]
+        rows = col.nonzero()[0]
+        if rows.size:
+            factors = col[rows] / ab[k, k]
+            ab[rows + (k + 1), k + 1 :] -= factors[:, None] * ab[k, k + 1 :]
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+        x[k] = (ab[k, n] - ab[k, k + 1 : n] @ x[k + 1 :]) / ab[k, k]
     return x
 
 
@@ -246,7 +262,7 @@ def solve_newton_raphson(
                 v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
                 problem.slack_index, False,
             )
-        jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq)
+        jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, (p_calc, q_calc))
         dx = solve_linear(jac, mismatch)
         v_angle[pq] += dx[:m]
         v_mag[pq] += dx[m:]

@@ -26,11 +26,10 @@ from .generation import (
     DEFAULT_CUT_IN,
     DEFAULT_CUT_OUT,
     DEFAULT_RATED,
-    GridConnection,
     SolarPanel,
     WindTurbine,
 )
-from .grid import Bus, BusKind, Line, LoadDevice, Network, validate
+from .grid import Bus, BusKind, GridConnection, Line, LoadDevice, Network, validate
 from .weather import WeatherParams
 
 SOLVER_CHOICES = ("acpf", "gs", "simple")

@@ -155,7 +155,9 @@ def load_weather_csv(path: str | Path) -> list[WeatherSample]:
     """Read a weather trace written by :func:`write_weather_csv`.
 
     Expects the exact column set step, hour, cloud_factor, wind_speed_mps,
-    temperature_c; accepts LF or CRLF line endings.
+    temperature_c; accepts LF or CRLF line endings.  The i-th sample must
+    carry step i (counting from 0), so duplicate, missing and out-of-order
+    steps are rejected with the row that breaks the sequence.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -187,8 +189,6 @@ def load_weather_csv(path: str | Path) -> list[WeatherSample]:
                 temp = float(cells[col["temperature_c"]])
             except ValueError:
                 raise WeatherTraceError("non-numeric cell", row_no) from None
-            if step < 0:
-                raise WeatherTraceError(f"step must be >= 0, got {step}", row_no)
             if not 0 <= hour <= 23:
                 raise WeatherTraceError(f"hour must be in 0..23, got {hour}", row_no)
             if not 0.0 <= cloud <= 1.0:
@@ -200,6 +200,8 @@ def load_weather_csv(path: str | Path) -> list[WeatherSample]:
                     raise WeatherTraceError(f"{name} must be finite, got {value}", row_no)
             if wind < 0.0:
                 raise WeatherTraceError(f"negative wind speed: {wind}", row_no)
+            if step != len(samples):
+                raise WeatherTraceError(f"step must be {len(samples)}, got {step}", row_no)
             samples.append(WeatherSample(step, hour, cloud, wind, temp))
     if not samples:
         raise WeatherTraceError("no samples")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import settings
 
 from microgridsim import (
     Bus,
@@ -17,6 +18,7 @@ from microgridsim import (
     PowerFlowProblem,
     Scenario,
     SimulationConfig,
+    SingularMatrixError,
     SolarPanel,
     WeatherParams,
     WindTurbine,
@@ -25,6 +27,13 @@ from microgridsim import (
 )
 
 BASE = PerUnitBase(s_base=10_000.0, v_base=230.0)
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile(
+    "microgridsim", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("microgridsim")
 
 
 def make_radial_network(
@@ -137,6 +146,32 @@ def loop_jacobian(
                 jac[m + a, c] = -vv * (g[i, k] * cos_t + b[i, k] * sin_t)
                 jac[m + a, m + c] = v_mag[i] * (g[i, k] * sin_t - b[i, k] * cos_t)
     return jac
+
+
+def loop_solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense reference for solve_linear.
+
+    Gaussian elimination with partial pivoting that updates the whole
+    trailing block at every pivot; solve_linear's sparse elimination must
+    reproduce its result bit for bit.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = a.shape[0]
+    for k in range(n):
+        pivot_row = int(np.argmax(np.abs(a[k:, k]))) + k
+        if abs(a[pivot_row, k]) < 1e-12:
+            raise SingularMatrixError(f"pivot {k} below 1e-12")
+        if pivot_row != k:
+            a[[k, pivot_row]] = a[[pivot_row, k]]
+            b[[k, pivot_row]] = b[[pivot_row, k]]
+        factors = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
+        b[k + 1 :] -= factors * b[k]
+    x = np.zeros(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
 
 
 def make_random_scenario(rng: random.Random) -> Scenario:

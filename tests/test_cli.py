@@ -74,6 +74,20 @@ class TestRun:
         assert not out.exists()
         assert "row 5: wind_speed_mps must be finite" in capsys.readouterr().err
 
+    def test_duplicated_weather_step_exits_1(self, tmp_path, capsys):
+        from microgridsim import WeatherParams, weather_series, write_weather_csv
+
+        trace = tmp_path / "wx.csv"
+        write_weather_csv(weather_series(WeatherParams(seed=4), 48), trace)
+        lines = trace.read_text().splitlines()
+        lines.insert(4, lines[3])
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", CASE1, "--weather-csv", str(trace), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "row 4: step must be 3, got 2" in capsys.readouterr().err
+
     def test_non_convergent_run_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
         bad.write_text(

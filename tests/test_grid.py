@@ -1,6 +1,8 @@
 """Topology validation, per-unit bases, and admittance construction."""
 
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from microgridsim import (
     Network,
     PerUnitBase,
     SingularBranchError,
+    SolarPanel,
+    WindTurbine,
     build_admittance,
     bundled_scenario_text,
     line_resistance,
@@ -215,6 +219,39 @@ class TestValidate:
             lines=(Line("l1", "a", "b", 1.0),),
         )
         assert "invalid_value" in [d.code for d in validate(net)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("lines", "resistance"),
+            ("lines", "reactance"),
+            ("buses", "nominal_voltage"),
+            ("loads", "active_power"),
+            ("loads", "reactive_power"),
+            ("pvs", "peak_power"),
+            ("pvs", "cloud_attenuation"),
+            ("winds", "peak_power"),
+            ("winds", "cut_in"),
+            ("winds", "rated"),
+            ("winds", "cut_out"),
+        ],
+    )
+    def test_non_finite_value(self, kind, field, value):
+        net = replace(
+            two_bus(),
+            loads=(LoadDevice("ld", "b", 100.0, 20.0),),
+            pvs=(SolarPanel("pv", "b", 500.0),),
+            winds=(WindTurbine("wt", "b", 800.0),),
+        )
+        assert validate(net) == []
+        objects = list(getattr(net, kind))
+        objects[-1] = replace(objects[-1], **{field: value})
+        diags = validate(replace(net, **{kind: tuple(objects)}))
+        assert [(d.code, d.object_id, d.attribute) for d in diags] == [
+            ("invalid_value", objects[-1].id, field)
+        ]
+        assert f"{field} must be finite" in diags[0].message
 
     def test_empty_implies_build_succeeds(self):
         rng = random.Random(12)

@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from microgridsim import (
     AdmittanceMatrix,
@@ -24,10 +27,12 @@ from microgridsim import (
     solve_newton_raphson,
     total_line_losses,
 )
+from microgridsim import powerflow
 from conftest import (
     BASE,
     finite_difference_jacobian,
     loop_jacobian,
+    loop_solve_linear,
     make_radial_network,
     problem_for,
 )
@@ -48,6 +53,37 @@ def two_bus_voltage_oracle(r_pu: float, p_pu: float) -> float:
 def case2_problem():
     scenario = parse_scenario(bundled_scenario_text("case2"))
     return problem_for(scenario.network), scenario.network
+
+
+def random_reactive_network(rng: random.Random, n_buses: int):
+    """Random radial feeder whose lines carry both R and X."""
+    net = make_radial_network(rng, n_buses)
+    lines = tuple(
+        replace(line, reactance=rng.uniform(0.0, 0.02) * BASE.z_base) for line in net.lines
+    )
+    return replace(net, lines=lines)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse, diagonally weighted systems with their rows shuffled.
+
+    The shuffle moves each row's heavy diagonal entry away from the
+    diagonal, so elimination has to swap rows; the sparse off-diagonal
+    part leaves many pivot columns with nothing to eliminate below the
+    pivot.
+    """
+    n = draw(st.integers(1, 12))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    off = draw(arrays(float, (n, n), elements=entries))
+    keep = draw(arrays(bool, (n, n), elements=st.sampled_from([False, False, False, True])))
+    weights = draw(arrays(float, n, elements=st.floats(1.0, 100.0)))
+    signs = draw(arrays(bool, n, elements=st.booleans()))
+    order = draw(st.permutations(range(n)))
+    a = np.where(keep, off, 0.0)
+    a[np.arange(n), np.arange(n)] = np.where(signs, -weights, weights)
+    b = draw(arrays(float, n, elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    return a[list(order)], b
 
 
 class TestComputeInjections:
@@ -112,6 +148,39 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.ones(3))
 
+    def test_bitwise_equal_to_dense_loop_on_newton_systems(self):
+        rng = random.Random(41)
+        np_rng = np.random.default_rng(41)
+        for _ in range(40):
+            problem = problem_for(random_reactive_network(rng, rng.randint(2, 120)))
+            n = problem.admittance.n
+            pq = problem.pq_indices
+            vm = np.ones(n)
+            va = np.zeros(n)
+            vm[pq] += np_rng.uniform(-0.05, 0.05, n - 1)
+            va[pq] += np_rng.uniform(-0.05, 0.05, n - 1)
+            jac = newton_jacobian(vm, va, problem.admittance, pq)
+            p, q = compute_injections(vm, va, problem.admittance)
+            mismatch = np.concatenate(
+                [problem.p_injection - p[pq], problem.q_injection - q[pq]]
+            )
+            assert np.array_equal(
+                solve_linear(jac, mismatch), loop_solve_linear(jac, mismatch)
+            )
+
+    @given(sparse_systems())
+    def test_bitwise_equal_to_dense_loop_on_sparse_systems(self, system):
+        a, b = system
+        a_in, b_in = a.copy(), b.copy()
+        try:
+            expected = loop_solve_linear(a, b)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                solve_linear(a, b)
+        else:
+            assert np.array_equal(solve_linear(a, b), expected)
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
 
 class TestNewtonRaphson:
     def test_zero_injections_converges_immediately(self):
@@ -158,6 +227,20 @@ class TestNewtonRaphson:
         assert not sol.converged
         assert sol.iterations == 50
 
+    def test_injections_evaluated_once_per_iteration(self, monkeypatch):
+        calls = []
+        real = powerflow.compute_injections
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(powerflow, "compute_injections", counted)
+        problem, _ = case2_problem()
+        sol = solve_newton_raphson(problem)
+        assert sol.converged and sol.iterations >= 2
+        assert len(calls) == sol.iterations + 1
+
     def test_singular_jacobian_raises(self):
         y = AdmittanceMatrix(np.zeros((2, 2), dtype=complex))
         problem = PowerFlowProblem(y, 0, np.array([0.5]), np.array([0.0]))
@@ -198,12 +281,8 @@ class TestJacobian:
         rng = random.Random(23)
         np_rng = np.random.default_rng(23)
         for _ in range(120):
-            net = make_radial_network(rng, rng.randint(2, 60))
-            lines = tuple(
-                replace(line, reactance=rng.uniform(0.0, 0.02) * BASE.z_base)
-                for line in net.lines
-            )
-            admittance = build_admittance(replace(net, lines=lines), BASE)
+            net = random_reactive_network(rng, rng.randint(2, 60))
+            admittance = build_admittance(net, BASE)
             n = admittance.n
             slack = rng.randrange(n)
             pq = [i for i in range(n) if i != slack]
@@ -213,6 +292,19 @@ class TestJacobian:
                 newton_jacobian(vm, va, admittance, pq),
                 loop_jacobian(vm, va, admittance, pq),
             )
+
+    def test_given_injections_give_the_same_matrix(self):
+        problem, _ = case2_problem()
+        pq = problem.pq_indices
+        np_rng = np.random.default_rng(29)
+        n = problem.admittance.n
+        vm = np_rng.uniform(0.95, 1.05, n)
+        va = np_rng.uniform(-0.1, 0.1, n)
+        injections = compute_injections(vm, va, problem.admittance)
+        assert np.array_equal(
+            newton_jacobian(vm, va, problem.admittance, pq, injections),
+            newton_jacobian(vm, va, problem.admittance, pq),
+        )
 
 class TestGaussSeidel:
     def test_zero_injections_flat(self):

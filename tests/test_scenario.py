@@ -190,6 +190,15 @@ class TestParseErrors:
         errs = errors_of(MINIMAL.replace("resistance_ohm = 0.01", "resistance_ohm = -1"))
         assert errs[0].kind is ParseErrorKind.TYPE_MISMATCH
 
+    def test_overflowing_number_cites_entry(self):
+        # 1e999 matches the number syntax but parses to inf.
+        text = MINIMAL.replace("p_w = 500", "p_w = 1e999")
+        errs = errors_of(text)
+        assert len(errs) == 1
+        assert errs[0].kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert "must be finite" in errs[0].message
+        assert _line_containing(text, errs[0].line).startswith("p_w = 1e999")
+
     def test_bad_id_charset(self):
         errs = errors_of(MINIMAL.replace("id = sink", "id = Sink"))
         assert errs[0].kind is ParseErrorKind.TYPE_MISMATCH

@@ -214,6 +214,28 @@ class TestTraceCsv:
         with pytest.raises(WeatherTraceError, match="row 1"):
             load_weather_csv(path)
 
+    @pytest.mark.parametrize(
+        "steps, row, expected",
+        [
+            ((0, 1, 1, 2), 3, 2),  # duplicate
+            ((0, 1, 3), 3, 2),  # missing
+            ((0, 2, 1), 2, 1),  # out of order
+            ((1, 2), 1, 0),  # not starting at 0
+            ((-1,), 1, 0),
+        ],
+    )
+    def test_step_sequence_cites_row(self, tmp_path, steps, row, expected):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "step,hour,cloud_factor,wind_speed_mps,temperature_c\n"
+            + "".join(f"{s},{s % 24},0.5,4.0,12.0\n" for s in steps)
+        )
+        with pytest.raises(
+            WeatherTraceError, match=f"row {row}: step must be {expected}, got"
+        ) as exc:
+            load_weather_csv(path)
+        assert exc.value.row == row
+
     def test_negative_wind_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
