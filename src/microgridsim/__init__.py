@@ -30,7 +30,6 @@ from .grid import (
     AdmittanceMatrix,
     Bus,
     BusKind,
-    Diagnostic,
     GridConnection,
     Line,
     LoadDevice,
@@ -42,9 +41,7 @@ from .grid import (
     validate,
 )
 from .powerflow import (
-    Dispatch,
     PowerFlowProblem,
-    PowerFlowSolution,
     SingularMatrixError,
     SolverOptions,
     compute_injections,
@@ -57,7 +54,6 @@ from .powerflow import (
     total_line_losses,
 )
 from .scenario import (
-    ParseError,
     ParseErrorKind,
     Scenario,
     ScenarioFormatError,
@@ -66,12 +62,10 @@ from .scenario import (
     parse_scenario,
 )
 from .weather import (
-    RngState,
     WeatherParams,
     WeatherSample,
     WeatherTraceError,
     load_weather_csv,
-    rng_next_uniform,
     sample_wind,
     step_cloud,
     uniform_stream,

@@ -27,6 +27,7 @@ from .scenario import (
     ScenarioFormatError,
     format_number,
     parse_scenario,
+    simulation_pairs,
 )
 from .weather import WeatherTraceError, load_weather_csv
 
@@ -112,14 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{args.weather_csv}: {exc}", file=sys.stderr)
             return 1
 
-    comments = [
-        ("steps", str(cfg.steps)),
-        ("start_hour", str(cfg.start_hour)),
-        ("solver", cfg.solver),
-        ("seed", str(cfg.seed)),
-        ("s_base_va", format_number(cfg.s_base_va)),
-        ("v_base_v", format_number(cfg.v_base_v)),
-    ]
+    comments = simulation_pairs(cfg)
     if args.weather_csv is not None:
         comments.append(("weather_csv", args.weather_csv))
 

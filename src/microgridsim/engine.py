@@ -102,8 +102,10 @@ def run_simulation(
 
     An explicit `weather` sequence overrides the scenario's weather
     source; otherwise a scenario trace path (resolved against trace_dir)
-    or the synthetic model supplies the samples.  Non-convergence of the
-    AC solver aborts the run by raising NonConvergenceError.
+    or the synthetic model supplies the samples.  Sample i must be for
+    hour (start_hour + i) % 24, else ValueError names the step.
+    Non-convergence of the AC solver aborts the run by raising
+    NonConvergenceError.
     """
     cfg = scenario.config
     net = scenario.network
@@ -122,6 +124,13 @@ def run_simulation(
         raise ValueError(
             f"weather trace provides {len(samples)} samples, run needs {cfg.steps}"
         )
+    for step in range(cfg.steps):
+        hour = (cfg.start_hour + step) % 24
+        if samples[step].hour_of_day != hour:
+            raise ValueError(
+                f"weather sample for step {step} is for hour {samples[step].hour_of_day}, "
+                f"but a run starting at hour {cfg.start_hour} needs hour {hour}"
+            )
 
     grid_object = net.grid.id if net.grid is not None else net.buses[net.slack_index()].id
 

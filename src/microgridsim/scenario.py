@@ -5,7 +5,15 @@ A scenario file is a sequence of sections.  A section starts with
 load, pv, wind; the following ``key = value`` entries describe one
 object.  ``#`` starts a comment, blank lines are ignored, identifiers
 use ``[a-z0-9_]+``, and numbers accept integer, decimal, or scientific
-notation with ``.`` as separator.
+notation with ``.`` as separator; a number that overflows to infinity
+is an error.
+
+``_SCHEMA`` is the one definition of the keys: for each section kind,
+the dataclass it builds and its entries in canonical order, each with
+the attribute it sets, its value kind and its bounds.  A key is optional
+exactly when its attribute has a default.  Parsing, emission, the
+placement of validation diagnostics and the results-CSV header
+(:func:`simulation_pairs`) all read it.
 
 Parsing is all-or-nothing: every problem found is reported as a
 :class:`ParseError` with a 1-based line and column, and no partially
@@ -17,23 +25,17 @@ numbers at up to 9 significant digits, LF endings), and
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
-from .generation import (
-    DEFAULT_CLOUD_ATTENUATION,
-    DEFAULT_CUT_IN,
-    DEFAULT_CUT_OUT,
-    DEFAULT_RATED,
-    SolarPanel,
-    WindTurbine,
-)
+from .generation import SolarPanel, WindTurbine
 from .grid import Bus, BusKind, GridConnection, Line, LoadDevice, Network, validate
 from .weather import WeatherParams
 
 SOLVER_CHOICES = ("acpf", "gs", "simple")
-DEFAULT_S_BASE_VA = 10000.0
 
 # Object ids the result writer uses for non-device rows.
 RESERVED_IDS = ("weather", "network")
@@ -43,34 +45,6 @@ _ENTRY_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*=\s*(\S(?:.*\S)?)\s*$")
 _ID_RE = re.compile(r"^[a-z0-9_]{1,32}$")
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _NUMBER_RE = re.compile(r"^[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
-
-_SECTION_KINDS = ("simulation", "weather", "bus", "line", "grid", "load", "pv", "wind")
-
-_WEATHER_PARAM_KEYS = (
-    "weibull_shape",
-    "weibull_scale_mps",
-    "cloud_step",
-    "cloud_initial",
-    "temp_mean_c",
-    "temp_amplitude_c",
-)
-
-# Network field names (as used in validation diagnostics) -> document keys.
-_ATTRIBUTE_KEYS = {
-    "bus": "bus",
-    "from_bus": "from",
-    "to_bus": "to",
-    "resistance": "resistance_ohm",
-    "reactance": "reactance_ohm",
-    "nominal_voltage": "nominal_voltage_v",
-    "active_power": "p_w",
-    "reactive_power": "q_var",
-    "peak_power": "peak_w",
-    "cloud_attenuation": "alpha",
-    "cut_in": "cut_in_mps",
-    "rated": "rated_mps",
-    "cut_out": "cut_out_mps",
-}
 
 
 class ParseErrorKind(str, Enum):
@@ -107,13 +81,16 @@ class ScenarioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run controls parsed from the [simulation] section."""
+    """Run controls parsed from the [simulation] section.
 
-    steps: int = 48
-    start_hour: int = 0
-    solver: str = "acpf"
-    seed: int = 0
-    s_base_va: float = DEFAULT_S_BASE_VA
+    A document without v_base_v takes the first bus's nominal voltage.
+    """
+
+    steps: int
+    start_hour: int
+    solver: str
+    seed: int
+    s_base_va: float = 10000.0
     v_base_v: float = 230.0
 
 
@@ -134,6 +111,101 @@ class Scenario:
 def format_number(value: float) -> str:
     """Canonical numeric rendering: up to 9 significant digits."""
     return format(value, ".9g")
+
+
+class _Key(NamedTuple):
+    """One entry of a section: document key, attribute it sets, value kind, bounds.
+
+    kind is "id", "int", "number", "path", or the tuple of allowed words;
+    the minimum is exclusive when strict is set.
+    """
+
+    key: str
+    attr: str
+    kind: str | tuple[str, ...]
+    minimum: float | None = None
+    maximum: float | None = None
+    strict: bool = False
+
+
+class _Kind(NamedTuple):
+    """A section kind: the dataclass it builds and its keys in canonical order."""
+
+    cls: type
+    keys: tuple[_Key, ...]
+    optional: frozenset[str]  # attributes with a dataclass default
+
+    @classmethod
+    def of(cls, built: type, *keys: _Key) -> _Kind:
+        defaults = frozenset(f.name for f in fields(built) if f.default is not MISSING)
+        return cls(built, keys, defaults)
+
+
+_ID = _Key("id", "id", "id")
+_BUS = _Key("bus", "bus", "id")
+_PEAK = _Key("peak_w", "peak_power", "number", 0.0, strict=True)
+
+# Section kinds in canonical order.  BusKind members are str, so they
+# compare equal to the words that select them.
+_SCHEMA = {
+    "simulation": _Kind.of(
+        SimulationConfig,
+        _Key("steps", "steps", "int", 1),
+        _Key("start_hour", "start_hour", "int", 0, 23),
+        _Key("solver", "solver", SOLVER_CHOICES),
+        _Key("seed", "seed", "int", 0, 2**64 - 1),
+        _Key("s_base_va", "s_base_va", "number", 0.0, strict=True),
+        _Key("v_base_v", "v_base_v", "number", 0.0, strict=True),
+    ),
+    "weather": _Kind.of(
+        WeatherParams,
+        _Key("weibull_shape", "weibull_shape", "number", 0.0, strict=True),
+        _Key("weibull_scale_mps", "weibull_scale", "number", 0.0, strict=True),
+        _Key("cloud_step", "cloud_step", "number", 0.0),
+        _Key("cloud_initial", "cloud_initial", "number", 0.0, 1.0),
+        _Key("temp_mean_c", "temp_mean", "number"),
+        _Key("temp_amplitude_c", "temp_amplitude", "number"),
+    ),
+    "bus": _Kind.of(
+        Bus,
+        _ID,
+        _Key("kind", "kind", tuple(BusKind)),
+        _Key("nominal_voltage_v", "nominal_voltage", "number", 0.0, strict=True),
+    ),
+    "line": _Kind.of(
+        Line,
+        _ID,
+        _Key("from", "from_bus", "id"),
+        _Key("to", "to_bus", "id"),
+        _Key("resistance_ohm", "resistance", "number", 0.0),
+        _Key("reactance_ohm", "reactance", "number", 0.0),
+        _Key("length_m", "length", "number", 0.0),
+    ),
+    "grid": _Kind.of(GridConnection, _ID, _BUS),
+    "load": _Kind.of(
+        LoadDevice,
+        _ID,
+        _BUS,
+        _Key("p_w", "active_power", "number", 0.0),
+        _Key("q_var", "reactive_power", "number"),
+    ),
+    "pv": _Kind.of(
+        SolarPanel, _ID, _BUS, _PEAK, _Key("alpha", "cloud_attenuation", "number", 0.0, 1.0)
+    ),
+    "wind": _Kind.of(
+        WindTurbine,
+        _ID,
+        _BUS,
+        _PEAK,
+        _Key("cut_in_mps", "cut_in", "number", 0.0),
+        _Key("rated_mps", "rated", "number"),
+        _Key("cut_out_mps", "cut_out", "number"),
+    ),
+}
+# A [weather] section holds either this key alone or the model parameters.
+_TRACE = _Key("trace", "weather_trace", "path")
+
+_SECTION_KINDS = tuple(_SCHEMA)
 
 
 @dataclass
@@ -176,84 +248,56 @@ class _Reader:
             self.ok = False
         return entry
 
-    def _mismatch(self, entry: _Entry, expected: str) -> None:
-        self.errors.append(
-            ParseError(
-                entry.line,
-                entry.value_column,
-                ParseErrorKind.TYPE_MISMATCH,
-                f"key {entry.key!r} expects {expected}, got {entry.value!r}",
-            )
-        )
+    def _fail(self, entry: _Entry, kind: ParseErrorKind, message: str) -> None:
+        self.errors.append(ParseError(entry.line, entry.value_column, kind, message))
         self.ok = False
 
-    def has(self, key: str) -> bool:
-        return key in self.section.entries
+    def _mismatch(self, entry: _Entry, expected: str) -> None:
+        self._fail(
+            entry,
+            ParseErrorKind.TYPE_MISMATCH,
+            f"key {entry.key!r} expects {expected}, got {entry.value!r}",
+        )
 
-    def ident(self, key: str, required: bool = True) -> str | None:
-        entry = self._take(key, required)
+    def read(self, key: _Key, required: bool):
+        """The entry's value converted as key.kind says; None if absent or invalid."""
+        entry = self._take(key.key, required)
         if entry is None:
             return None
-        if not _ID_RE.match(entry.value):
-            self._mismatch(entry, "an identifier ([a-z0-9_], 1-32 chars)")
-            return None
-        return entry.value
-
-    def choice(self, key: str, options: tuple[str, ...], required: bool = True,
-               default: str | None = None) -> str | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return default
-        if entry.value not in options:
-            self._mismatch(entry, "one of " + ", ".join(options))
-            return default
-        return entry.value
-
-    def integer(self, key: str, required: bool = True, default: int | None = None,
-                minimum: int | None = None, maximum: int | None = None) -> int | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return default
-        if not _INT_RE.match(entry.value):
-            self._mismatch(entry, "an integer")
-            return default
-        value = int(entry.value)
-        if minimum is not None and value < minimum:
-            self._mismatch(entry, f"an integer >= {minimum}")
-            return default
-        if maximum is not None and value > maximum:
-            self._mismatch(entry, f"an integer <= {maximum}")
-            return default
+        text, kind = entry.value, key.kind
+        if kind == "number":
+            if not _NUMBER_RE.match(text):
+                return self._mismatch(entry, "a number")
+            value, noun, show = float(text), "a number", format_number
+            if not math.isfinite(value):  # float() makes 1e999 inf
+                return self._fail(
+                    entry,
+                    ParseErrorKind.SEMANTIC_CONFLICT,
+                    f"key {entry.key!r} must be finite, got {text!r}",
+                )
+        elif kind == "int":
+            if not _INT_RE.match(text):
+                return self._mismatch(entry, "an integer")
+            value, noun, show = int(text), "an integer", str
+        elif kind == "id":
+            if not _ID_RE.match(text):
+                return self._mismatch(entry, "an identifier ([a-z0-9_], 1-32 chars)")
+            return text
+        elif kind == "path":
+            if any(ch.isspace() for ch in text):
+                return self._mismatch(entry, "a path without whitespace")
+            return text
+        else:
+            if text not in kind:
+                return self._mismatch(entry, "one of " + ", ".join(kind))
+            return kind[kind.index(text)]
+        if key.minimum is not None:
+            if value < key.minimum or (key.strict and value == key.minimum):
+                op = ">" if key.strict else ">="
+                return self._mismatch(entry, f"{noun} {op} {show(key.minimum)}")
+        if key.maximum is not None and value > key.maximum:
+            return self._mismatch(entry, f"{noun} <= {show(key.maximum)}")
         return value
-
-    def number(self, key: str, required: bool = True, default: float | None = None,
-               minimum: float | None = None, maximum: float | None = None,
-               exclusive_minimum: bool = False) -> float | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return default
-        if not _NUMBER_RE.match(entry.value):
-            self._mismatch(entry, "a number")
-            return default
-        value = float(entry.value)
-        if minimum is not None:
-            if value < minimum or (exclusive_minimum and value == minimum):
-                op = ">" if exclusive_minimum else ">="
-                self._mismatch(entry, f"a number {op} {format_number(minimum)}")
-                return default
-        if maximum is not None and value > maximum:
-            self._mismatch(entry, f"a number <= {format_number(maximum)}")
-            return default
-        return value
-
-    def path(self, key: str, required: bool = True) -> str | None:
-        entry = self._take(key, required)
-        if entry is None:
-            return None
-        if any(ch.isspace() for ch in entry.value):
-            self._mismatch(entry, "a path without whitespace")
-            return None
-        return entry.value
 
     def reject_unknown(self) -> None:
         for key, entry in self.section.entries.items():
@@ -358,97 +402,23 @@ def parse_scenario(text: str) -> Scenario:
     errors: list[ParseError] = []
     sections = _scan_sections(text, errors)
 
-    sim_section = _single_section(sections, "simulation", errors)
-    weather_section = _single_section(sections, "weather", errors)
-    grid_section = _single_section(sections, "grid", errors)
-
-    if sim_section is None:
+    first = {
+        kind: _single_section(sections, kind, errors)
+        for kind in ("simulation", "weather", "grid")
+    }
+    if first["simulation"] is None:
         errors.append(
             ParseError(
                 1, 1, ParseErrorKind.MISSING_REQUIRED, "missing [simulation] section"
             )
         )
 
-    steps = start_hour = seed = None
-    solver = None
-    s_base_va: float | None = DEFAULT_S_BASE_VA
-    v_base_v: float | None = None
-    if sim_section is not None:
-        r = _Reader(sim_section, errors)
-        steps = r.integer("steps", minimum=1)
-        start_hour = r.integer("start_hour", minimum=0, maximum=23)
-        solver = r.choice("solver", SOLVER_CHOICES)
-        seed = r.integer("seed", minimum=0, maximum=2**64 - 1)
-        s_base_va = r.number(
-            "s_base_va", required=False, default=DEFAULT_S_BASE_VA,
-            minimum=0.0, exclusive_minimum=True,
-        )
-        v_base_v = r.number(
-            "v_base_v", required=False, default=None,
-            minimum=0.0, exclusive_minimum=True,
-        )
-        r.reject_unknown()
-
-    weather_params: WeatherParams | None = None
+    # Attribute values of every section that read cleanly, per kind.
+    values: dict[str, list[dict]] = {kind: [] for kind in _SCHEMA}
     weather_trace: str | None = None
-    if weather_section is not None:
-        r = _Reader(weather_section, errors)
-        if r.has("trace"):
-            weather_trace = r.path("trace")
-            stray = [k for k in _WEATHER_PARAM_KEYS if k in weather_section.entries]
-            if stray:
-                r.used.update(stray)  # one conflict error, not one per key
-                errors.append(
-                    ParseError(
-                        weather_section.entries[stray[0]].line,
-                        weather_section.entries[stray[0]].key_column,
-                        ParseErrorKind.SEMANTIC_CONFLICT,
-                        "a [weather] section uses either 'trace' or model "
-                        "parameters, not both",
-                    )
-                )
-            r.reject_unknown()
-        else:
-            defaults = WeatherParams()
-            weather_params = WeatherParams(
-                weibull_shape=r.number(
-                    "weibull_shape", required=False,
-                    default=defaults.weibull_shape, minimum=0.0, exclusive_minimum=True,
-                ),
-                weibull_scale=r.number(
-                    "weibull_scale_mps", required=False,
-                    default=defaults.weibull_scale, minimum=0.0, exclusive_minimum=True,
-                ),
-                cloud_step=r.number(
-                    "cloud_step", required=False,
-                    default=defaults.cloud_step, minimum=0.0,
-                ),
-                cloud_initial=r.number(
-                    "cloud_initial", required=False,
-                    default=defaults.cloud_initial, minimum=0.0, maximum=1.0,
-                ),
-                temp_mean=r.number(
-                    "temp_mean_c", required=False, default=defaults.temp_mean
-                ),
-                temp_amplitude=r.number(
-                    "temp_amplitude_c", required=False, default=defaults.temp_amplitude
-                ),
-            )
-            r.reject_unknown()
-    else:
-        weather_params = WeatherParams()
-
-    buses: list[Bus] = []
-    lines: list[Line] = []
-    loads: list[LoadDevice] = []
-    pvs: list[SolarPanel] = []
-    winds: list[WindTurbine] = []
-    grid: GridConnection | None = None
     id_sections: dict[str, _Section] = {}
 
-    def register_id(obj_id: str | None, section: _Section) -> bool:
-        if obj_id is None:
-            return False
+    def register_id(obj_id: str, section: _Section) -> bool:
         if obj_id in RESERVED_IDS:
             errors.append(
                 ParseError(
@@ -473,83 +443,57 @@ def parse_scenario(text: str) -> Scenario:
         return True
 
     for section in sections:
-        if section.kind in ("simulation", "weather"):
-            continue
-        if section.kind == "grid" and section is not grid_section:
-            continue  # extra [grid] sections already reported
+        if first.get(section.kind, section) is not section:
+            continue  # repeats of a single section, already reported
+        spec = _SCHEMA[section.kind]
         r = _Reader(section, errors)
-        if section.kind == "bus":
-            bus_id = r.ident("id")
-            kind = r.choice("kind", ("slack", "pq"))
-            voltage = r.number(
-                "nominal_voltage_v", minimum=0.0, exclusive_minimum=True
-            )
+        if section.kind == "weather" and _TRACE.key in section.entries:
+            weather_trace = r.read(_TRACE, required=True)
+            stray = [k.key for k in spec.keys if k.key in section.entries]
+            if stray:
+                r.used.update(stray)  # one conflict error, not one per key
+                errors.append(
+                    ParseError(
+                        section.entries[stray[0]].line,
+                        section.entries[stray[0]].key_column,
+                        ParseErrorKind.SEMANTIC_CONFLICT,
+                        "a [weather] section uses either 'trace' or model "
+                        "parameters, not both",
+                    )
+                )
             r.reject_unknown()
-            if r.ok and register_id(bus_id, section):
-                buses.append(Bus(bus_id, BusKind(kind), voltage))
-        elif section.kind == "line":
-            line_id = r.ident("id")
-            from_bus = r.ident("from")
-            to_bus = r.ident("to")
-            resistance = r.number("resistance_ohm", minimum=0.0)
-            reactance = r.number("reactance_ohm", required=False, default=0.0, minimum=0.0)
-            length = r.number("length_m", required=False, default=None, minimum=0.0)
-            r.reject_unknown()
-            if r.ok and register_id(line_id, section):
-                lines.append(Line(line_id, from_bus, to_bus, resistance, reactance, length))
-        elif section.kind == "grid":
-            grid_id = r.ident("id")
-            bus = r.ident("bus")
-            r.reject_unknown()
-            if r.ok and register_id(grid_id, section):
-                grid = GridConnection(grid_id, bus)
-        elif section.kind == "load":
-            load_id = r.ident("id")
-            bus = r.ident("bus")
-            p_w = r.number("p_w", minimum=0.0)
-            q_var = r.number("q_var", required=False, default=0.0)
-            r.reject_unknown()
-            if r.ok and register_id(load_id, section):
-                loads.append(LoadDevice(load_id, bus, p_w, q_var))
-        elif section.kind == "pv":
-            pv_id = r.ident("id")
-            bus = r.ident("bus")
-            peak = r.number("peak_w", minimum=0.0, exclusive_minimum=True)
-            alpha = r.number(
-                "alpha", required=False, default=DEFAULT_CLOUD_ATTENUATION,
-                minimum=0.0, maximum=1.0,
-            )
-            r.reject_unknown()
-            if r.ok and register_id(pv_id, section):
-                pvs.append(SolarPanel(pv_id, bus, peak, alpha))
-        elif section.kind == "wind":
-            wind_id = r.ident("id")
-            bus = r.ident("bus")
-            peak = r.number("peak_w", minimum=0.0, exclusive_minimum=True)
-            cut_in = r.number("cut_in_mps", required=False, default=DEFAULT_CUT_IN, minimum=0.0)
-            rated = r.number("rated_mps", required=False, default=DEFAULT_RATED)
-            cut_out = r.number("cut_out_mps", required=False, default=DEFAULT_CUT_OUT)
-            r.reject_unknown()
-            if r.ok and register_id(wind_id, section):
-                winds.append(WindTurbine(wind_id, bus, peak, cut_in, rated, cut_out))
+            continue
+        found = {}
+        for key in spec.keys:
+            value = r.read(key, required=key.attr not in spec.optional)
+            if value is not None:
+                found[key.attr] = value
+        r.reject_unknown()
+        if r.ok and ("id" not in found or register_id(found["id"], section)):
+            values[section.kind].append(found)
 
     if errors:
         raise ScenarioFormatError(errors)
 
+    def build(kind: str) -> tuple:
+        return tuple(_SCHEMA[kind].cls(**v) for v in values[kind])
+
     network = Network(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        loads=tuple(loads),
-        pvs=tuple(pvs),
-        winds=tuple(winds),
-        grid=grid,
+        buses=build("bus"),
+        lines=build("line"),
+        loads=build("load"),
+        pvs=build("pv"),
+        winds=build("wind"),
+        grid=next(iter(build("grid")), None),
     )
     for diag in validate(network):
         line_no, column = 1, 1
         section = id_sections.get(diag.object_id or "")
         if section is not None:
             line_no = section.line
-            entry = section.entries.get(_ATTRIBUTE_KEYS.get(diag.attribute or "", ""))
+            keys = _SCHEMA[section.kind].keys
+            key = next((k.key for k in keys if k.attr == diag.attribute), None)
+            entry = section.entries.get(key)
             if entry is not None:
                 line_no, column = entry.line, entry.value_column
         errors.append(
@@ -558,24 +502,38 @@ def parse_scenario(text: str) -> Scenario:
     if errors:
         raise ScenarioFormatError(errors)
 
-    if v_base_v is None:
-        v_base_v = buses[0].nominal_voltage if buses else 230.0
-    config = SimulationConfig(
-        steps=steps,
-        start_hour=start_hour,
-        solver=solver,
-        seed=seed,
-        s_base_va=s_base_va,
-        v_base_v=v_base_v,
-    )
-    if weather_params is not None:
-        weather_params = replace(weather_params, seed=config.seed)
+    simulation = values["simulation"][0]
+    simulation.setdefault("v_base_v", network.buses[0].nominal_voltage)
+    config = SimulationConfig(**simulation)
+    weather = None
+    if weather_trace is None:
+        weather = WeatherParams(**(values["weather"] or [{}])[0], seed=config.seed)
     return Scenario(
         network=network,
         config=config,
-        weather=weather_params,
+        weather=weather,
         weather_trace=weather_trace,
     )
+
+
+def _pairs(kind: str, obj) -> list[tuple[str, str]]:
+    """obj's entries as (key, text) in canonical order; None attributes are left out."""
+    pairs = []
+    for key in _SCHEMA[kind].keys:
+        value = getattr(obj, key.attr)
+        if value is None:
+            continue
+        if key.kind == "number":
+            text = format_number(value)
+        else:
+            text = value.value if isinstance(value, Enum) else str(value)
+        pairs.append((key.key, text))
+    return pairs
+
+
+def simulation_pairs(config: SimulationConfig) -> list[tuple[str, str]]:
+    """The [simulation] entries of config as (key, text), in canonical order."""
+    return _pairs("simulation", config)
 
 
 def _emit_section(kind: str, pairs: list[tuple[str, str]]) -> str:
@@ -590,100 +548,23 @@ def emit_scenario(scenario: Scenario) -> str:
     pvs, winds; optional keys are materialized with their effective
     values so the output is self-contained and byte-stable.
     """
-    cfg = scenario.config
-    blocks = [
-        _emit_section(
-            "simulation",
-            [
-                ("steps", str(cfg.steps)),
-                ("start_hour", str(cfg.start_hour)),
-                ("solver", cfg.solver),
-                ("seed", str(cfg.seed)),
-                ("s_base_va", format_number(cfg.s_base_va)),
-                ("v_base_v", format_number(cfg.v_base_v)),
-            ],
-        )
-    ]
     if scenario.weather_trace is not None:
-        blocks.append(_emit_section("weather", [("trace", scenario.weather_trace)]))
+        weather = [(_TRACE.key, scenario.weather_trace)]
     else:
-        w = scenario.weather
-        blocks.append(
-            _emit_section(
-                "weather",
-                [
-                    ("weibull_shape", format_number(w.weibull_shape)),
-                    ("weibull_scale_mps", format_number(w.weibull_scale)),
-                    ("cloud_step", format_number(w.cloud_step)),
-                    ("cloud_initial", format_number(w.cloud_initial)),
-                    ("temp_mean_c", format_number(w.temp_mean)),
-                    ("temp_amplitude_c", format_number(w.temp_amplitude)),
-                ],
-            )
-        )
+        weather = _pairs("weather", scenario.weather)
+    blocks = [
+        _emit_section("simulation", _pairs("simulation", scenario.config)),
+        _emit_section("weather", weather),
+    ]
     net = scenario.network
-    for bus in net.buses:
-        blocks.append(
-            _emit_section(
-                "bus",
-                [
-                    ("id", bus.id),
-                    ("kind", bus.kind.value),
-                    ("nominal_voltage_v", format_number(bus.nominal_voltage)),
-                ],
-            )
-        )
-    for line in net.lines:
-        pairs = [
-            ("id", line.id),
-            ("from", line.from_bus),
-            ("to", line.to_bus),
-            ("resistance_ohm", format_number(line.resistance)),
-            ("reactance_ohm", format_number(line.reactance)),
-        ]
-        if line.length is not None:
-            pairs.append(("length_m", format_number(line.length)))
-        blocks.append(_emit_section("line", pairs))
-    if net.grid is not None:
-        blocks.append(
-            _emit_section("grid", [("id", net.grid.id), ("bus", net.grid.bus)])
-        )
-    for load in net.loads:
-        blocks.append(
-            _emit_section(
-                "load",
-                [
-                    ("id", load.id),
-                    ("bus", load.bus),
-                    ("p_w", format_number(load.active_power)),
-                    ("q_var", format_number(load.reactive_power)),
-                ],
-            )
-        )
-    for pv in net.pvs:
-        blocks.append(
-            _emit_section(
-                "pv",
-                [
-                    ("id", pv.id),
-                    ("bus", pv.bus),
-                    ("peak_w", format_number(pv.peak_power)),
-                    ("alpha", format_number(pv.cloud_attenuation)),
-                ],
-            )
-        )
-    for wind in net.winds:
-        blocks.append(
-            _emit_section(
-                "wind",
-                [
-                    ("id", wind.id),
-                    ("bus", wind.bus),
-                    ("peak_w", format_number(wind.peak_power)),
-                    ("cut_in_mps", format_number(wind.cut_in)),
-                    ("rated_mps", format_number(wind.rated)),
-                    ("cut_out_mps", format_number(wind.cut_out)),
-                ],
-            )
-        )
+    grid = () if net.grid is None else (net.grid,)
+    for kind, objects in (
+        ("bus", net.buses),
+        ("line", net.lines),
+        ("grid", grid),
+        ("load", net.loads),
+        ("pv", net.pvs),
+        ("wind", net.winds),
+    ):
+        blocks += [_emit_section(kind, _pairs(kind, obj)) for obj in objects]
     return "\n\n".join(blocks) + "\n"

@@ -3,8 +3,8 @@
 Wind speed is drawn per hour from a Weibull distribution via inverse-CDF
 sampling, cloud cover evolves as a bounded random walk on [0, 1], and
 temperature follows a fixed daily cosine profile.  All randomness comes
-from an explicit SplitMix64 state, so a (seed, params, n_steps) triple
-fully determines the generated trace on every platform.
+from one SplitMix64 stream (:func:`uniform_stream`), so a (seed, params,
+n_steps) triple fully determines the generated trace on every platform.
 """
 
 from __future__ import annotations
@@ -25,35 +25,13 @@ _MIX_MUL_2 = 0x94D049BB133111EB
 TRACE_COLUMNS = ("step", "hour", "cloud_factor", "wind_speed_mps", "temperature_c")
 
 
-@dataclass(frozen=True)
-class RngState:
-    """SplitMix64 generator state; advance with :func:`rng_next_uniform`."""
-
-    state: int = 0
-
-
-def rng_next_uniform(rng: RngState) -> tuple[RngState, float]:
-    """Advance the SplitMix64 state and return (new state, uniform in [0, 1)).
-
-    The update is bit-exact 64-bit arithmetic: add the golden-ratio
-    increment, then apply the two xor-shift-multiply mixing rounds.  The
-    uniform keeps the top 53 bits, so 0 <= u < 1 always holds.
-    """
-    state = (rng.state + _GOLDEN_GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & _MASK64
-    z = z ^ (z >> 31)
-    return RngState(state), (z >> 11) * 2.0**-53
-
-
 def uniform_stream(seed: int, n: int) -> np.ndarray:
-    """Vectorized SplitMix64: the first n uniforms for the given seed.
+    """SplitMix64: the first n uniforms in [0, 1) for the given seed.
 
-    Bit-identical to calling :func:`rng_next_uniform` n times starting
-    from ``RngState(seed)``.  SplitMix64 state i is just
-    ``seed + i * gamma`` mod 2**64, which makes the whole stream a single
-    vector expression.
+    State i is just ``seed + i * gamma`` mod 2**64, so the whole stream is
+    one vector expression: the two xor-shift-multiply mixing rounds of
+    each state in exact 64-bit arithmetic, then the top 53 bits of the
+    result as the uniform, so 0 <= u < 1 always holds.
     """
     steps = np.arange(1, n + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + steps * np.uint64(_GOLDEN_GAMMA)
@@ -119,23 +97,21 @@ def weather_series(
 ) -> list[WeatherSample]:
     """Generate n_steps hourly weather samples.
 
-    Each step consumes exactly two uniforms, wind first and cloud second,
-    so traces stay reproducible even if a future model change stops using
-    one of the draws.
+    Step i takes uniforms 2i (wind) and 2i + 1 (cloud) of the seed's
+    stream, so traces stay reproducible even if a future model change
+    stops using one of the draws.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not 0 <= start_hour <= 23:
         raise ValueError("start_hour must be in 0..23")
-    rng = RngState(params.seed & _MASK64)
+    u = uniform_stream(params.seed, 2 * n_steps).tolist()
     cloud = min(1.0, max(0.0, params.cloud_initial))
     samples = []
     for step in range(n_steps):
         hour = (start_hour + step) % 24
-        rng, u_wind = rng_next_uniform(rng)
-        wind = sample_wind(u_wind, params.weibull_shape, params.weibull_scale)
-        rng, u_cloud = rng_next_uniform(rng)
-        cloud = step_cloud(cloud, u_cloud, params.cloud_step)
+        wind = sample_wind(u[2 * step], params.weibull_shape, params.weibull_scale)
+        cloud = step_cloud(cloud, u[2 * step + 1], params.cloud_step)
         temp = params.temp_mean + params.temp_amplitude * math.cos(
             2.0 * math.pi * (hour - 15) / 24.0
         )

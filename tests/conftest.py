@@ -174,6 +174,25 @@ def loop_solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def splitmix64_uniforms(seed: int, n: int) -> list[float]:
+    """Scalar reference for uniform_stream: n SplitMix64 draws in Python ints.
+
+    Each draw adds the golden-ratio increment to the 64-bit state, applies
+    the two xor-shift-multiply mixing rounds, and keeps the top 53 bits.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    state = seed & mask
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z = z ^ (z >> 31)
+        out.append((z >> 11) * 2.0**-53)
+    return out
+
+
 def make_random_scenario(rng: random.Random) -> Scenario:
     """Random valid scenario for parser round-trip property tests."""
     n_buses = rng.randint(2, 7)

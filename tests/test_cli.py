@@ -88,6 +88,29 @@ class TestRun:
         assert not out.exists()
         assert "row 4: step must be 3, got 2" in capsys.readouterr().err
 
+    def test_trace_out_of_step_with_start_hour_exits_1(self, tmp_path, capsys):
+        from microgridsim import WeatherParams, weather_series, write_weather_csv
+
+        trace = tmp_path / "wx.csv"
+        write_weather_csv(weather_series(WeatherParams(seed=4), 48, start_hour=5), trace)
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", CASE1, "--weather-csv", str(trace), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "step 0 is for hour 5" in capsys.readouterr().err
+
+    def test_overflowing_s_base_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mgs"
+        text = bundled_scenario_text("case2")
+        assert "s_base_va = 10000\n" in text
+        bad.write_text(text.replace("s_base_va = 10000\n", "s_base_va = 1e999\n"))
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", str(bad), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "bad.mgs:" in err and "'s_base_va' must be finite" in err
+
     def test_non_convergent_run_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
         bad.write_text(

@@ -114,6 +114,15 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="10 samples"):
             run_simulation(case1, weather=samples)
 
+    def test_trace_hours_must_follow_start_hour(self, case1):
+        samples = weather_series(case1.weather, 48, start_hour=5)
+        with pytest.raises(ValueError, match="step 0 is for hour 5"):
+            run_simulation(case1, weather=samples)
+        samples = weather_series(case1.weather, 48)
+        samples[7] = replace(samples[7], hour_of_day=3)
+        with pytest.raises(ValueError, match="step 7 is for hour 3, .* needs hour 7"):
+            run_simulation(case1, weather=samples)
+
     def test_non_convergence_aborts_with_step(self):
         text = bundled_scenario_text("case2").replace("p_w = 6000", "p_w = 90000000")
         scenario = parse_scenario(text)

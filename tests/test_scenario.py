@@ -1,8 +1,14 @@
 """Scenario DSL: parsing, error reporting, canonical emission, round-trips."""
 
+import dataclasses
+import math
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from microgridsim import (
     BusKind,
@@ -12,6 +18,7 @@ from microgridsim import (
     emit_scenario,
     parse_scenario,
 )
+from microgridsim.scenario import _NUMBER_RE, _SCHEMA
 from conftest import make_random_scenario, scenarios_close
 
 MINIMAL = """\
@@ -199,6 +206,22 @@ class TestParseErrors:
         assert "must be finite" in errs[0].message
         assert _line_containing(text, errs[0].line).startswith("p_w = 1e999")
 
+    @pytest.mark.parametrize(
+        "key", ["s_base_va", "v_base_v", "weibull_scale_mps", "temp_mean_c"]
+    )
+    def test_overflowing_number_rejected_in_every_section(self, key):
+        if key in ("s_base_va", "v_base_v"):
+            text = MINIMAL.replace("seed = 9", f"seed = 9\n{key} = 1e999")
+        else:
+            text = MINIMAL + f"\n[weather]\n{key} = 1e999\n"
+        errs = errors_of(text)
+        assert len(errs) == 1
+        assert errs[0].kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert "must be finite" in errs[0].message
+        line = _line_containing(text, errs[0].line)
+        assert line == f"{key} = 1e999"
+        assert line[errs[0].column - 1 :] == "1e999"
+
     def test_bad_id_charset(self):
         errs = errors_of(MINIMAL.replace("id = sink", "id = Sink"))
         assert errs[0].kind is ParseErrorKind.TYPE_MISMATCH
@@ -282,3 +305,68 @@ class TestFuzz:
                 parse_scenario(text)
             except ScenarioFormatError:
                 pass
+
+
+CASE2 = bundled_scenario_text("case2")
+# (start, end) of every value in case2 written as a number, by line number.
+CASE2_NUMBERS = {
+    CASE2.count("\n", 0, m.start()) + 1: m.span(2)
+    for m in re.finditer(r"(?m)^([a-z_]+) = (\S+)$", CASE2)
+    if _NUMBER_RE.match(m.group(2))
+}
+
+
+def _case2_line(key):
+    return next(i for i, line in enumerate(CASE2.splitlines(), 1) if line.startswith(key))
+
+
+def _floats(obj):
+    """Every float held by a scenario's dataclasses and tuples."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _floats(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _floats(getattr(obj, f.name))
+
+
+class TestNonFiniteNumbers:
+    @given(
+        st.sampled_from(sorted(CASE2_NUMBERS)),
+        st.builds(
+            "{}{}{}".format,
+            st.sampled_from(["", "+", "-"]),
+            st.from_regex(r"\A(?:[0-9]{1,400}(?:\.[0-9]*)?|\.[0-9]+)\Z"),
+            st.one_of(st.just(""), st.integers(-999, 999).map("e{:+d}".format)),
+        ),
+    )
+    @example(_case2_line("s_base_va"), "1e999")
+    @example(_case2_line("temp_mean_c"), "-1e999")
+    @example(_case2_line("weibull_scale_mps"), "9" * 400)
+    def test_no_non_finite_value_reaches_a_scenario(self, line_no, literal):
+        assert _NUMBER_RE.match(literal)
+        start, end = CASE2_NUMBERS[line_no]
+        text = CASE2[:start] + literal + CASE2[end:]
+        try:
+            scenario = parse_scenario(text)
+        except ScenarioFormatError:
+            return
+        assert all(math.isfinite(x) for x in _floats(scenario))
+
+
+class TestDocs:
+    def test_readme_table_lists_schema_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Scenario format", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and cells[0] in _SCHEMA:
+                rows[cells[0]] = cells[1].split(", ")
+        expected = {
+            kind: [k.key + ("*" if k.attr in spec.optional else "") for k in spec.keys]
+            for kind, spec in _SCHEMA.items()
+        }
+        assert rows == expected

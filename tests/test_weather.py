@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from microgridsim import (
-    RngState,
     WeatherParams,
     WeatherSample,
     WeatherTraceError,
     load_weather_csv,
-    rng_next_uniform,
     sample_wind,
     step_cloud,
     uniform_stream,
     weather_series,
     write_weather_csv,
 )
+from conftest import splitmix64_uniforms
 
 # Published SplitMix64 outputs for seed 0 (top bits feed the uniform).
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -25,36 +24,19 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 class TestRng:
     def test_seed0_reference_vector(self):
-        rng = RngState(0)
-        for expected in SPLITMIX64_SEED0:
-            rng, u = rng_next_uniform(rng)
-            assert u == (expected >> 11) * 2.0**-53
+        expected = [(x >> 11) * 2.0**-53 for x in SPLITMIX64_SEED0]
+        assert uniform_stream(0, 3).tolist() == expected
 
     def test_same_seed_same_sequence(self):
-        def draw(n):
-            rng = RngState(1234)
-            out = []
-            for _ in range(n):
-                rng, u = rng_next_uniform(rng)
-                out.append(u)
-            return out
-
-        assert draw(96) == draw(96)
+        assert uniform_stream(1234, 96).tolist() == uniform_stream(1234, 96).tolist()
 
     def test_uniforms_in_unit_interval(self):
-        rng = RngState(7)
-        for _ in range(10_000):
-            rng, u = rng_next_uniform(rng)
-            assert 0.0 <= u < 1.0
+        u = uniform_stream(7, 10_000)
+        assert np.all((0.0 <= u) & (u < 1.0))
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
     def test_uniform_stream_matches_scalar(self, seed):
-        rng = RngState(seed)
-        scalar = []
-        for _ in range(257):
-            rng, u = rng_next_uniform(rng)
-            scalar.append(u)
-        assert uniform_stream(seed, 257).tolist() == scalar
+        assert uniform_stream(seed, 257).tolist() == splitmix64_uniforms(seed, 257)
 
 
 class TestSampleWind:
