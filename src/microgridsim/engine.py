@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .powerflow import (
     PowerFlowProblem,
     PowerFlowSolution,
     SolverOptions,
+    compute_injections,
     simple_power_distribution,
     solve,
     total_line_losses,
@@ -81,16 +83,31 @@ class SummaryRow:
 
 
 class NonConvergenceError(RuntimeError):
-    """The power-flow solver failed to converge at a simulation step."""
+    """The power-flow solver failed to converge at a simulation step.
 
-    def __init__(self, step: int, solution: PowerFlowSolution):
+    worst_bus is the id of the PQ bus with the largest final P or Q
+    mismatch; v_mag_range is (min, max) of the last iterate's |V| in pu.
+    """
+
+    def __init__(self, step: int, solution: PowerFlowSolution, worst_bus: str):
+        self.step = step
+        self.solution = solution
+        self.worst_bus = worst_bus
+        self.v_mag_range = (float(solution.v_mag.min()), float(solution.v_mag.max()))
         super().__init__(
             f"power flow did not converge at step {step} "
             f"(max mismatch {solution.max_mismatch:.3e} pu after "
-            f"{solution.iterations} iterations)"
+            f"{solution.iterations} iterations; worst at bus {worst_bus!r}; "
+            f"|V| from {self.v_mag_range[0]:.6g} to {self.v_mag_range[1]:.6g} pu)"
         )
-        self.step = step
-        self.solution = solution
+
+
+def _worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
+    """Index of the PQ bus whose final |dP| or |dQ| is largest."""
+    p, q = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
+    pq = problem.pq_indices
+    worst = np.maximum(np.abs(problem.p_injection - p[pq]), np.abs(problem.q_injection - q[pq]))
+    return pq[int(np.argmax(worst))]
 
 
 def run_simulation(
@@ -105,7 +122,9 @@ def run_simulation(
     or the synthetic model supplies the samples.  Sample i must be for
     hour (start_hour + i) % 24, else ValueError names the step.
     Non-convergence of the AC solver aborts the run by raising
-    NonConvergenceError.
+    NonConvergenceError.  A NaN or infinite result value raises
+    ValueError naming its step, object and quantity, so a table never
+    holds one.
     """
     cfg = scenario.config
     net = scenario.network
@@ -147,9 +166,10 @@ def run_simulation(
     records: list[ResultRecord] = []
 
     def emit(step: int, hour: int, obj: str, quantity: str, value: float) -> None:
-        records.append(
-            ResultRecord(step, hour, obj, quantity, float(value), QUANTITY_UNITS[quantity])
-        )
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"step {step}: {obj} {quantity} is {value}, not a finite number")
+        records.append(ResultRecord(step, hour, obj, quantity, value, QUANTITY_UNITS[quantity]))
 
     for step in range(cfg.steps):
         ws = samples[step]
@@ -189,7 +209,8 @@ def run_simulation(
         )
         solution = solve(problem, options)
         if not solution.converged:
-            raise NonConvergenceError(step, solution)
+            worst = _worst_mismatch_bus(problem, solution)
+            raise NonConvergenceError(step, solution, net.buses[worst].id)
         for i, bus in enumerate(net.buses):
             emit(step, hour, bus.id, "v_mag", solution.v_mag[i] * cfg.v_base_v)
             emit(step, hour, bus.id, "v_angle", solution.v_angle[i])

@@ -202,7 +202,7 @@ def _mismatch(
     problem: PowerFlowProblem,
     v_mag: np.ndarray,
     v_angle: np.ndarray,
-    pq: Sequence[int],
+    pq: Sequence[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
     mismatch = np.concatenate(
@@ -277,6 +277,13 @@ def solve_gauss_seidel(
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
     Convergence is judged on the same injection mismatch as
     Newton-Raphson so the two solvers are cross-comparable.
+
+    A sweep costs per-call overhead, not arithmetic, so every per-bus
+    constant (row of Y, Y_ii, S_i*) is looked up once per solve.  The
+    row sum is a dense BLAS dot over the whole row minus Y_ii V_i, and
+    the divisions are numpy scalar divisions: summing only the nonzeros
+    would regroup the dot's SIMD accumulation, and Python complex
+    division rounds differently, so either would move printed digits.
     """
     opts = options or SolverOptions()
     max_iter = opts.max_iterations if opts.max_iterations is not None else GS_MAX_ITERATIONS
@@ -288,13 +295,20 @@ def solve_gauss_seidel(
             raise SingularMatrixError(f"zero admittance diagonal at bus index {i}")
     s_spec = np.zeros(n, dtype=complex)
     s_spec[pq] = problem.p_injection + 1j * problem.q_injection
+    # Per PQ bus: index, bound dot of its row of Y (ndarray.dot is np.dot
+    # without the dispatch wrapper), Y_ii and S_i*.  complex.conjugate and
+    # np.arctan2 below give the bits of np.conj and np.angle, minus their
+    # per-call overhead.
+    buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq]
+    pq_idx = np.asarray(pq, dtype=np.intp)
+    conj = complex.conjugate
     v = np.ones(n, dtype=complex)
     it = 0
     while True:
         v_mag = np.abs(v)
-        v_angle = np.angle(v)
-        mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
-        max_mismatch = float(np.max(np.abs(mismatch))) if pq else 0.0
+        v_angle = np.arctan2(v.imag, v.real)
+        mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq_idx)
+        max_mismatch = float(np.abs(mismatch).max()) if pq else 0.0
         if max_mismatch <= opts.tolerance:
             return _finish(
                 v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
@@ -305,9 +319,9 @@ def solve_gauss_seidel(
                 v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
                 problem.slack_index, False,
             )
-        for i in pq:
-            row_sum = y[i, :] @ v - y[i, i] * v[i]
-            v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
+        for i, row_dot, y_ii, s_conj in buses:
+            v_i = v[i]
+            v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
         it += 1
 
 

@@ -20,11 +20,14 @@ from microgridsim import (
     SimulationConfig,
     SingularMatrixError,
     SolarPanel,
+    SolverOptions,
     WeatherParams,
     WindTurbine,
     build_admittance,
+    bundled_scenario_text,
     compute_injections,
 )
+from microgridsim.powerflow import GS_MAX_ITERATIONS, PowerFlowSolution
 
 BASE = PerUnitBase(s_base=10_000.0, v_base=230.0)
 
@@ -174,6 +177,50 @@ def loop_solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def loop_gauss_seidel(
+    problem: PowerFlowProblem, options: SolverOptions | None = None
+) -> PowerFlowSolution:
+    """Per-bus reference for solve_gauss_seidel.
+
+    The sweep as first written: each bus slices its row of Y, reads Y_ii
+    and conjugates S_i anew, the angle comes from np.angle and the PQ
+    buses are indexed with a list.  solve_gauss_seidel must reproduce
+    every field of its solution bit for bit.
+    """
+    opts = options or SolverOptions()
+    max_iter = opts.max_iterations if opts.max_iterations is not None else GS_MAX_ITERATIONS
+    y = problem.admittance.y
+    n = problem.admittance.n
+    pq = problem.pq_indices
+    slack = problem.slack_index
+    s_spec = np.zeros(n, dtype=complex)
+    s_spec[pq] = problem.p_injection + 1j * problem.q_injection
+    v = np.ones(n, dtype=complex)
+    it = 0
+    while True:
+        v_mag = np.abs(v)
+        v_angle = np.angle(v)
+        p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
+        mismatch = np.concatenate(
+            [problem.p_injection - p_calc[pq], problem.q_injection - q_calc[pq]]
+        )
+        max_mismatch = float(np.max(np.abs(mismatch))) if pq else 0.0
+        converged = max_mismatch <= opts.tolerance
+        if converged or it >= max_iter:
+            return PowerFlowSolution(
+                v_mag=v_mag,
+                v_angle=v_angle,
+                iterations=it,
+                max_mismatch=max_mismatch,
+                slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+                converged=converged,
+            )
+        for i in pq:
+            row_sum = y[i, :] @ v - y[i, i] * v[i]
+            v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
+        it += 1
+
+
 def splitmix64_uniforms(seed: int, n: int) -> list[float]:
     """Scalar reference for uniform_stream: n SplitMix64 draws in Python ints.
 
@@ -191,6 +238,15 @@ def splitmix64_uniforms(seed: int, n: int) -> list[float]:
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0**-53)
     return out
+
+
+def overheated_case1_text() -> str:
+    """case1 with a temperature curve whose afternoon peak overflows to inf."""
+    text = bundled_scenario_text("case1")
+    assert "temp_mean_c = 15\n" in text and "temp_amplitude_c = 5\n" in text
+    return text.replace("temp_mean_c = 15\n", "temp_mean_c = 1e308\n").replace(
+        "temp_amplitude_c = 5\n", "temp_amplitude_c = 1e308\n"
+    )
 
 
 def make_random_scenario(rng: random.Random) -> Scenario:

@@ -8,6 +8,7 @@ from pathlib import Path
 import microgridsim
 from microgridsim import bundled_scenario_path, bundled_scenario_text
 from microgridsim.cli import cli_main
+from conftest import overheated_case1_text
 
 CASE1 = str(bundled_scenario_path("case1"))
 CASE2 = str(bundled_scenario_path("case2"))
@@ -110,6 +111,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "bad.mgs:" in err and "'s_base_va' must be finite" in err
+
+    def test_non_finite_result_exits_1(self, tmp_path, capsys):
+        hot = tmp_path / "hot.mgs"
+        hot.write_text(overheated_case1_text())
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", str(hot), "--steps", "24", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert cli_main(["run", str(hot), "--steps", "24"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "step 13: weather temperature is inf, not a finite number" in captured.err
 
     def test_non_convergent_run_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"

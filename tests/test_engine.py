@@ -2,12 +2,15 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from microgridsim import (
     NonConvergenceError,
+    PerUnitBase,
     ResultRecord,
     bundled_scenario_text,
+    compute_injections,
     parse_scenario,
     read_results_csv,
     render_csv,
@@ -17,6 +20,7 @@ from microgridsim import (
     write_csv,
     write_weather_csv,
 )
+from conftest import overheated_case1_text, problem_for
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,41 @@ class TestRunSimulation:
             run_simulation(scenario)
         assert exc.value.step == 0
         assert "step 0" in str(exc.value)
+
+    @pytest.mark.parametrize("solver", ["acpf", "gs"])
+    def test_non_convergence_names_worst_bus_and_voltage_range(self, solver):
+        text = bundled_scenario_text("case2").replace("p_w = 6000", "p_w = 90000000")
+        scenario = parse_scenario(text)
+        scenario = replace(scenario, config=replace(scenario.config, solver=solver))
+        with pytest.raises(NonConvergenceError) as exc:
+            run_simulation(scenario)
+        err = exc.value
+        sol = err.solution
+        # Rebuild step 0's problem (constant loads only) and find the worst
+        # bus one PQ bus at a time.
+        cfg = scenario.config
+        problem = problem_for(scenario.network, PerUnitBase(cfg.s_base_va, cfg.v_base_v))
+        p, q = compute_injections(sol.v_mag, sol.v_angle, problem.admittance)
+        worst_bus, worst = None, -1.0
+        for k, i in enumerate(problem.pq_indices):
+            bus_mismatch = max(
+                abs(problem.p_injection[k] - p[i]), abs(problem.q_injection[k] - q[i])
+            )
+            if bus_mismatch > worst:
+                worst_bus, worst = scenario.network.buses[i].id, bus_mismatch
+        assert err.worst_bus == worst_bus
+        assert err.v_mag_range == (np.min(sol.v_mag), np.max(sol.v_mag))
+        low, high = err.v_mag_range
+        assert f"worst at bus '{worst_bus}'" in str(err)
+        assert f"|V| from {low:.6g} to {high:.6g} pu" in str(err)
+
+    def test_non_finite_result_names_step_object_and_quantity(self):
+        scenario = parse_scenario(overheated_case1_text())
+        scenario = replace(scenario, config=replace(scenario.config, steps=24))
+        with pytest.raises(
+            ValueError, match=r"^step 13: weather temperature is inf, not a finite number$"
+        ):
+            run_simulation(scenario)
 
     def test_gs_solver_matches_acpf(self, case2, case2_table):
         gs_table = run_simulation(replace(case2, config=replace(case2.config, solver="gs")))

@@ -12,6 +12,11 @@ from hypothesis.extra.numpy import arrays
 
 from microgridsim import (
     AdmittanceMatrix,
+    Bus,
+    BusKind,
+    Line,
+    LoadDevice,
+    Network,
     PowerFlowProblem,
     SingularMatrixError,
     SolverOptions,
@@ -31,6 +36,7 @@ from microgridsim import powerflow
 from conftest import (
     BASE,
     finite_difference_jacobian,
+    loop_gauss_seidel,
     loop_jacobian,
     loop_solve_linear,
     make_radial_network,
@@ -55,13 +61,57 @@ def case2_problem():
     return problem_for(scenario.network), scenario.network
 
 
-def random_reactive_network(rng: random.Random, n_buses: int):
-    """Random radial feeder whose lines carry both R and X."""
-    net = make_radial_network(rng, n_buses)
+def case2_pv_problem():
+    """case2_pv's constant loads with its PV panel at peak output."""
+    network = parse_scenario(bundled_scenario_text("case2_pv")).network
+    problem = problem_for(network)
+    p = problem.p_injection.copy()
+    slack = problem.slack_index
+    for pv in network.pvs:
+        i = network.bus_index(pv.bus)
+        p[i - (i > slack)] += pv.peak_power / BASE.s_base
+    return replace(problem, p_injection=p)
+
+
+def assert_same_solution(a, b) -> None:
+    assert np.array_equal(a.v_mag, b.v_mag)
+    assert np.array_equal(a.v_angle, b.v_angle)
+    assert a.iterations == b.iterations
+    assert a.max_mismatch == b.max_mismatch
+    assert a.slack_injection == b.slack_injection
+    assert a.converged == b.converged
+
+
+def random_reactive_network(rng: random.Random, n_buses: int, **kwargs):
+    """Random radial feeder whose lines carry both R and X; kwargs go to
+    make_radial_network."""
+    net = make_radial_network(rng, n_buses, **kwargs)
     lines = tuple(
         replace(line, reactance=rng.uniform(0.0, 0.02) * BASE.z_base) for line in net.lines
     )
     return replace(net, lines=lines)
+
+
+@st.composite
+def radial_feeders(draw):
+    """Radial 230 V feeders of 2-12 buses: bus 0 is the slack, every other
+    bus hangs off an earlier one through an R+jX line and carries a light
+    P+jQ load."""
+    n = draw(st.integers(2, 12))
+    buses = [Bus("bus0", BusKind.SLACK, 230.0)]
+    lines, loads = [], []
+    for i in range(1, n):
+        parent = draw(st.integers(0, i - 1))
+        r_pu = draw(st.floats(0.001, 0.01))
+        x_pu = draw(st.floats(0.0, 0.01))
+        buses.append(Bus(f"bus{i}", BusKind.PQ, 230.0))
+        lines.append(
+            Line(f"line{i}", f"bus{parent}", f"bus{i}", r_pu * BASE.z_base, x_pu * BASE.z_base)
+        )
+        p_pu = draw(st.floats(0.0, 0.2))
+        q_pu = draw(st.floats(0.0, 0.1))
+        loads.append(LoadDevice(f"load{i}", f"bus{i}", p_pu * BASE.s_base, q_pu * BASE.s_base))
+    return Network(buses=tuple(buses), lines=tuple(lines), loads=tuple(loads))
 
 
 @st.composite
@@ -340,6 +390,28 @@ class TestGaussSeidel:
         assert not sol.converged
         assert sol.iterations == 3
 
+    def test_bitwise_equal_to_loop_reference_on_random_feeders(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            net = random_reactive_network(
+                rng, rng.randint(2, 40), load_pu_range=(0.01, 0.1)
+            )
+            problem = problem_for(net)
+            expected = loop_gauss_seidel(problem)
+            assert expected.converged
+            assert_same_solution(solve_gauss_seidel(problem), expected)
+
+    def test_bitwise_equal_to_loop_reference_on_bundled_cases(self):
+        capped = SolverOptions(max_iterations=3)
+        for problem, options in [
+            (case2_problem()[0], None),
+            (case2_pv_problem(), None),
+            (case2_problem()[0], capped),
+        ]:
+            assert_same_solution(
+                solve_gauss_seidel(problem, options), loop_gauss_seidel(problem, options)
+            )
+
 
 class TestDispatcher:
     def test_method_routing(self):
@@ -355,6 +427,22 @@ class TestDispatcher:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tolerance=0.0)
+
+
+class TestSolverProperties:
+    @given(radial_feeders())
+    def test_gs_agrees_with_nr_and_nr_balances_power(self, net):
+        problem = problem_for(net)
+        nr = solve_newton_raphson(problem)
+        gs = solve_gauss_seidel(problem)
+        assert nr.converged and gs.converged
+        assert np.max(np.abs(gs.v_mag - nr.v_mag)) <= 1e-6
+        # The injections sum to the line losses, and NR leaves up to
+        # `tolerance` of P mismatch at each of the m PQ buses.
+        losses = total_line_losses(net, BASE, nr.v_mag, nr.v_angle)
+        load_pu = sum(load.active_power for load in net.loads) / BASE.s_base
+        m = len(problem.pq_indices)
+        assert abs(nr.slack_injection[0] - load_pu - losses) <= m * SolverOptions().tolerance
 
 
 class TestPowerBalance:
