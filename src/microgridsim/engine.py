@@ -32,7 +32,7 @@ from .powerflow import (
     solve,
     total_line_losses,
 )
-from .scenario import Scenario, format_number
+from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, format_number
 from .weather import WeatherSample, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
@@ -48,10 +48,6 @@ QUANTITY_UNITS = {
     "v_angle": "rad",
     "losses": "W",
 }
-
-# Object ids used for rows that do not belong to a scenario device.
-WEATHER_OBJECT = "weather"
-NETWORK_OBJECT = "network"
 
 _SOLVER_METHODS = {"acpf": METHOD_NEWTON_RAPHSON, "gs": METHOD_GAUSS_SEIDEL}
 

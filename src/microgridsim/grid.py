@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,51 @@ class Diagnostic:
     attribute: str | None = None
 
 
+class Bound(NamedTuple):
+    """Valid range of a numeric field; the minimum is exclusive when strict is set."""
+
+    minimum: float | None = None
+    maximum: float | None = None
+    strict: bool = False
+
+    def unmet(self, value: float) -> str | None:
+        """The requirement value fails, such as "> 0" or "<= 1"; None if in range.
+
+        NaN fails every stated limit.  Int limits print as ints, float
+        limits at up to 9 significant digits.
+        """
+        lo, hi = self.minimum, self.maximum
+        if lo is not None and not (value > lo if self.strict else value >= lo):
+            return f"{'>' if self.strict else '>='} {_show(lo)}"
+        if hi is not None and not value <= hi:
+            return f"<= {_show(hi)}"
+        return None
+
+
+def _show(limit: float) -> str:
+    return str(limit) if isinstance(limit, int) else format(limit, ".9g")
+
+
+_POSITIVE = Bound(0.0, strict=True)
+_NON_NEGATIVE = Bound(0.0)
+
+# The one statement of which values each numeric network field accepts.
+# validate() also requires every listed field to be finite (None skips
+# an optional one), and the .mgs parser reads its bounds from here.
+FIELD_BOUNDS: dict[type, dict[str, Bound]] = {
+    Bus: {"nominal_voltage": _POSITIVE},
+    Line: {"resistance": _NON_NEGATIVE, "reactance": _NON_NEGATIVE, "length": _NON_NEGATIVE},
+    LoadDevice: {"active_power": _NON_NEGATIVE, "reactive_power": Bound()},
+    SolarPanel: {"peak_power": _POSITIVE, "cloud_attenuation": Bound(0.0, 1.0)},
+    WindTurbine: {
+        "peak_power": _POSITIVE,
+        "cut_in": _NON_NEGATIVE,
+        "rated": Bound(),
+        "cut_out": Bound(),
+    },
+}
+
+
 def line_resistance(resistivity: float, length: float, cross_section: float) -> float:
     """Conductor resistance in ohms: resistivity * length / cross_section.
 
@@ -208,60 +254,41 @@ def _connected_component(network: Network, start: int) -> set[int]:
     return seen
 
 
-def _non_finite(kind: str, obj, fields: tuple[str, ...]) -> list[Diagnostic]:
-    """invalid_value diagnostics for the named fields of obj that are NaN or infinite."""
-    return [
-        Diagnostic(
-            "invalid_value",
-            obj.id,
-            f"{kind} {obj.id!r} {name} must be finite, got {getattr(obj, name)!r}",
-            name,
-        )
-        for name in fields
-        if not math.isfinite(getattr(obj, name))
-    ]
-
-
 def validate(network: Network) -> list[Diagnostic]:
     """Check network consistency; an empty result means the network is valid.
 
-    Reports duplicate identifiers, dangling bus references, disconnected
-    buses, a slack count other than one, zero-impedance or self-looped
-    lines, and non-finite or out-of-range electrical and device parameters.
+    Reports duplicate identifiers, numeric fields that are non-finite or
+    outside their FIELD_BOUNDS range, dangling bus references,
+    disconnected buses, a slack count other than one, zero-impedance or
+    self-looped lines, and inconsistent wind speeds.
     """
     diags: list[Diagnostic] = []
-
+    grid = () if network.grid is None else (network.grid,)
+    groups = (
+        ("bus", network.buses),
+        ("line", network.lines),
+        ("load", network.loads),
+        ("pv", network.pvs),
+        ("wind", network.winds),
+        ("grid", grid),
+    )
     seen_ids: set[str] = set()
-    devices: list[tuple[str, str]] = []
-    devices += [("bus", b.id) for b in network.buses]
-    devices += [("line", l.id) for l in network.lines]
-    devices += [("load", l.id) for l in network.loads]
-    devices += [("pv", p.id) for p in network.pvs]
-    devices += [("wind", w.id) for w in network.winds]
-    if network.grid is not None:
-        devices.append(("grid", network.grid.id))
-    for kind, obj_id in devices:
-        if obj_id in seen_ids:
-            diags.append(
-                Diagnostic("duplicate_id", obj_id, f"duplicate id {obj_id!r} ({kind})")
-            )
-        seen_ids.add(obj_id)
-
-    bus_ids = {b.id for b in network.buses}
-
-    for bus in network.buses:
-        bad = _non_finite("bus", bus, ("nominal_voltage",))
-        if bad:
-            diags += bad
-        elif bus.nominal_voltage <= 0.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    bus.id,
-                    f"bus {bus.id!r} nominal voltage must be positive",
-                    "nominal_voltage",
+    for kind, objects in groups:
+        for obj in objects:
+            if obj.id in seen_ids:
+                diags.append(
+                    Diagnostic("duplicate_id", obj.id, f"duplicate id {obj.id!r} ({kind})")
                 )
-            )
+            seen_ids.add(obj.id)
+            for name, bound in FIELD_BOUNDS.get(type(obj), {}).items():
+                value = getattr(obj, name)
+                if value is None:
+                    continue
+                unmet = bound.unmet(value) if math.isfinite(value) else "finite"
+                if unmet:
+                    message = f"{kind} {obj.id!r} {name} must be {unmet}, got {value!r}"
+                    diags.append(Diagnostic("invalid_value", obj.id, message, name))
+
     voltages = {
         b.nominal_voltage for b in network.buses if math.isfinite(b.nominal_voltage)
     }
@@ -289,17 +316,22 @@ def validate(network: Network) -> list[Diagnostic]:
             )
         )
 
-    for line in network.lines:
-        for endpoint, field_name in ((line.from_bus, "from_bus"), (line.to_bus, "to_bus")):
-            if endpoint not in bus_ids:
-                diags.append(
-                    Diagnostic(
-                        "dangling_reference",
-                        line.id,
-                        f"line {line.id!r} references unknown bus {endpoint!r}",
-                        field_name,
-                    )
+    bus_ids = {b.id for b in network.buses}
+
+    def check_ref(kind: str, obj_id: str, bus: str, field_name: str = "bus") -> None:
+        if bus not in bus_ids:
+            diags.append(
+                Diagnostic(
+                    "dangling_reference",
+                    obj_id,
+                    f"{kind} {obj_id!r} references unknown bus {bus!r}",
+                    field_name,
                 )
+            )
+
+    for line in network.lines:
+        check_ref("line", line.id, line.from_bus, "from_bus")
+        check_ref("line", line.id, line.to_bus, "to_bus")
         if line.from_bus == line.to_bus:
             diags.append(
                 Diagnostic(
@@ -309,19 +341,7 @@ def validate(network: Network) -> list[Diagnostic]:
                     "to_bus",
                 )
             )
-        bad = _non_finite("line", line, ("resistance", "reactance"))
-        if bad:
-            diags += bad
-        elif line.resistance < 0.0 or line.reactance < 0.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    line.id,
-                    f"line {line.id!r} has negative impedance",
-                    "resistance",
-                )
-            )
-        elif line.resistance + line.reactance == 0.0:
+        if line.resistance == line.reactance == 0.0:
             diags.append(
                 Diagnostic(
                     "zero_impedance",
@@ -331,71 +351,14 @@ def validate(network: Network) -> list[Diagnostic]:
                 )
             )
 
-    def check_ref(kind: str, obj_id: str, bus: str) -> None:
-        if bus not in bus_ids:
-            diags.append(
-                Diagnostic(
-                    "dangling_reference",
-                    obj_id,
-                    f"{kind} {obj_id!r} references unknown bus {bus!r}",
-                    "bus",
-                )
-            )
-
     for load in network.loads:
         check_ref("load", load.id, load.bus)
-        bad = _non_finite("load", load, ("active_power", "reactive_power"))
-        if bad:
-            diags += bad
-        elif load.active_power < 0.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    load.id,
-                    f"load {load.id!r} has negative demand",
-                    "active_power",
-                )
-            )
     for pv in network.pvs:
         check_ref("pv", pv.id, pv.bus)
-        bad = _non_finite("pv", pv, ("peak_power", "cloud_attenuation"))
-        if bad:
-            diags += bad
-            continue
-        if pv.peak_power <= 0.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    pv.id,
-                    f"pv {pv.id!r} peak power must be positive",
-                    "peak_power",
-                )
-            )
-        if not 0.0 <= pv.cloud_attenuation <= 1.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    pv.id,
-                    f"pv {pv.id!r} cloud attenuation outside [0, 1]",
-                    "cloud_attenuation",
-                )
-            )
     for wind in network.winds:
         check_ref("wind", wind.id, wind.bus)
-        bad = _non_finite("wind", wind, ("peak_power", "cut_in", "rated", "cut_out"))
-        if bad:
-            diags += bad
-            continue
-        if wind.peak_power <= 0.0:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    wind.id,
-                    f"wind {wind.id!r} peak power must be positive",
-                    "peak_power",
-                )
-            )
-        if not 0.0 <= wind.cut_in < wind.rated < wind.cut_out:
+        speeds = (wind.cut_in, wind.rated, wind.cut_out)
+        if all(map(math.isfinite, speeds)) and not wind.cut_in < wind.rated < wind.cut_out:
             diags.append(
                 Diagnostic(
                     "invalid_value",
@@ -406,24 +369,18 @@ def validate(network: Network) -> list[Diagnostic]:
             )
     if network.grid is not None:
         check_ref("grid", network.grid.id, network.grid.bus)
-        if network.grid.bus in bus_ids:
-            slack = {b.id for b in network.buses if b.kind is BusKind.SLACK}
-            if network.grid.bus not in slack:
-                diags.append(
-                    Diagnostic(
-                        "invalid_value",
-                        network.grid.id,
-                        f"grid connection {network.grid.id!r} must sit on the slack bus",
-                        "bus",
-                    )
+        if network.grid.bus in bus_ids and network.grid.bus not in slack_ids:
+            diags.append(
+                Diagnostic(
+                    "invalid_value",
+                    network.grid.id,
+                    f"grid connection {network.grid.id!r} must sit on the slack bus",
+                    "bus",
                 )
+            )
 
     if network.buses:
-        start = 0
-        for i, bus in enumerate(network.buses):
-            if bus.kind is BusKind.SLACK:
-                start = i
-                break
+        start = next((i for i, b in enumerate(network.buses) if b.kind is BusKind.SLACK), 0)
         reachable = _connected_component(network, start)
         unreachable = [b.id for i, b in enumerate(network.buses) if i not in reachable]
         if unreachable:

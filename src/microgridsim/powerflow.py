@@ -202,33 +202,13 @@ def _mismatch(
     problem: PowerFlowProblem,
     v_mag: np.ndarray,
     v_angle: np.ndarray,
-    pq: Sequence[int] | np.ndarray,
+    pq: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
     mismatch = np.concatenate(
         [problem.p_injection - p_calc[pq], problem.q_injection - q_calc[pq]]
     )
     return mismatch, p_calc, q_calc
-
-
-def _finish(
-    v_mag: np.ndarray,
-    v_angle: np.ndarray,
-    iterations: int,
-    max_mismatch: float,
-    p_calc: np.ndarray,
-    q_calc: np.ndarray,
-    slack: int,
-    converged: bool,
-) -> PowerFlowSolution:
-    return PowerFlowSolution(
-        v_mag=v_mag,
-        v_angle=v_angle,
-        iterations=iterations,
-        max_mismatch=max_mismatch,
-        slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-        converged=converged,
-    )
 
 
 def solve_newton_raphson(
@@ -244,23 +224,24 @@ def solve_newton_raphson(
     opts = options or SolverOptions()
     max_iter = opts.max_iterations if opts.max_iterations is not None else NR_MAX_ITERATIONS
     n = problem.admittance.n
-    pq = problem.pq_indices
+    pq = np.asarray(problem.pq_indices, dtype=np.intp)
     m = len(pq)
+    slack = problem.slack_index
     v_mag = np.ones(n)
     v_angle = np.zeros(n)
     it = 0
     while True:
         mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
         max_mismatch = float(np.max(np.abs(mismatch))) if m else 0.0
-        if max_mismatch <= opts.tolerance:
-            return _finish(
-                v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
-                problem.slack_index, True,
-            )
-        if it >= max_iter:
-            return _finish(
-                v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
-                problem.slack_index, False,
+        converged = max_mismatch <= opts.tolerance
+        if converged or it >= max_iter:
+            return PowerFlowSolution(
+                v_mag=v_mag,
+                v_angle=v_angle,
+                iterations=it,
+                max_mismatch=max_mismatch,
+                slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+                converged=converged,
             )
         jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, (p_calc, q_calc))
         dx = solve_linear(jac, mismatch)
@@ -301,6 +282,7 @@ def solve_gauss_seidel(
     # per-call overhead.
     buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq]
     pq_idx = np.asarray(pq, dtype=np.intp)
+    slack = problem.slack_index
     conj = complex.conjugate
     v = np.ones(n, dtype=complex)
     it = 0
@@ -309,15 +291,15 @@ def solve_gauss_seidel(
         v_angle = np.arctan2(v.imag, v.real)
         mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq_idx)
         max_mismatch = float(np.abs(mismatch).max()) if pq else 0.0
-        if max_mismatch <= opts.tolerance:
-            return _finish(
-                v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
-                problem.slack_index, True,
-            )
-        if it >= max_iter:
-            return _finish(
-                v_mag, v_angle, it, max_mismatch, p_calc, q_calc,
-                problem.slack_index, False,
+        converged = max_mismatch <= opts.tolerance
+        if converged or it >= max_iter:
+            return PowerFlowSolution(
+                v_mag=v_mag,
+                v_angle=v_angle,
+                iterations=it,
+                max_mismatch=max_mismatch,
+                slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+                converged=converged,
             )
         for i, row_dot, y_ii, s_conj in buses:
             v_i = v[i]

@@ -10,7 +10,9 @@ is an error.
 
 ``_SCHEMA`` is the one definition of the keys: for each section kind,
 the dataclass it builds and its entries in canonical order, each with
-the attribute it sets, its value kind and its bounds.  A key is optional
+the attribute it sets, its value kind and its bound.  The bounds of the
+network sections' numbers come from ``grid.FIELD_BOUNDS``, which
+:func:`~microgridsim.grid.validate` checks too.  A key is optional
 exactly when its attribute has a default.  Parsing, emission, the
 placement of validation diagnostics and the results-CSV header
 (:func:`simulation_pairs`) all read it.
@@ -32,13 +34,25 @@ from enum import Enum
 from typing import NamedTuple
 
 from .generation import SolarPanel, WindTurbine
-from .grid import Bus, BusKind, GridConnection, Line, LoadDevice, Network, validate
+from .grid import (
+    FIELD_BOUNDS,
+    Bound,
+    Bus,
+    BusKind,
+    GridConnection,
+    Line,
+    LoadDevice,
+    Network,
+    validate,
+)
 from .weather import WeatherParams
 
 SOLVER_CHOICES = ("acpf", "gs", "simple")
 
 # Object ids the result writer uses for non-device rows.
-RESERVED_IDS = ("weather", "network")
+WEATHER_OBJECT = "weather"
+NETWORK_OBJECT = "network"
+RESERVED_IDS = (WEATHER_OBJECT, NETWORK_OBJECT)
 
 _SECTION_RE = re.compile(r"^\s*\[([a-z_]+)\]\s*$")
 _ENTRY_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*=\s*(\S(?:.*\S)?)\s*$")
@@ -114,18 +128,15 @@ def format_number(value: float) -> str:
 
 
 class _Key(NamedTuple):
-    """One entry of a section: document key, attribute it sets, value kind, bounds.
+    """One entry of a section: document key, attribute it sets, value kind, bound.
 
-    kind is "id", "int", "number", "path", or the tuple of allowed words;
-    the minimum is exclusive when strict is set.
+    kind is "id", "int", "number", "path", or the tuple of allowed words.
     """
 
     key: str
     attr: str
     kind: str | tuple[str, ...]
-    minimum: float | None = None
-    maximum: float | None = None
-    strict: bool = False
+    bound: Bound = Bound()
 
 
 class _Kind(NamedTuple):
@@ -137,32 +148,36 @@ class _Kind(NamedTuple):
 
     @classmethod
     def of(cls, built: type, *keys: _Key) -> _Kind:
+        """Network classes take their keys' bounds from grid.FIELD_BOUNDS."""
+        bounds = FIELD_BOUNDS.get(built, {})
+        keys = tuple(k._replace(bound=bounds.get(k.attr, k.bound)) for k in keys)
         defaults = frozenset(f.name for f in fields(built) if f.default is not MISSING)
         return cls(built, keys, defaults)
 
 
+_POSITIVE = Bound(0.0, strict=True)
 _ID = _Key("id", "id", "id")
 _BUS = _Key("bus", "bus", "id")
-_PEAK = _Key("peak_w", "peak_power", "number", 0.0, strict=True)
+_PEAK = _Key("peak_w", "peak_power", "number")
 
 # Section kinds in canonical order.  BusKind members are str, so they
 # compare equal to the words that select them.
 _SCHEMA = {
     "simulation": _Kind.of(
         SimulationConfig,
-        _Key("steps", "steps", "int", 1),
-        _Key("start_hour", "start_hour", "int", 0, 23),
+        _Key("steps", "steps", "int", Bound(1)),
+        _Key("start_hour", "start_hour", "int", Bound(0, 23)),
         _Key("solver", "solver", SOLVER_CHOICES),
-        _Key("seed", "seed", "int", 0, 2**64 - 1),
-        _Key("s_base_va", "s_base_va", "number", 0.0, strict=True),
-        _Key("v_base_v", "v_base_v", "number", 0.0, strict=True),
+        _Key("seed", "seed", "int", Bound(0, 2**64 - 1)),
+        _Key("s_base_va", "s_base_va", "number", _POSITIVE),
+        _Key("v_base_v", "v_base_v", "number", _POSITIVE),
     ),
     "weather": _Kind.of(
         WeatherParams,
-        _Key("weibull_shape", "weibull_shape", "number", 0.0, strict=True),
-        _Key("weibull_scale_mps", "weibull_scale", "number", 0.0, strict=True),
-        _Key("cloud_step", "cloud_step", "number", 0.0),
-        _Key("cloud_initial", "cloud_initial", "number", 0.0, 1.0),
+        _Key("weibull_shape", "weibull_shape", "number", _POSITIVE),
+        _Key("weibull_scale_mps", "weibull_scale", "number", _POSITIVE),
+        _Key("cloud_step", "cloud_step", "number", Bound(0.0)),
+        _Key("cloud_initial", "cloud_initial", "number", Bound(0.0, 1.0)),
         _Key("temp_mean_c", "temp_mean", "number"),
         _Key("temp_amplitude_c", "temp_amplitude", "number"),
     ),
@@ -170,34 +185,32 @@ _SCHEMA = {
         Bus,
         _ID,
         _Key("kind", "kind", tuple(BusKind)),
-        _Key("nominal_voltage_v", "nominal_voltage", "number", 0.0, strict=True),
+        _Key("nominal_voltage_v", "nominal_voltage", "number"),
     ),
     "line": _Kind.of(
         Line,
         _ID,
         _Key("from", "from_bus", "id"),
         _Key("to", "to_bus", "id"),
-        _Key("resistance_ohm", "resistance", "number", 0.0),
-        _Key("reactance_ohm", "reactance", "number", 0.0),
-        _Key("length_m", "length", "number", 0.0),
+        _Key("resistance_ohm", "resistance", "number"),
+        _Key("reactance_ohm", "reactance", "number"),
+        _Key("length_m", "length", "number"),
     ),
     "grid": _Kind.of(GridConnection, _ID, _BUS),
     "load": _Kind.of(
         LoadDevice,
         _ID,
         _BUS,
-        _Key("p_w", "active_power", "number", 0.0),
+        _Key("p_w", "active_power", "number"),
         _Key("q_var", "reactive_power", "number"),
     ),
-    "pv": _Kind.of(
-        SolarPanel, _ID, _BUS, _PEAK, _Key("alpha", "cloud_attenuation", "number", 0.0, 1.0)
-    ),
+    "pv": _Kind.of(SolarPanel, _ID, _BUS, _PEAK, _Key("alpha", "cloud_attenuation", "number")),
     "wind": _Kind.of(
         WindTurbine,
         _ID,
         _BUS,
         _PEAK,
-        _Key("cut_in_mps", "cut_in", "number", 0.0),
+        _Key("cut_in_mps", "cut_in", "number"),
         _Key("rated_mps", "rated", "number"),
         _Key("cut_out_mps", "cut_out", "number"),
     ),
@@ -268,7 +281,7 @@ class _Reader:
         if kind == "number":
             if not _NUMBER_RE.match(text):
                 return self._mismatch(entry, "a number")
-            value, noun, show = float(text), "a number", format_number
+            value, noun = float(text), "a number"
             if not math.isfinite(value):  # float() makes 1e999 inf
                 return self._fail(
                     entry,
@@ -278,7 +291,7 @@ class _Reader:
         elif kind == "int":
             if not _INT_RE.match(text):
                 return self._mismatch(entry, "an integer")
-            value, noun, show = int(text), "an integer", str
+            value, noun = int(text), "an integer"
         elif kind == "id":
             if not _ID_RE.match(text):
                 return self._mismatch(entry, "an identifier ([a-z0-9_], 1-32 chars)")
@@ -291,12 +304,9 @@ class _Reader:
             if text not in kind:
                 return self._mismatch(entry, "one of " + ", ".join(kind))
             return kind[kind.index(text)]
-        if key.minimum is not None:
-            if value < key.minimum or (key.strict and value == key.minimum):
-                op = ">" if key.strict else ">="
-                return self._mismatch(entry, f"{noun} {op} {show(key.minimum)}")
-        if key.maximum is not None and value > key.maximum:
-            return self._mismatch(entry, f"{noun} <= {show(key.maximum)}")
+        unmet = key.bound.unmet(value)
+        if unmet:
+            return self._mismatch(entry, f"{noun} {unmet}")
         return value
 
     def reject_unknown(self) -> None:

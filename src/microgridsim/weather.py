@@ -44,10 +44,13 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 def sample_wind(u: float, shape: float, scale: float) -> float:
     """Weibull inverse-CDF sample: scale * (-ln(1 - u)) ** (1 / shape).
 
-    u = 0 maps to calm (0 m/s); u = 1 would be infinite and is rejected.
+    u = 0 maps to calm (0 m/s); u = 1 would be infinite and is rejected,
+    and so is a NaN shape or scale.
     """
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("Weibull shape and scale must be positive")
+    if not shape > 0.0:
+        raise ValueError(f"weibull_shape must be > 0, got {shape!r}")
+    if not scale > 0.0:
+        raise ValueError(f"weibull_scale must be > 0, got {scale!r}")
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
     if u == 0.0:
@@ -56,9 +59,9 @@ def sample_wind(u: float, shape: float, scale: float) -> float:
 
 
 def step_cloud(prev: float, u: float, sigma: float) -> float:
-    """One random-walk step of the cloud factor, clamped to [0, 1]."""
-    if sigma < 0.0:
-        raise ValueError("cloud step size must be non-negative")
+    """One random-walk step of the cloud factor, clamped to [0, 1]; sigma is cloud_step."""
+    if not sigma >= 0.0:
+        raise ValueError(f"cloud_step must be >= 0, got {sigma!r}")
     return min(1.0, max(0.0, prev + sigma * (2.0 * u - 1.0)))
 
 
@@ -99,14 +102,17 @@ def weather_series(
 
     Step i takes uniforms 2i (wind) and 2i + 1 (cloud) of the seed's
     stream, so traces stay reproducible even if a future model change
-    stops using one of the draws.
+    stops using one of the draws.  Parameters out of range, NaN included,
+    raise ValueError naming the field.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not 0 <= start_hour <= 23:
         raise ValueError("start_hour must be in 0..23")
     u = uniform_stream(params.seed, 2 * n_steps).tolist()
-    cloud = min(1.0, max(0.0, params.cloud_initial))
+    cloud = params.cloud_initial
+    if not 0.0 <= cloud <= 1.0:
+        raise ValueError(f"cloud_initial must be in [0, 1], got {cloud!r}")
     samples = []
     for step in range(n_steps):
         hour = (start_hour + step) % 24

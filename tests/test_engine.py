@@ -170,6 +170,12 @@ class TestRunSimulation:
         ):
             run_simulation(scenario)
 
+    @pytest.mark.parametrize("field", ["cloud_step", "cloud_initial"])
+    def test_nan_weather_params_abort_the_run(self, case1, field):
+        scenario = replace(case1, weather=replace(case1.weather, **{field: float("nan")}))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run_simulation(scenario)
+
     def test_gs_solver_matches_acpf(self, case2, case2_table):
         gs_table = run_simulation(replace(case2, config=replace(case2.config, solver="gs")))
         nr = {(r.step, r.object): r.value for r in by_quantity(case2_table, "v_mag")}

@@ -7,17 +7,29 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from microgridsim import (
+    Bus,
     BusKind,
+    GridConnection,
+    Line,
+    LoadDevice,
+    Network,
     ParseErrorKind,
+    Scenario,
     ScenarioFormatError,
+    SimulationConfig,
+    SolarPanel,
+    WeatherParams,
+    WindTurbine,
     bundled_scenario_text,
     emit_scenario,
     parse_scenario,
+    validate,
 )
+from microgridsim.grid import FIELD_BOUNDS
 from microgridsim.scenario import _NUMBER_RE, _SCHEMA
 from conftest import make_random_scenario, scenarios_close
 
@@ -354,6 +366,180 @@ class TestNonFiniteNumbers:
         except ScenarioFormatError:
             return
         assert all(math.isfinite(x) for x in _floats(scenario))
+
+
+def _bound_cases():
+    """(kind, key, attr, value, accepted) probing each FIELD_BOUNDS entry at its edges."""
+    cases = []
+    for kind, spec in _SCHEMA.items():
+        for key in spec.keys:
+            bound = FIELD_BOUNDS.get(spec.cls, {}).get(key.attr)
+            if bound is None:
+                continue
+            probes = [(math.nan, False), (math.inf, False)]
+            if bound.minimum is not None:
+                probes += [
+                    (math.nextafter(bound.minimum, -math.inf), False),
+                    (bound.minimum, not bound.strict),
+                ]
+            if bound.maximum is not None:
+                probes += [
+                    (math.nextafter(bound.maximum, math.inf), False),
+                    (bound.maximum, True),
+                ]
+            cases += [(kind, key.key, key.attr, value, ok) for value, ok in probes]
+    return cases
+
+
+def _probe_scenario():
+    """case2 plus a PV panel and a wind turbine; the last line gets reactance,
+    so that a zero resistance on it is still a valid line."""
+    base = parse_scenario(CASE2)
+    net = base.network
+    net = dataclasses.replace(
+        net,
+        lines=net.lines[:-1] + (dataclasses.replace(net.lines[-1], reactance=0.001),),
+        pvs=(SolarPanel("sun", "ha4", 500.0, 0.9),),
+        winds=(WindTurbine("gust", "hb4", 800.0),),
+    )
+    return dataclasses.replace(base, network=net)
+
+
+PROBE = _probe_scenario()
+PROBE_TEXT = emit_scenario(PROBE)
+_GROUPS = {"bus": "buses", "line": "lines", "load": "loads", "pv": "pvs", "wind": "winds"}
+
+
+class TestBoundsAgreement:
+    """The parser and validate() accept exactly the same field values."""
+
+    def test_every_table_field_is_probed_and_read_by_the_parser(self):
+        probed = {(_SCHEMA[kind].cls, attr) for kind, _, attr, _, _ in _bound_cases()}
+        assert probed == {(cls, f) for cls, bounds in FIELD_BOUNDS.items() for f in bounds}
+        for spec in _SCHEMA.values():
+            for key in spec.keys:
+                if key.attr in FIELD_BOUNDS.get(spec.cls, {}):
+                    assert key.bound is FIELD_BOUNDS[spec.cls][key.attr]
+
+    @pytest.mark.parametrize("kind, key, attr, value, accepted", _bound_cases())
+    def test_parser_and_validate_agree(self, kind, key, attr, value, accepted):
+        # The last object of the kind is edited: for buses that is not the
+        # first bus, which the shared-voltage diagnostic is filed under.
+        group = _GROUPS[kind]
+        objects = list(getattr(PROBE.network, group))
+        target = objects[-1]
+        objects[-1] = dataclasses.replace(target, **{attr: value})
+        diags = validate(dataclasses.replace(PROBE.network, **{group: tuple(objects)}))
+
+        block = f"[{kind}]\nid = {target.id}\n"
+        start = PROBE_TEXT.index(f"\n{key} = ", PROBE_TEXT.index(block)) + 1
+        end = PROBE_TEXT.index("\n", start)
+        literal = "nan" if math.isnan(value) else "1e999" if math.isinf(value) else repr(value)
+        text = PROBE_TEXT[:start] + f"{key} = {literal}" + PROBE_TEXT[end:]
+        line_no = PROBE_TEXT.count("\n", 0, start) + 1
+
+        if accepted:
+            assert diags == []
+            parsed = getattr(parse_scenario(text).network, group)[-1]
+            assert getattr(parsed, attr) == value
+            return
+        errs = errors_of(text)
+        assert [(e.line, e.column) for e in errs] == [(line_no, len(key) + 4)]
+        naming = [d for d in diags if attr in d.message]
+        assert [(d.code, d.object_id, d.attribute) for d in naming] == [
+            ("invalid_value", target.id, attr)
+        ]
+        if math.isfinite(value):  # both name the one requirement the value fails
+            unmet = FIELD_BOUNDS[type(target)][attr].unmet(value)
+            assert f"expects a number {unmet}, got" in errs[0].message
+            assert f"must be {unmet}, got {value!r}" in naming[0].message
+
+    def test_out_of_range_message_names_field_and_value(self):
+        load = dataclasses.replace(PROBE.network.loads[0], active_power=-1.0)
+        net = dataclasses.replace(PROBE.network, loads=(load,), pvs=(SolarPanel("p", "ha4", 0.0),))
+        assert [d.message for d in validate(net)] == [
+            "load 'house_a1' active_power must be >= 0, got -1.0",
+            "pv 'p' peak_power must be > 0, got 0.0",
+        ]
+
+    def test_nan_length_rejected_by_validate_and_by_parsing_its_emission(self):
+        net = PROBE.network
+        lines = (dataclasses.replace(net.lines[0], length=math.nan),) + net.lines[1:]
+        scenario = dataclasses.replace(PROBE, network=dataclasses.replace(net, lines=lines))
+        diags = validate(scenario.network)
+        assert [(d.code, d.object_id, d.attribute) for d in diags] == [
+            ("invalid_value", "seg_a1", "length")
+        ]
+        text = emit_scenario(scenario)
+        line_no = text.splitlines().index("length_m = nan") + 1
+        assert [(e.line, e.column) for e in errors_of(text)] == [(line_no, 12)]
+
+
+def _in_bounds(kind, attr):
+    """Values the schema's bound for (kind, attr) accepts: on the bound,
+    subnormal, and 9-significant-digit values."""
+    bound = next(k.bound for k in _SCHEMA[kind].keys if k.attr == attr)
+    lo, hi = bound.minimum, bound.maximum
+    edges = [v for v in (lo, hi) if v is not None and not bound.unmet(v)]
+    subnormal = [5e-324] if lo is not None else [5e-324, -5e-324]
+    nine_digits = st.floats(
+        -1e6 if lo is None else lo, 1e6 if hi is None else hi, exclude_min=bound.strict
+    ).map(lambda x: float(format(x, ".9g")))
+    values = st.one_of(st.sampled_from(edges + subnormal), nine_digits)
+    return values.filter(lambda v: bound.unmet(v) is None)
+
+
+@st.composite
+def bounded_scenarios(draw):
+    """A radial feeder of 2-4 buses whose every number is drawn by _in_bounds."""
+
+    def value(kind, attr):
+        return draw(_in_bounds(kind, attr))
+
+    def optional(kind, *attrs):
+        return {a: value(kind, a) for a in attrs if draw(st.booleans())}
+
+    n = draw(st.integers(2, 4))
+    voltage = value("bus", "nominal_voltage")
+    buses = [Bus("s0", BusKind.SLACK, voltage)]
+    buses += [Bus(f"b{i}", BusKind.PQ, voltage) for i in range(1, n)]
+    lines, loads = [], []
+    for i in range(1, n):
+        r, extra = value("line", "resistance"), optional("line", "reactance", "length")
+        assume(r != 0.0 or extra.get("reactance", 0.0) != 0.0)
+        lines.append(Line(f"l{i}", buses[i - 1].id, f"b{i}", r, **extra))
+        active = value("load", "active_power")
+        loads.append(LoadDevice(f"d{i}", f"b{i}", active, **optional("load", "reactive_power")))
+    pvs = [
+        SolarPanel(
+            f"p{i}", f"b{i}", value("pv", "peak_power"), **optional("pv", "cloud_attenuation")
+        )
+        for i in range(1, draw(st.integers(1, n)))
+    ]
+    winds = []
+    if draw(st.booleans()):
+        speeds = {}
+        if draw(st.booleans()):
+            drawn = st.lists(_in_bounds("wind", "cut_in"), min_size=3, max_size=3, unique=True)
+            speeds = dict(zip(("cut_in", "rated", "cut_out"), sorted(draw(drawn))))
+        winds.append(WindTurbine("w", "s0", value("wind", "peak_power"), **speeds))
+    grid = GridConnection("g", "s0") if draw(st.booleans()) else None
+    bases = optional("simulation", "s_base_va", "v_base_v")
+    weather = optional("weather", *(k.attr for k in _SCHEMA["weather"].keys))
+    return Scenario(
+        Network(tuple(buses), tuple(lines), tuple(loads), tuple(pvs), tuple(winds), grid),
+        SimulationConfig(steps=1, start_hour=0, solver="acpf", seed=0, **bases),
+        WeatherParams(**weather),
+    )
+
+
+class TestBoundsRoundTrip:
+    @settings(max_examples=100)
+    @given(bounded_scenarios())
+    def test_values_from_the_bounds_table_round_trip(self, scenario):
+        assert validate(scenario.network) == []
+        text = emit_scenario(scenario)
+        assert emit_scenario(parse_scenario(text)) == text
 
 
 class TestDocs:

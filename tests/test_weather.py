@@ -57,6 +57,10 @@ class TestSampleWind:
             sample_wind(0.5, 0.0, 6.0)
         with pytest.raises(ValueError):
             sample_wind(0.5, 2.0, -1.0)
+        with pytest.raises(ValueError, match="^weibull_shape must be > 0, got nan$"):
+            sample_wind(0.5, math.nan, 6.0)
+        with pytest.raises(ValueError, match="^weibull_scale must be > 0, got nan$"):
+            sample_wind(0.5, 2.0, math.nan)
 
     def test_monotonic_in_u(self):
         us = np.linspace(0.0, 0.999999, 500)
@@ -83,6 +87,8 @@ class TestStepCloud:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             step_cloud(0.5, 0.5, -0.1)
+        with pytest.raises(ValueError, match="^cloud_step must be >= 0, got nan$"):
+            step_cloud(0.5, 0.5, math.nan)
 
 
 class TestWeatherSeries:
@@ -119,8 +125,9 @@ class TestWeatherSeries:
         assert by_hour[3] == pytest.approx(10.0)
 
     def test_constant_cloud_when_sigma_zero(self):
-        series = weather_series(WeatherParams(cloud_step=0.0, cloud_initial=0.42), 50)
-        assert {s.cloud_factor for s in series} == {0.42}
+        for initial in (0.42, 0.0, 1.0):  # the bounds of cloud_initial are kept
+            series = weather_series(WeatherParams(cloud_step=0.0, cloud_initial=initial), 50)
+            assert {s.cloud_factor for s in series} == {initial}
 
     def test_bounds_hold_over_long_sweep(self):
         series = weather_series(WeatherParams(seed=8, cloud_step=0.3), 100_000)
@@ -132,6 +139,22 @@ class TestWeatherSeries:
             weather_series(WeatherParams(), 0)
         with pytest.raises(ValueError):
             weather_series(WeatherParams(), 10, start_hour=24)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cloud_step", math.nan),
+            ("cloud_initial", math.nan),
+            ("cloud_initial", 1.7),
+            ("cloud_initial", -0.2),
+            ("weibull_shape", math.nan),
+        ],
+    )
+    def test_bad_parameter_raises_naming_field(self, field, value):
+        # Rejected, never clamped: clamping turns a bad parameter into
+        # plausible weather (a NaN cloud_step would give cloud 0 throughout).
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            weather_series(WeatherParams(**{field: value}), 10)
 
 
 class TestTraceCsv:
