@@ -10,6 +10,7 @@ from .engine import (
     BUNDLED_SCENARIOS,
     NonConvergenceError,
     ResultRecord,
+    ResultTable,
     SummaryRow,
     bundled_scenario_path,
     bundled_scenario_text,

@@ -162,7 +162,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     if args.quantity is not None:
         quantities = [args.quantity]
     else:
-        quantities = sorted({rec.quantity for rec in table})
+        quantities = sorted(table.quantities)
     print("object,quantity,min,q1,median,q3,max,mean")
     for quantity in quantities:
         try:

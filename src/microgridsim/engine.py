@@ -2,10 +2,13 @@
 
 Each step follows a fixed order so runs are reproducible: draw the
 weather sample, evaluate every generator, solve (lossless balance or AC
-power flow), then append records.  A results table is a flat list of
-(step, hour, object, quantity, value, unit) observations; the CSV form
-sorts rows by (step, object, quantity) and renders values at up to 9
-significant digits.
+power flow), then append that step's values.  Every step yields the same
+(object, quantity) sequence, so the run states it once and keeps one flat
+list of values.  The result is a ResultTable: numpy columns of step, hour,
+value and name codes, built once at the end of the run.  Iterating a
+table yields (step, hour, object, quantity, value, unit) ResultRecords.
+The CSV form sorts rows by (step, object, quantity) and renders values at
+up to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from math import isfinite
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +55,7 @@ QUANTITY_UNITS = {
 _SOLVER_METHODS = {"acpf": METHOD_NEWTON_RAPHSON, "gs": METHOD_GAUSS_SEIDEL}
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """One observation; (step, object, quantity) is unique within a table."""
 
     step: int
@@ -62,6 +64,92 @@ class ResultRecord:
     quantity: str
     value: float
     unit: str
+
+
+def _encode(labels: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of labels into the tuple of distinct labels, in first-seen order."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return np.array(codes, dtype=np.intp), tuple(index)
+
+
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """A results table held as columns, one entry per observation.
+
+    Row i is (step[i], hour[i], objects[object_code[i]],
+    quantities[quantity_code[i]], value[i], units[unit_code[i]]).  The
+    name tuples list the distinct names in order of first appearance.
+    Rows keep the order they were added in; render_csv sorts them.
+    Iterating yields ResultRecords, which are built only then.
+    """
+
+    step: np.ndarray
+    hour: np.ndarray
+    object_code: np.ndarray
+    quantity_code: np.ndarray
+    unit_code: np.ndarray
+    value: np.ndarray
+    objects: tuple[str, ...]
+    quantities: tuple[str, ...]
+    units: tuple[str, ...]
+
+    @classmethod
+    def from_columns(
+        cls,
+        step: Iterable[int],
+        hour: Iterable[int],
+        obj: Iterable[str],
+        quantity: Iterable[str],
+        value: Iterable[float],
+        unit: Iterable[str],
+    ) -> ResultTable:
+        """Table of the given per-row columns, names coded in first-seen order."""
+        object_code, object_names = _encode(obj)
+        quantity_code, quantity_names = _encode(quantity)
+        unit_code, unit_names = _encode(unit)
+        return cls(
+            step=np.fromiter(step, dtype=np.int64),
+            hour=np.fromiter(hour, dtype=np.int64),
+            object_code=object_code,
+            quantity_code=quantity_code,
+            unit_code=unit_code,
+            value=np.fromiter(value, dtype=np.float64),
+            objects=object_names,
+            quantities=quantity_names,
+            units=unit_names,
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[ResultRecord]) -> ResultTable:
+        """Table of the given records, in their order."""
+        columns = list(zip(*records)) or [()] * len(RESULT_COLUMNS)
+        return cls.from_columns(*columns)
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self) -> Iterator[ResultRecord]:
+        return map(
+            ResultRecord._make,
+            zip(
+                self.step.tolist(),
+                self.hour.tolist(),
+                map(self.objects.__getitem__, self.object_code.tolist()),
+                map(self.quantities.__getitem__, self.quantity_code.tolist()),
+                self.value.tolist(),
+                map(self.units.__getitem__, self.unit_code.tolist()),
+            ),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _as_table(table: ResultTable | Iterable[ResultRecord]) -> ResultTable:
+    return table if isinstance(table, ResultTable) else ResultTable.from_records(table)
 
 
 @dataclass(frozen=True)
@@ -99,10 +187,16 @@ class NonConvergenceError(RuntimeError):
 
 
 def _worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
-    """Index of the PQ bus whose final |dP| or |dQ| is largest."""
-    p, q = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
+    """Index of the PQ bus whose final |dP| or |dQ| is largest.
+
+    The state may have overflowed, as the solver's own mismatch did, so
+    numpy's warnings are silenced here too.
+    """
     pq = problem.pq_indices
-    worst = np.maximum(np.abs(problem.p_injection - p[pq]), np.abs(problem.q_injection - q[pq]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
+        dp, dq = problem.p_injection - p[pq], problem.q_injection - q[pq]
+    worst = np.maximum(np.abs(dp), np.abs(dq))
     return pq[int(np.argmax(worst))]
 
 
@@ -110,7 +204,7 @@ def run_simulation(
     scenario: Scenario,
     weather: Sequence[WeatherSample] | None = None,
     trace_dir: str | Path = ".",
-) -> list[ResultRecord]:
+) -> ResultTable:
     """Run the configured number of hourly steps and return the result table.
 
     An explicit `weather` sequence overrides the scenario's weather
@@ -149,6 +243,10 @@ def run_simulation(
 
     grid_object = net.grid.id if net.grid is not None else net.buses[net.slack_index()].id
 
+    # Every step emits the same (object, quantity) sequence: the weather,
+    # then the balance or power-flow results.  Each step's values are
+    # appended to one flat list, in that order.
+    keys = [(WEATHER_OBJECT, q) for q in ("cloud_factor", "wind_speed", "temperature")]
     use_acpf = cfg.solver in _SOLVER_METHODS
     if use_acpf:
         base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
@@ -158,44 +256,23 @@ def run_simulation(
         options = SolverOptions(method=_SOLVER_METHODS[cfg.solver])
         load_buses = [net.bus_index(load.bus) for load in net.loads]
         producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
+        keys += [(bus.id, q) for bus in net.buses for q in ("v_mag", "v_angle")]
+        keys += [(grid_object, "p_grid"), (NETWORK_OBJECT, "losses")]
+    else:
+        demands = [load.active_power for load in net.loads]
+        producer_ids = [dev.id for dev in (*net.pvs, *net.winds)]
+        keys += [(dev_id, "p_out") for dev_id in producer_ids]
+        keys += [(load.id, "p_demand") for load in net.loads]
+        keys += [(grid_object, "p_grid")]
 
-    records: list[ResultRecord] = []
-
-    def emit(step: int, hour: int, obj: str, quantity: str, value: float) -> None:
-        value = float(value)
-        if not isfinite(value):
-            raise ValueError(f"step {step}: {obj} {quantity} is {value}, not a finite number")
-        records.append(ResultRecord(step, hour, obj, quantity, value, QUANTITY_UNITS[quantity]))
-
-    for step in range(cfg.steps):
-        ws = samples[step]
-        hour = ws.hour_of_day
-        emit(step, hour, WEATHER_OBJECT, "cloud_factor", ws.cloud_factor)
-        emit(step, hour, WEATHER_OBJECT, "wind_speed", ws.wind_speed)
-        emit(step, hour, WEATHER_OBJECT, "temperature", ws.temperature)
-
-        productions = [(pv.id, pv_power(pv, ws)) for pv in net.pvs]
-        productions += [(w.id, wind_power(w, ws.wind_speed)) for w in net.winds]
-
-        if not use_acpf:
-            dispatch = simple_power_distribution(
-                [load.active_power for load in net.loads],
-                productions,
-            )
-            for obj, watts in dispatch.produced:
-                emit(step, hour, obj, "p_out", watts)
-            for load in net.loads:
-                emit(step, hour, load.id, "p_demand", load.active_power)
-            emit(step, hour, grid_object, "p_grid", dispatch.grid_power)
-            continue
-
+    def solved_values(productions: list[float], step: int) -> list[float]:
         n = len(net.buses)
         p_watts = np.zeros(n)
         q_var = np.zeros(n)
         for load, i in zip(net.loads, load_buses):
             p_watts[i] -= load.active_power
             q_var[i] -= load.reactive_power
-        for (_, watts), i in zip(productions, producer_buses):
+        for watts, i in zip(productions, producer_buses):
             p_watts[i] += watts
         problem = PowerFlowProblem(
             admittance=admittance,
@@ -207,35 +284,104 @@ def run_simulation(
         if not solution.converged:
             worst = _worst_mismatch_bus(problem, solution)
             raise NonConvergenceError(step, solution, net.buses[worst].id)
-        for i, bus in enumerate(net.buses):
-            emit(step, hour, bus.id, "v_mag", solution.v_mag[i] * cfg.v_base_v)
-            emit(step, hour, bus.id, "v_angle", solution.v_angle[i])
-        emit(step, hour, grid_object, "p_grid", solution.slack_injection[0] * cfg.s_base_va)
+        voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
         losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)
-        emit(step, hour, NETWORK_OBJECT, "losses", losses_pu * cfg.s_base_va)
+        return [
+            *voltages.ravel().tolist(),
+            solution.slack_injection[0] * cfg.s_base_va,
+            losses_pu * cfg.s_base_va,
+        ]
 
-    return records
+    values: list[float] = []
+    for step in range(cfg.steps):
+        ws = samples[step]
+        row = [ws.cloud_factor, ws.wind_speed, ws.temperature]
+        try:
+            productions = [pv_power(pv, ws) for pv in net.pvs]
+            productions += [wind_power(w, ws.wind_speed) for w in net.winds]
+            if use_acpf:
+                row += solved_values(productions, step)
+            else:
+                dispatch = simple_power_distribution(demands, list(zip(producer_ids, productions)))
+                row += [watts for _, watts in dispatch.produced]
+                row += demands
+                row.append(dispatch.grid_power)
+        except Exception:
+            # The weather values come first: a bad one is the error to report.
+            _require_finite(step, keys, row)
+            raise
+        if not isfinite(sum(row)):
+            _require_finite(step, keys, row)
+        values += row
+
+    k = len(keys)
+    object_code, objects = _encode(obj for obj, _ in keys)
+    quantity_code, quantities = _encode(q for _, q in keys)
+    unit_code, units = _encode(QUANTITY_UNITS[q] for _, q in keys)
+    steps = np.arange(cfg.steps, dtype=np.int64)
+    return ResultTable(
+        step=np.repeat(steps, k),
+        hour=np.repeat((cfg.start_hour + steps) % 24, k),
+        object_code=np.tile(object_code, cfg.steps),
+        quantity_code=np.tile(quantity_code, cfg.steps),
+        unit_code=np.tile(unit_code, cfg.steps),
+        value=np.array(values, dtype=np.float64),
+        objects=objects,
+        quantities=quantities,
+        units=units,
+    )
+
+
+def _require_finite(step: int, keys: Sequence[tuple[str, str]], row: Sequence[float]) -> None:
+    """Raise ValueError naming the first NaN or infinite value of a step's row."""
+    for (obj, quantity), value in zip(keys, row):
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"step {step}: {obj} {quantity} is {value}, not a finite number")
 
 
 def render_csv(
-    table: Sequence[ResultRecord],
+    table: ResultTable | Sequence[ResultRecord],
     config_comments: Sequence[tuple[str, str]] | None = None,
 ) -> str:
-    """Render a results table as CSV text (LF endings, 9 significant digits)."""
-    lines = []
-    for key, value in config_comments or ():
-        lines.append(f"# {key} = {value}")
+    """Render a results table as CSV text (LF endings, 9 significant digits).
+
+    Rows are ordered by (step, object, quantity), names in Python string
+    order; rows that tie keep their table order.
+    """
+    table = _as_table(table)
+    lines = [f"# {key} = {value}" for key, value in config_comments or ()]
     lines.append(",".join(RESULT_COLUMNS))
-    for rec in sorted(table, key=lambda r: (r.step, r.object, r.quantity)):
-        lines.append(
-            f"{rec.step},{rec.hour},{rec.object},{rec.quantity},"
-            f"{format_number(rec.value)},{rec.unit}"
+    order = np.lexsort(
+        (
+            _ranks(table.quantities)[table.quantity_code],
+            _ranks(table.objects)[table.object_code],
+            table.step,
         )
+    )
+    lines += [
+        f"{step},{hour},{obj},{quantity},{format_number(value)},{unit}"
+        for step, hour, obj, quantity, value, unit in zip(
+            table.step[order].tolist(),
+            table.hour[order].tolist(),
+            map(table.objects.__getitem__, table.object_code[order].tolist()),
+            map(table.quantities.__getitem__, table.quantity_code[order].tolist()),
+            table.value[order].tolist(),
+            map(table.units.__getitem__, table.unit_code[order].tolist()),
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
+def _ranks(names: Sequence[str]) -> np.ndarray:
+    """Position of each name when the names are sorted as Python strings."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
 def write_csv(
-    table: Sequence[ResultRecord],
+    table: ResultTable | Sequence[ResultRecord],
     path: str | Path,
     config_comments: Sequence[tuple[str, str]] | None = None,
 ) -> None:
@@ -243,8 +389,14 @@ def write_csv(
     Path(path).write_text(render_csv(table, config_comments), encoding="utf-8", newline="\n")
 
 
-def read_results_csv(path: str | Path) -> list[ResultRecord]:
-    """Read back a results CSV, skipping '#' comment lines."""
+def read_results_csv(path: str | Path) -> ResultTable:
+    """Read back a results CSV, skipping '#' comment lines.
+
+    A row with the wrong number of cells, or a step, hour or value that
+    does not parse as int64, int64 or float, is a ValueError that names
+    the first such row by its number among the non-comment rows, the
+    header being row 1.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [
             row
@@ -258,45 +410,62 @@ def read_results_csv(path: str | Path) -> list[ResultRecord]:
         raise ValueError(
             f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
         )
-    table = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    if any(len(row) != len(RESULT_COLUMNS) for row in body):
+        _raise_bad_row(path, body)
+    step, hour, obj, quantity, value, unit = (
+        [row[i] for row in body] for i in range(len(RESULT_COLUMNS))
+    )
+    try:
+        return ResultTable.from_columns(
+            map(int, step), map(int, hour), obj, quantity, map(float, value), unit
+        )
+    except (ValueError, OverflowError):
+        _raise_bad_row(path, body)
+        raise
+
+
+def _raise_bad_row(path: str | Path, body: Sequence[Sequence[str]]) -> None:
+    """Raise ValueError naming the first body row that is not a valid record."""
+    for row_no, row in enumerate(body, start=2):
         if len(row) != len(RESULT_COLUMNS):
             raise ValueError(f"{path}: row {row_no}: expected {len(RESULT_COLUMNS)} cells")
         try:
-            table.append(
-                ResultRecord(
-                    step=int(row[0]),
-                    hour=int(row[1]),
-                    object=row[2],
-                    quantity=row[3],
-                    value=float(row[4]),
-                    unit=row[5],
-                )
-            )
-        except ValueError as exc:
+            np.int64(int(row[0]))
+            np.int64(int(row[1]))
+            float(row[4])
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: row {row_no}: {exc}") from None
-    return table
 
 
-def summarize(table: Sequence[ResultRecord], quantity: str) -> list[SummaryRow]:
+def summarize(table: ResultTable | Sequence[ResultRecord], quantity: str) -> list[SummaryRow]:
     """Per-object min/quartile/max/mean summary of one quantity.
 
     Quartiles interpolate linearly between closest ranks (the value at
     zero-based rank p*(n-1)), matching numpy's default percentile method.
+    Each object's values are taken in table order.
     """
-    series: dict[str, list[float]] = {}
-    for rec in table:
-        if rec.quantity == quantity:
-            series.setdefault(rec.object, []).append(rec.value)
-    if not series:
-        available = sorted({rec.quantity for rec in table})
+    table = _as_table(table)
+    # Code -1 matches no row.
+    code = table.quantities.index(quantity) if quantity in table.quantities else -1
+    rows = np.flatnonzero(table.quantity_code == code)
+    if not rows.size:
+        available = sorted(table.quantities[c] for c in np.unique(table.quantity_code).tolist())
         raise ValueError(
             f"no records with quantity {quantity!r}; available: "
             + (", ".join(available) if available else "none")
         )
+    # A stable sort by object keeps each object's rows in table order.
+    rows = rows[np.argsort(table.object_code[rows], kind="stable")]
+    codes = table.object_code[rows]
+    starts = np.flatnonzero(np.diff(codes)) + 1
+    series = {
+        table.objects[c]: table.value[group]
+        for c, group in zip(codes[np.r_[0, starts]].tolist(), np.split(rows, starts))
+    }
     out = []
     for obj in sorted(series):
-        values = np.asarray(series[obj])
+        values = series[obj]
         q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
         out.append(
             SummaryRow(

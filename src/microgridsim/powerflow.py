@@ -15,6 +15,7 @@ the tolerance, so their results are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -219,7 +220,9 @@ def solve_newton_raphson(
     Each iteration solves J dx = mismatch for the angle and magnitude
     corrections of the PQ buses.  A singular Jacobian raises
     SingularMatrixError; hitting the iteration cap returns the last state
-    with converged=False so callers can inspect it.
+    with converged=False so callers can inspect it.  So does a mismatch
+    that overflows to inf or NaN, as soon as it does: numpy's overflow and
+    invalid-value warnings are silenced, since the solution reports them.
     """
     opts = options or SolverOptions()
     max_iter = opts.max_iterations if opts.max_iterations is not None else NR_MAX_ITERATIONS
@@ -230,24 +233,25 @@ def solve_newton_raphson(
     v_mag = np.ones(n)
     v_angle = np.zeros(n)
     it = 0
-    while True:
-        mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
-        max_mismatch = float(np.max(np.abs(mismatch))) if m else 0.0
-        converged = max_mismatch <= opts.tolerance
-        if converged or it >= max_iter:
-            return PowerFlowSolution(
-                v_mag=v_mag,
-                v_angle=v_angle,
-                iterations=it,
-                max_mismatch=max_mismatch,
-                slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-                converged=converged,
-            )
-        jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, (p_calc, q_calc))
-        dx = solve_linear(jac, mismatch)
-        v_angle[pq] += dx[:m]
-        v_mag[pq] += dx[m:]
-        it += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
+            max_mismatch = float(np.max(np.abs(mismatch))) if m else 0.0
+            converged = max_mismatch <= opts.tolerance
+            if converged or it >= max_iter or not isfinite(max_mismatch):
+                return PowerFlowSolution(
+                    v_mag=v_mag,
+                    v_angle=v_angle,
+                    iterations=it,
+                    max_mismatch=max_mismatch,
+                    slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+                    converged=converged,
+                )
+            jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, (p_calc, q_calc))
+            dx = solve_linear(jac, mismatch)
+            v_angle[pq] += dx[:m]
+            v_mag[pq] += dx[m:]
+            it += 1
 
 
 def solve_gauss_seidel(
@@ -257,7 +261,8 @@ def solve_gauss_seidel(
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
     Convergence is judged on the same injection mismatch as
-    Newton-Raphson so the two solvers are cross-comparable.
+    Newton-Raphson so the two solvers are cross-comparable, and a
+    non-finite mismatch ends the solve unconverged in the same way.
 
     A sweep costs per-call overhead, not arithmetic, so every per-bus
     constant (row of Y, Y_ii, S_i*) is looked up once per solve.  The
@@ -286,25 +291,26 @@ def solve_gauss_seidel(
     conj = complex.conjugate
     v = np.ones(n, dtype=complex)
     it = 0
-    while True:
-        v_mag = np.abs(v)
-        v_angle = np.arctan2(v.imag, v.real)
-        mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq_idx)
-        max_mismatch = float(np.abs(mismatch).max()) if pq else 0.0
-        converged = max_mismatch <= opts.tolerance
-        if converged or it >= max_iter:
-            return PowerFlowSolution(
-                v_mag=v_mag,
-                v_angle=v_angle,
-                iterations=it,
-                max_mismatch=max_mismatch,
-                slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-                converged=converged,
-            )
-        for i, row_dot, y_ii, s_conj in buses:
-            v_i = v[i]
-            v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
-        it += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            v_mag = np.abs(v)
+            v_angle = np.arctan2(v.imag, v.real)
+            mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq_idx)
+            max_mismatch = float(np.abs(mismatch).max()) if pq else 0.0
+            converged = max_mismatch <= opts.tolerance
+            if converged or it >= max_iter or not isfinite(max_mismatch):
+                return PowerFlowSolution(
+                    v_mag=v_mag,
+                    v_angle=v_angle,
+                    iterations=it,
+                    max_mismatch=max_mismatch,
+                    slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+                    converged=converged,
+                )
+            for i, row_dot, y_ii, s_conj in buses:
+                v_i = v[i]
+                v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
+            it += 1
 
 
 def solve(problem: PowerFlowProblem, options: SolverOptions | None = None) -> PowerFlowSolution:

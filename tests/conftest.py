@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 
 import numpy as np
@@ -16,18 +17,22 @@ from microgridsim import (
     Network,
     PerUnitBase,
     PowerFlowProblem,
+    ResultRecord,
     Scenario,
     SimulationConfig,
     SingularMatrixError,
     SolarPanel,
     SolverOptions,
+    SummaryRow,
     WeatherParams,
     WindTurbine,
     build_admittance,
     bundled_scenario_text,
     compute_injections,
 )
+from microgridsim.engine import RESULT_COLUMNS
 from microgridsim.powerflow import GS_MAX_ITERATIONS, PowerFlowSolution
+from microgridsim.scenario import format_number
 
 BASE = PerUnitBase(s_base=10_000.0, v_base=230.0)
 
@@ -219,6 +224,91 @@ def loop_gauss_seidel(
             row_sum = y[i, :] @ v - y[i, i] * v[i]
             v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
         it += 1
+
+
+def loop_render_csv(table, config_comments=None) -> str:
+    """Record-by-record reference for render_csv.
+
+    Sorts ResultRecords with a (step, object, quantity) key and formats
+    one f-string per record; render_csv's column form must give the same
+    text.
+    """
+    lines = []
+    for key, value in config_comments or ():
+        lines.append(f"# {key} = {value}")
+    lines.append(",".join(RESULT_COLUMNS))
+    for rec in sorted(table, key=lambda r: (r.step, r.object, r.quantity)):
+        lines.append(
+            f"{rec.step},{rec.hour},{rec.object},{rec.quantity},"
+            f"{format_number(rec.value)},{rec.unit}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def loop_read_results_csv(path) -> list[ResultRecord]:
+    """Row-by-row reference for read_results_csv: one ResultRecord per row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [
+            row
+            for row in csv.reader(line for line in fh if not line.startswith("#"))
+            if row
+        ]
+    if not rows:
+        raise ValueError(f"{path}: empty results file")
+    header = tuple(rows[0])
+    if header != RESULT_COLUMNS:
+        raise ValueError(
+            f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
+        )
+    table = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(RESULT_COLUMNS):
+            raise ValueError(f"{path}: row {row_no}: expected {len(RESULT_COLUMNS)} cells")
+        try:
+            table.append(
+                ResultRecord(
+                    step=int(row[0]),
+                    hour=int(row[1]),
+                    object=row[2],
+                    quantity=row[3],
+                    value=float(row[4]),
+                    unit=row[5],
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from None
+    return table
+
+
+def loop_summarize(table, quantity: str) -> list[SummaryRow]:
+    """Record-by-record reference for summarize: a dict of per-object lists."""
+    series: dict[str, list[float]] = {}
+    for rec in table:
+        if rec.quantity == quantity:
+            series.setdefault(rec.object, []).append(rec.value)
+    if not series:
+        available = sorted({rec.quantity for rec in table})
+        raise ValueError(
+            f"no records with quantity {quantity!r}; available: "
+            + (", ".join(available) if available else "none")
+        )
+    out = []
+    for obj in sorted(series):
+        values = np.asarray(series[obj])
+        q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+        out.append(
+            SummaryRow(
+                object=obj,
+                quantity=quantity,
+                minimum=float(values.min()),
+                q1=float(q1),
+                median=float(median),
+                q3=float(q3),
+                maximum=float(values.max()),
+                mean=float(values.mean()),
+            )
+        )
+    return out
 
 
 def splitmix64_uniforms(seed: int, n: int) -> list[float]:

@@ -59,6 +59,8 @@ def records_by(table, quantity):
 
 
 def value_at(table, step, quantity, obj=None):
+    # Tests that call this in a loop pass list(table): scanning a list of
+    # records does not make them anew on every call.
     for r in table:
         if r.step == step and r.quantity == quantity and (obj is None or r.object == obj):
             return r.value
@@ -152,7 +154,7 @@ def test_c05_conservation(case2, case2_pv):
         for scenario in (case2, case2_pv):
             cfg = scenario.config
             net = scenario.network
-            table = mg.run_simulation(scenario)
+            table = list(mg.run_simulation(scenario))
             index = {b.id: i for i, b in enumerate(net.buses)}
             load_w = sum(l.active_power for l in net.loads)
             for step in range(cfg.steps):
@@ -219,7 +221,7 @@ def test_c07_cloud_correlation(case1):
 
 def test_c08_minimum_voltage_bus(case2):
     with criterion(8, "bus hb4 has the strictly minimum voltage at every step"):
-        table = mg.run_simulation(case2)
+        table = list(mg.run_simulation(case2))
         bus_ids = [b.id for b in case2.network.buses]
         for step in range(case2.config.steps):
             v = {b: value_at(table, step, "v_mag", b) for b in bus_ids}
@@ -231,8 +233,8 @@ def test_c08_minimum_voltage_bus(case2):
 def test_c09_pv_voltage_lift(case2, case2_pv):
     with criterion(9, "adding PV raises the voltage at its bus whenever it produces"):
         assert case2.config.seed == case2_pv.config.seed
-        base_table = mg.run_simulation(case2)
-        pv_table = mg.run_simulation(case2_pv)
+        base_table = list(mg.run_simulation(case2))
+        pv_table = list(mg.run_simulation(case2_pv))
         panel = case2_pv.network.pvs[0]
         for step in range(case2.config.steps):
             v_base = value_at(base_table, step, "v_mag", "hb4")

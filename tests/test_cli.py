@@ -1,9 +1,12 @@
 """CLI contract: subcommands, exit codes, stream discipline."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import microgridsim
 from microgridsim import bundled_scenario_path, bundled_scenario_text
@@ -12,6 +15,46 @@ from conftest import overheated_case1_text
 
 CASE1 = str(bundled_scenario_path("case1"))
 CASE2 = str(bundled_scenario_path("case2"))
+
+# SHA-256 of `microgridsim run CASE [--solver SOLVER] --out FILE` and of
+# `microgridsim summarize FILE` on stdout, per (case, solver override).
+# A change to any of them changes printed digits, which must be deliberate.
+GOLDEN_SHA256 = {
+    ("case1", None): (
+        "9039c28cad53944f73992006e9e5e665595e0c6490a67f5bc12616bb0eeb8798",
+        "a1bc14237d15470fc8115e41dfe6a5fb1b36bd87c38eeb552080fd28f3a4c2b1",
+    ),
+    ("case2", None): (
+        "68514917906778cf0b87c9eaf9cb174e55892a53b5acb396d1bdb0a765da9524",
+        "d9af514f752600413cbdf7b4edd4e13794ae4b8f3e10f195b1ec429545ee2052",
+    ),
+    ("case2", "gs"): (
+        "45ef0dacea9f52099151cc2421e36ee8059e4c50f0a1d8e30fdece4ea8788192",
+        "187885e75c209357abb1d4f23ff22d04c4ba476d217b588074f696aeb079f5f0",
+    ),
+    ("case2_pv", None): (
+        "f89226565572d99f7d2296613c70cfa9555512bebba5848faf9dfa6c22234915",
+        "98ecfe1e16620e69add6a1819c141c247cdb41a0f43a284b2e916e999929e0f6",
+    ),
+    ("case2_pv", "gs"): (
+        "8cc768010901f2c0f163b046533a9e7066a4fe9348671dd5e93b39c92f48ce1e",
+        "2c62c180d436d782520897a239186c749da30e9d64f9eeaa4733a780b1f3e4af",
+    ),
+}
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -m microgridsim ARGS` in a child process, capturing text."""
+    # The child finds the package where this process imported it from,
+    # whether that came from PYTHONPATH or pytest's pythonpath setting.
+    src = str(Path(microgridsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "microgridsim", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestRun:
@@ -133,6 +176,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "step 0" in err
 
+    @pytest.mark.parametrize("solver", ["acpf", "gs"])
+    def test_overflowing_solver_state_is_one_line_exit_2(self, tmp_path, solver):
+        # One huge but finite reactive load passes validation; the solver's
+        # state then overflows.  No numpy warning may reach the user.
+        text = bundled_scenario_text("case2")
+        assert "q_var = 0\n" in text
+        huge = tmp_path / "huge.mgs"
+        huge.write_text(text.replace("q_var = 0\n", "q_var = 1e308\n", 1))
+        out = tmp_path / "r.csv"
+        proc = run_module("run", str(huge), "--solver", solver, "--out", str(out))
+        assert proc.returncode == 2
+        assert not out.exists()
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"{huge}: power flow did not converge at step 0 ")
+
     def test_scenario_errors_listed_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
         bad.write_text("[simulation]\nsteps = nope\n")
@@ -201,15 +259,18 @@ class TestUsage:
         assert "run" in capsys.readouterr().out
 
     def test_module_entry_point(self):
-        # The child finds the package where this process imported it from,
-        # whether that came from PYTHONPATH or pytest's pythonpath setting.
-        src = str(Path(microgridsim.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "microgridsim", "validate", CASE1],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_module("validate", CASE1)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0 diagnostics"
+
+
+@pytest.mark.parametrize("case, solver", list(GOLDEN_SHA256))
+def test_bundled_outputs_byte_identical(tmp_path, capsys, case, solver):
+    out = tmp_path / "r.csv"
+    flags = ["--solver", solver] if solver else []
+    assert cli_main(["run", str(bundled_scenario_path(case)), *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["summarize", str(out)]) == 0
+    summary = capsys.readouterr().out.encode("utf-8")
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (out.read_bytes(), summary))
+    assert digests == GOLDEN_SHA256[case, solver]

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microgridsim import (
     NonConvergenceError,
     PerUnitBase,
     ResultRecord,
+    ResultTable,
     bundled_scenario_text,
     compute_injections,
     parse_scenario,
@@ -20,7 +23,13 @@ from microgridsim import (
     write_csv,
     write_weather_csv,
 )
-from conftest import overheated_case1_text, problem_for
+from conftest import (
+    loop_read_results_csv,
+    loop_render_csv,
+    loop_summarize,
+    overheated_case1_text,
+    problem_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +179,52 @@ class TestRunSimulation:
         ):
             run_simulation(scenario)
 
+    def test_non_finite_result_reported_for_the_whole_run(self):
+        # The check runs step by step, so the first bad step is named even
+        # when later steps are bad too.
+        scenario = parse_scenario(overheated_case1_text())
+        with pytest.raises(
+            ValueError, match=r"^step 13: weather temperature is inf, not a finite number$"
+        ):
+            run_simulation(scenario)
+
+    @pytest.fixture(scope="class")
+    def bright_case2_pv(self):
+        # A 1e200 W rooftop PV: from the first daylight step on, the AC
+        # solver's state overflows and the solve fails.
+        text = bundled_scenario_text("case2_pv")
+        assert "peak_w = 5000\n" in text
+        scenario = parse_scenario(text.replace("peak_w = 5000\n", "peak_w = 1e200\n"))
+        samples = weather_series(replace(scenario.weather, seed=scenario.config.seed), 48)
+        return scenario, samples
+
+    def test_bright_pv_fails_to_converge_at_first_daylight(self, bright_case2_pv):
+        scenario, samples = bright_case2_pv
+        with pytest.raises(NonConvergenceError) as exc:
+            run_simulation(scenario, weather=samples)
+        assert exc.value.step == 7
+
+    def test_non_finite_value_before_a_non_converging_step(self, bright_case2_pv):
+        scenario, samples = bright_case2_pv
+        samples = list(samples)
+        samples[3] = replace(samples[3], temperature=float("nan"))
+        with pytest.raises(
+            ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
+        ):
+            run_simulation(scenario, weather=samples)
+
+    @pytest.mark.parametrize("field", ["cloud_factor", "wind_speed"])
+    def test_non_finite_weather_at_the_non_converging_step(self, bright_case2_pv, field):
+        # The weather values of a step come before its solve, so they are
+        # the error even when that solve fails or the generators reject them.
+        scenario, samples = bright_case2_pv
+        samples = list(samples)
+        samples[7] = replace(samples[7], **{field: -float("inf")})
+        with pytest.raises(
+            ValueError, match=rf"^step 7: weather {field} is -inf, not a finite number$"
+        ):
+            run_simulation(scenario, weather=samples)
+
     @pytest.mark.parametrize("field", ["cloud_step", "cloud_initial"])
     def test_nan_weather_params_abort_the_run(self, case1, field):
         scenario = replace(case1, weather=replace(case1.weather, **{field: float("nan")}))
@@ -226,6 +281,115 @@ class TestCsv:
         path.write_text("step,object\n")
         with pytest.raises(ValueError, match="header"):
             read_results_csv(path)
+
+
+    @pytest.mark.parametrize(
+        "body, row",
+        [
+            ("0,0,a,p_out,1.5,W\n1,0,a,p_out,watts,W\n", 3),
+            ("0,0,a,p_out,1.5,W\n1.5,0,a,p_out,2,W\n", 3),
+            ("0,noon,a,p_out,1.5,W\n", 2),
+            ("0,0,a,p_out,1.5,W\n0,0,a,p_out\n", 3),
+            # The first bad row is named, whichever column fails.
+            ("0,0,a,p_out,x,W\n0,y,a,p_out,1,W\n", 2),
+            ("0,0,a,p_out,1,W\n0,0,a\n0,y,a,p_out,1,W\n", 3),
+            ("0,0,a,p_out,1,W\n0,y,a,p_out,1,W\n0,0,a\n", 3),
+        ],
+    )
+    def test_malformed_row_is_named(self, tmp_path, body, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed = 1\nstep,hour,object,quantity,value,unit\n" + body)
+        with pytest.raises(ValueError) as oracle:
+            loop_read_results_csv(path)
+        with pytest.raises(ValueError) as exc:
+            read_results_csv(path)
+        assert str(exc.value) == str(oracle.value)
+        assert str(exc.value).startswith(f"{path}: row {row}: ")
+
+    def test_step_beyond_int64_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("step,hour,object,quantity,value,unit\n" + "9" * 20 + ",0,a,p_out,1,W\n")
+        with pytest.raises(ValueError, match=f"^{path}: row 2: "):
+            read_results_csv(path)
+
+
+OBJECTS = ("pv", "b10", "b2", "Grid", "weather", "a_b", "ab")
+QUANTITIES = ("v_mag", "p_out", "losses", "cloud_factor")
+UNITS = ("V", "W", "rad", "1")
+
+records_st = st.lists(
+    st.builds(
+        ResultRecord,
+        step=st.integers(0, 3),
+        hour=st.integers(0, 23),
+        object=st.sampled_from(OBJECTS),
+        quantity=st.sampled_from(QUANTITIES),
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        unit=st.sampled_from(UNITS),
+    ),
+    max_size=12,
+)
+
+
+class TestColumnsMatchRecordOracles:
+    """The column forms give what the record-by-record loops gave, bit for bit.
+
+    Drawn tables come in any row order, repeat (step, object, quantity)
+    keys, and code their names in an order that differs from string order.
+    reprs are compared so that -0.0 and 0.0 count as different.
+    """
+
+    @staticmethod
+    def summaries(summarize_fn, table):
+        out = {}
+        for quantity in QUANTITIES:
+            try:
+                out[quantity] = repr(summarize_fn(table, quantity))
+            except ValueError as exc:
+                out[quantity] = f"ValueError: {exc}"
+        return out
+
+    @settings(max_examples=60)
+    @given(records=records_st)
+    def test_render_and_summarize(self, records):
+        comments = [("seed", "1")]
+        assert render_csv(records, comments) == loop_render_csv(records, comments)
+        table = ResultTable.from_records(records)
+        assert repr(list(table)) == repr(records)
+        assert render_csv(table) == loop_render_csv(records)
+        assert self.summaries(summarize, table) == self.summaries(loop_summarize, records)
+
+    @settings(max_examples=40)
+    @given(records=records_st)
+    def test_read_back(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("read") / "results.csv"
+        write_csv(records, path, [("seed", "1")])
+        table = read_results_csv(path)
+        expected = loop_read_results_csv(path)
+        assert repr(list(table)) == repr(expected)
+        assert self.summaries(summarize, table) == self.summaries(loop_summarize, expected)
+
+    def test_run_tables(self, case1, case2_table, tmp_path):
+        # Long per-object groups, where an unstable grouping sort would
+        # reorder values and move the mean's last bits.
+        for table in (run_simulation(case1), case2_table):
+            records = list(table)
+            assert render_csv(table) == loop_render_csv(records)
+            quantities = sorted({rec.quantity for rec in records})
+            for quantity in quantities:
+                assert repr(summarize(table, quantity)) == repr(loop_summarize(records, quantity))
+            path = tmp_path / "results.csv"
+            write_csv(table, path)
+            assert list(read_results_csv(path)) == loop_read_results_csv(path)
+
+    def test_equality_compares_rows_not_codes(self):
+        a = ResultRecord(0, 0, "b", "p_out", 1.0, "W")
+        b = ResultRecord(0, 0, "a", "v_mag", 2.0, "V")
+        table = ResultTable.from_records([a, b])
+        recoded = replace(table, object_code=1 - table.object_code, objects=table.objects[::-1])
+        assert recoded == table
+        assert table != ResultTable.from_records([b, a])
+        assert table != ResultTable.from_records([a])
 
 
 class TestSummarize:

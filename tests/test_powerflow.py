@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -411,6 +412,25 @@ class TestGaussSeidel:
             assert_same_solution(
                 solve_gauss_seidel(problem, options), loop_gauss_seidel(problem, options)
             )
+
+
+class TestOverflowingState:
+    @pytest.mark.parametrize(
+        "method", [powerflow.METHOD_NEWTON_RAPHSON, powerflow.METHOD_GAUSS_SEIDEL]
+    )
+    def test_first_non_finite_mismatch_ends_the_solve_silently(self, method):
+        # case2 with one reactive load of 1e308 var: finite input whose
+        # iterates overflow within the first two iterations.
+        problem, _ = case2_problem()
+        q = problem.q_injection.copy()
+        q[0] = -1e308 / BASE.s_base
+        problem = replace(problem, q_injection=q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(problem, SolverOptions(method=method))
+        assert not sol.converged
+        assert not math.isfinite(sol.max_mismatch)
+        assert sol.iterations <= 2
 
 
 class TestDispatcher:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microgridsim import (
     WeatherParams,
@@ -17,6 +19,29 @@ from microgridsim import (
     write_weather_csv,
 )
 from conftest import splitmix64_uniforms
+
+# (hour, cloud_factor, wind_speed, temperature) of trace samples in range.
+sample_fields = st.tuples(
+    st.integers(0, 23),
+    st.floats(0.0, 1.0),
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+traces = st.lists(sample_fields, min_size=1, max_size=20).map(
+    lambda rows: [WeatherSample(i, *row) for i, row in enumerate(rows)]
+)
+# A data row that load_weather_csv must reject, as a function of its step
+# and hour, and the words its error must contain.
+MALFORMED_ROWS = [
+    (lambda s, h: f"{s},{h},0.5,breeze,12", "non-numeric cell"),
+    (lambda s, h: f"{s},{h},0.5,4", "expected 5 cells, got 4"),
+    (lambda s, h: f"{s},24,0.5,4,12", "hour must be in 0..23"),
+    (lambda s, h: f"{s},{h},1.5,4,12", "cloud_factor outside [0, 1]"),
+    (lambda s, h: f"{s},{h},0.5,-1,12", "negative wind speed"),
+    (lambda s, h: f"{s},{h},0.5,nan,12", "wind_speed_mps must be finite"),
+    (lambda s, h: f"{s},{h},0.5,4,-inf", "temperature_c must be finite"),
+    (lambda s, h: f"{s + 1},{h},0.5,4,12", "step must be"),
+]
 
 # Published SplitMix64 outputs for seed 0 (top bits feed the uniform).
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -168,6 +193,36 @@ class TestTraceCsv:
             assert (a.step, a.hour_of_day) == (b.step, b.hour_of_day)
             for field in ("cloud_factor", "wind_speed", "temperature"):
                 assert format(getattr(a, field), ".9g") == format(getattr(b, field), ".9g")
+
+    @settings(max_examples=50)
+    @given(samples=traces)
+    def test_round_trip_property(self, samples, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_weather_csv(samples, path)
+        nine_digits = [
+            WeatherSample(
+                s.step,
+                s.hour_of_day,
+                *(float(format(v, ".9g")) for v in (s.cloud_factor, s.wind_speed, s.temperature)),
+            )
+            for s in samples
+        ]
+        assert load_weather_csv(path) == nine_digits
+
+    @settings(max_examples=50)
+    @given(samples=traces, data=st.data())
+    def test_malformed_row_property(self, samples, data, tmp_path_factory):
+        row = data.draw(st.integers(0, len(samples) - 1))
+        make_row, words = data.draw(st.sampled_from(MALFORMED_ROWS))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_weather_csv(samples, path)
+        lines = path.read_text().splitlines()
+        lines[row + 1] = make_row(row, samples[row].hour_of_day)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WeatherTraceError, match=f"^row {row + 1}: ") as exc:
+            load_weather_csv(path)
+        assert exc.value.row == row + 1
+        assert words in str(exc.value)
 
     def test_lf_endings_and_header(self, tmp_path):
         path = tmp_path / "trace.csv"
