@@ -8,14 +8,18 @@ list of values.  The result is a ResultTable: numpy columns of step, hour,
 value and name codes, built once at the end of the run.  Iterating a
 table yields (step, hour, object, quantity, value, unit) ResultRecords.
 The CSV form sorts rows by (step, object, quantity) and renders values at
-up to 9 significant digits.
+up to 9 significant digits.  Rendering, reading back and iterating a table
+go one fixed-size block of rows at a time, so that the per-row Python
+objects of only one block are alive at once.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
+from itertools import chain, islice
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,6 +58,10 @@ QUANTITY_UNITS = {
 
 _SOLVER_METHODS = {"acpf": METHOD_NEWTON_RAPHSON, "gs": METHOD_GAUSS_SEIDEL}
 
+# Rows per block when a table is rendered, read back or iterated, so that
+# the per-row Python objects of only one block are alive at a time.
+_BLOCK_ROWS = 4096
+
 
 class ResultRecord(NamedTuple):
     """One observation; (step, object, quantity) is unique within a table."""
@@ -66,11 +74,26 @@ class ResultRecord(NamedTuple):
     unit: str
 
 
+class _Coder(dict):
+    """Name -> code, in first-seen order; looking up a new name adds it."""
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
+        return code
+
+    def codes(self, names: Iterable[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, names), dtype=np.intp)
+
+
 def _encode(labels: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes of labels into the tuple of distinct labels, in first-seen order."""
-    index: dict[str, int] = {}
-    codes = [index.setdefault(label, len(index)) for label in labels]
-    return np.array(codes, dtype=np.intp), tuple(index)
+    coder = _Coder()
+    return coder.codes(labels), tuple(coder)
+
+
+# A ResultRecord from a row tuple, built in C: NamedTuple's own __new__ and
+# _make run Python code for every row.
+_make_record = partial(tuple.__new__, ResultRecord)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +104,8 @@ class ResultTable:
     quantities[quantity_code[i]], value[i], units[unit_code[i]]).  The
     name tuples list the distinct names in order of first appearance.
     Rows keep the order they were added in; render_csv sorts them.
-    Iterating yields ResultRecords, which are built only then.
+    Iterating yields ResultRecords, which are built only then, one block
+    of rows at a time.
     """
 
     step: np.ndarray
@@ -95,16 +119,9 @@ class ResultTable:
     units: tuple[str, ...]
 
     @classmethod
-    def from_columns(
-        cls,
-        step: Iterable[int],
-        hour: Iterable[int],
-        obj: Iterable[str],
-        quantity: Iterable[str],
-        value: Iterable[float],
-        unit: Iterable[str],
-    ) -> ResultTable:
-        """Table of the given per-row columns, names coded in first-seen order."""
+    def from_records(cls, records: Iterable[ResultRecord]) -> ResultTable:
+        """Table of the given records, in their order, names coded in first-seen order."""
+        step, hour, obj, quantity, value, unit = list(zip(*records)) or [()] * len(RESULT_COLUMNS)
         object_code, object_names = _encode(obj)
         quantity_code, quantity_names = _encode(quantity)
         unit_code, unit_names = _encode(unit)
@@ -120,32 +137,32 @@ class ResultTable:
             units=unit_names,
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[ResultRecord]) -> ResultTable:
-        """Table of the given records, in their order."""
-        columns = list(zip(*records)) or [()] * len(RESULT_COLUMNS)
-        return cls.from_columns(*columns)
-
     def __len__(self) -> int:
         return len(self.value)
 
     def __iter__(self) -> Iterator[ResultRecord]:
-        return map(
-            ResultRecord._make,
-            zip(
-                self.step.tolist(),
-                self.hour.tolist(),
-                map(self.objects.__getitem__, self.object_code.tolist()),
-                map(self.quantities.__getitem__, self.quantity_code.tolist()),
-                self.value.tolist(),
-                map(self.units.__getitem__, self.unit_code.tolist()),
-            ),
+        return map(_make_record, chain.from_iterable(map(self._rows, _blocks(len(self)))))
+
+    def _rows(self, index: slice | np.ndarray) -> Iterator[tuple]:
+        """(step, hour, object, quantity, value, unit) tuples of the indexed rows."""
+        return zip(
+            self.step[index].tolist(),
+            self.hour[index].tolist(),
+            map(self.objects.__getitem__, self.object_code[index].tolist()),
+            map(self.quantities.__getitem__, self.quantity_code[index].tolist()),
+            self.value[index].tolist(),
+            map(self.units.__getitem__, self.unit_code[index].tolist()),
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultTable):
             return NotImplemented
         return list(self) == list(other)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most _BLOCK_ROWS that cover range(n)."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def _as_table(table: ResultTable | Iterable[ResultRecord]) -> ResultTable:
@@ -349,9 +366,26 @@ def render_csv(
     Rows are ordered by (step, object, quantity), names in Python string
     order; rows that tie keep their table order.
     """
+    return "".join(_csv_blocks(_as_table(table), config_comments))
+
+
+def write_csv(
+    table: ResultTable | Sequence[ResultRecord],
+    path: str | Path,
+    config_comments: Sequence[tuple[str, str]] | None = None,
+) -> None:
+    """Write a results table as UTF-8 CSV; see render_csv for the format."""
     table = _as_table(table)
-    lines = [f"# {key} = {value}" for key, value in config_comments or ()]
-    lines.append(",".join(RESULT_COLUMNS))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_csv_blocks(table, config_comments))
+
+
+def _csv_blocks(
+    table: ResultTable, config_comments: Sequence[tuple[str, str]] | None
+) -> Iterator[str]:
+    """The CSV text: the comments and header, then one piece per block of rows."""
+    comments = [f"# {key} = {value}\n" for key, value in config_comments or ()]
+    yield "".join(comments) + ",".join(RESULT_COLUMNS) + "\n"
     order = np.lexsort(
         (
             _ranks(table.quantities)[table.quantity_code],
@@ -359,18 +393,13 @@ def render_csv(
             table.step,
         )
     )
-    lines += [
-        f"{step},{hour},{obj},{quantity},{format_number(value)},{unit}"
-        for step, hour, obj, quantity, value, unit in zip(
-            table.step[order].tolist(),
-            table.hour[order].tolist(),
-            map(table.objects.__getitem__, table.object_code[order].tolist()),
-            map(table.quantities.__getitem__, table.quantity_code[order].tolist()),
-            table.value[order].tolist(),
-            map(table.units.__getitem__, table.unit_code[order].tolist()),
+    for rows in _blocks(len(order)):
+        yield "".join(
+            [
+                f"{step},{hour},{obj},{quantity},{format_number(value)},{unit}\n"
+                for step, hour, obj, quantity, value, unit in table._rows(order[rows])
+            ]
         )
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _ranks(names: Sequence[str]) -> np.ndarray:
@@ -380,62 +409,78 @@ def _ranks(names: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def write_csv(
-    table: ResultTable | Sequence[ResultRecord],
-    path: str | Path,
-    config_comments: Sequence[tuple[str, str]] | None = None,
-) -> None:
-    """Write a results table as UTF-8 CSV; see render_csv for the format."""
-    Path(path).write_text(render_csv(table, config_comments), encoding="utf-8", newline="\n")
-
-
 def read_results_csv(path: str | Path) -> ResultTable:
     """Read back a results CSV, skipping '#' comment lines.
 
-    A row with the wrong number of cells, or a step, hour or value that
-    does not parse as int64, int64 or float, is a ValueError that names
-    the first such row by its number among the non-comment rows, the
-    header being row 1.
+    A row with the wrong number of cells, a step or hour that does not
+    parse as int64, or a value that does not parse as a finite float, is
+    a ValueError that names the first such row by its number among the
+    non-comment rows, the header being row 1.  A file that is not UTF-8
+    is a ValueError that names the file.  The file is read one block of
+    rows at a time.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [
-            row
-            for row in csv.reader(line for line in fh if not line.startswith("#"))
-            if row
-        ]
-    if not rows:
-        raise ValueError(f"{path}: empty results file")
-    header = tuple(rows[0])
-    if header != RESULT_COLUMNS:
-        raise ValueError(
-            f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
-        )
-    body = rows[1:]
-    if any(len(row) != len(RESULT_COLUMNS) for row in body):
-        _raise_bad_row(path, body)
-    step, hour, obj, quantity, value, unit = (
-        [row[i] for row in body] for i in range(len(RESULT_COLUMNS))
-    )
+    objects, quantities, units = _Coder(), _Coder(), _Coder()
+    chunks = []
     try:
-        return ResultTable.from_columns(
-            map(int, step), map(int, hour), obj, quantity, map(float, value), unit
-        )
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = filter(None, csv.reader(line for line in fh if not line.startswith("#")))
+            header = tuple(next(rows, ()))
+            if not header:
+                raise ValueError(f"{path}: empty results file")
+            if header != RESULT_COLUMNS:
+                raise ValueError(
+                    f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
+                )
+            row_no = 2
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                step, hour, obj, quantity, value, unit = _parse_block(path, block, row_no)
+                chunks.append(
+                    (step, hour, objects.codes(obj), quantities.codes(quantity), units.codes(unit), value)
+                )
+                row_no += len(block)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not chunks:
+        return ResultTable.from_records(())
+    return ResultTable(
+        *map(np.concatenate, zip(*chunks)),
+        objects=tuple(objects),
+        quantities=tuple(quantities),
+        units=tuple(units),
+    )
+
+
+def _parse_block(path: str | Path, block: list[list[str]], first_row_no: int) -> tuple:
+    """Columns of a block of CSV rows: step, hour and value as arrays, names as tuples."""
+    n = len(block)
+    if set(map(len, block)) != {len(RESULT_COLUMNS)}:
+        _raise_bad_row(path, block, first_row_no)
+    step, hour, obj, quantity, value, unit = zip(*block)
+    try:
+        step = np.fromiter(map(int, step), np.int64, n)
+        hour = np.fromiter(map(int, hour), np.int64, n)
+        value = np.fromiter(map(float, value), np.float64, n)
     except (ValueError, OverflowError):
-        _raise_bad_row(path, body)
+        _raise_bad_row(path, block, first_row_no)
         raise
+    if not np.isfinite(value).all():
+        _raise_bad_row(path, block, first_row_no)
+    return step, hour, obj, quantity, value, unit
 
 
-def _raise_bad_row(path: str | Path, body: Sequence[Sequence[str]]) -> None:
-    """Raise ValueError naming the first body row that is not a valid record."""
-    for row_no, row in enumerate(body, start=2):
+def _raise_bad_row(path: str | Path, block: Sequence[Sequence[str]], first_row_no: int) -> None:
+    """Raise ValueError naming the first row of a block that is not a valid record."""
+    for row_no, row in enumerate(block, start=first_row_no):
         if len(row) != len(RESULT_COLUMNS):
             raise ValueError(f"{path}: row {row_no}: expected {len(RESULT_COLUMNS)} cells")
         try:
             np.int64(int(row[0]))
             np.int64(int(row[1]))
-            float(row[4])
+            value = float(row[4])
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: row {row_no}: {exc}") from None
+        if not isfinite(value):
+            raise ValueError(f"{path}: row {row_no}: value {row[4]} is not a finite number")
 
 
 def summarize(table: ResultTable | Sequence[ResultRecord], quantity: str) -> list[SummaryRow]:

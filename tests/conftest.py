@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 
 import numpy as np
@@ -277,6 +278,8 @@ def loop_read_results_csv(path) -> list[ResultRecord]:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: row {row_no}: {exc}") from None
+        if not math.isfinite(table[-1].value):
+            raise ValueError(f"{path}: row {row_no}: value {row[4]} is not a finite number")
     return table
 
 

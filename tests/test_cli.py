@@ -235,6 +235,28 @@ class TestSummarize:
         quantities = {line.split(",")[1] for line in out_lines[1:]}
         assert {"cloud_factor", "p_grid", "p_out", "p_demand"} <= quantities
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, value):
+        out = tmp_path / "r.csv"
+        out.write_text(f"step,hour,object,quantity,value,unit\n0,0,a,p_out,1,W\n1,1,a,p_out,{value},W\n")
+        assert cli_main(["summarize", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{out}: row 3: value {value} is not a finite number\n"
+
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        # 5,000 rows: the bad byte sits in the second block of rows.
+        cli_main(["run", CASE1, "--steps", "500", "--out", str(out)])
+        data = out.read_bytes()
+        at = data.rindex(b"turbine")
+        out.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        capsys.readouterr()
+        assert cli_main(["summarize", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{out}: not UTF-8 text")
+
     def test_unknown_quantity(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         cli_main(["run", CASE1, "--steps", "2", "--out", str(out)])

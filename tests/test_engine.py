@@ -1,6 +1,8 @@
 """Simulation loop, results CSV, and summaries."""
 
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from microgridsim import (
     write_csv,
     write_weather_csv,
 )
+from microgridsim import engine
 from conftest import (
     loop_read_results_csv,
     loop_render_csv,
@@ -49,6 +52,16 @@ def case2_table(case2):
 
 def by_quantity(table, quantity):
     return [r for r in table if r.quantity == quantity]
+
+
+# Block sizes the CSV layer is checked at: small ones make the drawn
+# tables span several blocks, and the last is the one the package uses.
+BLOCK_SIZES = (1, 2, 5, engine._BLOCK_ROWS)
+
+
+def block_rows(n):
+    """Context in which the CSV layer works in blocks of n rows."""
+    return mock.patch.object(engine, "_BLOCK_ROWS", n)
 
 
 class TestRunSimulation:
@@ -294,6 +307,18 @@ class TestCsv:
             ("0,0,a,p_out,x,W\n0,y,a,p_out,1,W\n", 2),
             ("0,0,a,p_out,1,W\n0,0,a\n0,y,a,p_out,1,W\n", 3),
             ("0,0,a,p_out,1,W\n0,y,a,p_out,1,W\n0,0,a\n", 3),
+            # A value cell that does not parse as a finite float.
+            ("0,0,a,p_out,1.5,W\n1,0,a,p_out,nan,W\n", 3),
+            ("0,0,a,p_out,inf,W\n", 2),
+            ("0,0,a,p_out,-inf,W\n0,0,a\n", 2),
+            ("0,0,a,p_out,1e999,W\n", 2),
+            # Bad rows after several blocks of good ones.
+            pytest.param(
+                "0,0,a,p_out,1,W\n" * 11 + "0,0,a,p_out,nan,W\n0,y,a,p_out,1,W\n",
+                13,
+                id="nan-after-11-rows",
+            ),
+            pytest.param("0,0,a,p_out,1,W\n" * 12 + "0,0,a\n", 14, id="short-after-12-rows"),
         ],
     )
     def test_malformed_row_is_named(self, tmp_path, body, row):
@@ -301,10 +326,47 @@ class TestCsv:
         path.write_text("# seed = 1\nstep,hour,object,quantity,value,unit\n" + body)
         with pytest.raises(ValueError) as oracle:
             loop_read_results_csv(path)
-        with pytest.raises(ValueError) as exc:
+        assert str(oracle.value).startswith(f"{path}: row {row}: ")
+        for n in BLOCK_SIZES:
+            with block_rows(n), pytest.raises(ValueError) as exc:
+                read_results_csv(path)
+            assert str(exc.value) == str(oracle.value)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"step,hour,object,quantity,value,unit\n0,0,\xff,p_out,1,W\n")
+        with pytest.raises(ValueError, match=f"^{path}: not UTF-8 text"):
             read_results_csv(path)
-        assert str(exc.value) == str(oracle.value)
-        assert str(exc.value).startswith(f"{path}: row {row}: ")
+
+    @pytest.mark.parametrize("rows", [0, 1, engine._BLOCK_ROWS, engine._BLOCK_ROWS + 1])
+    def test_block_boundaries(self, tmp_path, rows):
+        records = [
+            ResultRecord(i // 3, i // 3 % 24, f"obj{i % 3}", "p_out", i / 8.0, "W")
+            for i in range(rows)
+        ]
+        table = ResultTable.from_records(records)
+        assert list(table) == records
+        assert render_csv(table) == loop_render_csv(records)
+        path = tmp_path / "results.csv"
+        write_csv(table, path)
+        assert path.read_text() == loop_render_csv(records)
+        assert list(read_results_csv(path)) == loop_read_results_csv(path) == records
+
+    def test_memory_does_not_grow_with_rows(self, case1, tmp_path):
+        # 48,000 rows.  The record-per-row CSV layer peaked at about 200 B
+        # a row to render and 500 B a row to read back; the rendered text
+        # is about 40 B a row and a read-back table 48 B a row.
+        table = run_simulation(replace(case1, config=replace(case1.config, steps=4800)))
+        path = tmp_path / "results.csv"
+        write_csv(table, path)
+        for fn, arg, bytes_per_row in ((render_csv, table, 120), (read_results_csv, path, 200)):
+            tracemalloc.start()
+            try:
+                fn(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bytes_per_row * len(table), fn.__name__
 
     def test_step_beyond_int64_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -353,21 +415,34 @@ class TestColumnsMatchRecordOracles:
     @given(records=records_st)
     def test_render_and_summarize(self, records):
         comments = [("seed", "1")]
-        assert render_csv(records, comments) == loop_render_csv(records, comments)
-        table = ResultTable.from_records(records)
-        assert repr(list(table)) == repr(records)
-        assert render_csv(table) == loop_render_csv(records)
-        assert self.summaries(summarize, table) == self.summaries(loop_summarize, records)
+        expected_csv = loop_render_csv(records, comments)
+        expected_bare_csv = loop_render_csv(records)
+        expected_summaries = self.summaries(loop_summarize, records)
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                assert render_csv(records, comments) == expected_csv
+                table = ResultTable.from_records(records)
+                assert repr(list(table)) == repr(records)
+                assert render_csv(table) == expected_bare_csv
+                assert self.summaries(summarize, table) == expected_summaries
 
     @settings(max_examples=40)
     @given(records=records_st)
     def test_read_back(self, records, tmp_path_factory):
+        comments = [("seed", "1")]
         path = tmp_path_factory.mktemp("read") / "results.csv"
-        write_csv(records, path, [("seed", "1")])
-        table = read_results_csv(path)
+        expected_csv = loop_render_csv(records, comments)
+        path.write_text(expected_csv)
         expected = loop_read_results_csv(path)
-        assert repr(list(table)) == repr(expected)
-        assert self.summaries(summarize, table) == self.summaries(loop_summarize, expected)
+        expected_summaries = self.summaries(loop_summarize, expected)
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                write_csv(records, path, comments)
+                assert path.read_text() == expected_csv
+                table = read_results_csv(path)
+                assert repr(list(table)) == repr(expected)
+                assert table.quantities == tuple(dict.fromkeys(r.quantity for r in expected))
+                assert self.summaries(summarize, table) == expected_summaries
 
     def test_run_tables(self, case1, case2_table, tmp_path):
         # Long per-object groups, where an unstable grouping sort would
