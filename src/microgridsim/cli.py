@@ -163,20 +163,19 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         quantities = [args.quantity]
     else:
         quantities = sorted(table.quantities)
+    try:
+        rows = [row for quantity in quantities for row in summarize(table, quantity)]
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     print("object,quantity,min,q1,median,q3,max,mean")
-    for quantity in quantities:
-        try:
-            rows = summarize(table, quantity)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        for row in rows:
-            print(
-                f"{row.object},{row.quantity},"
-                f"{format_number(row.minimum)},{format_number(row.q1)},"
-                f"{format_number(row.median)},{format_number(row.q3)},"
-                f"{format_number(row.maximum)},{format_number(row.mean)}"
-            )
+    for row in rows:
+        print(
+            f"{row.object},{row.quantity},"
+            f"{format_number(row.minimum)},{format_number(row.q1)},"
+            f"{format_number(row.median)},{format_number(row.q3)},"
+            f"{format_number(row.maximum)},{format_number(row.mean)}"
+        )
     return 0
 
 

@@ -29,15 +29,13 @@ import numpy as np
 from .generation import pv_power, wind_power
 from .grid import PerUnitBase, build_admittance
 from .powerflow import (
-    METHOD_GAUSS_SEIDEL,
-    METHOD_NEWTON_RAPHSON,
     PowerFlowProblem,
     PowerFlowSolution,
     SolverOptions,
-    compute_injections,
     simple_power_distribution,
     solve,
     total_line_losses,
+    worst_mismatch_bus,
 )
 from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, format_number
 from .weather import WeatherSample, load_weather_csv, weather_series
@@ -55,8 +53,6 @@ QUANTITY_UNITS = {
     "v_angle": "rad",
     "losses": "W",
 }
-
-_SOLVER_METHODS = {"acpf": METHOD_NEWTON_RAPHSON, "gs": METHOD_GAUSS_SEIDEL}
 
 # Rows per block when a table is rendered, read back or iterated, so that
 # the per-row Python objects of only one block are alive at a time.
@@ -165,10 +161,6 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _as_table(table: ResultTable | Iterable[ResultRecord]) -> ResultTable:
-    return table if isinstance(table, ResultTable) else ResultTable.from_records(table)
-
-
 @dataclass(frozen=True)
 class SummaryRow:
     """Boxplot-style statistics of one object/quantity series."""
@@ -203,20 +195,6 @@ class NonConvergenceError(RuntimeError):
         )
 
 
-def _worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
-    """Index of the PQ bus whose final |dP| or |dQ| is largest.
-
-    The state may have overflowed, as the solver's own mismatch did, so
-    numpy's warnings are silenced here too.
-    """
-    pq = problem.pq_indices
-    with np.errstate(over="ignore", invalid="ignore"):
-        p, q = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
-        dp, dq = problem.p_injection - p[pq], problem.q_injection - q[pq]
-    worst = np.maximum(np.abs(dp), np.abs(dq))
-    return pq[int(np.argmax(worst))]
-
-
 def run_simulation(
     scenario: Scenario,
     weather: Sequence[WeatherSample] | None = None,
@@ -231,7 +209,7 @@ def run_simulation(
     Non-convergence of the AC solver aborts the run by raising
     NonConvergenceError.  A NaN or infinite result value raises
     ValueError naming its step, object and quantity, so a table never
-    holds one.
+    holds one.  A solver other than acpf, gs or simple is a ValueError.
     """
     cfg = scenario.config
     net = scenario.network
@@ -264,21 +242,21 @@ def run_simulation(
     # then the balance or power-flow results.  Each step's values are
     # appended to one flat list, in that order.
     keys = [(WEATHER_OBJECT, q) for q in ("cloud_factor", "wind_speed", "temperature")]
-    use_acpf = cfg.solver in _SOLVER_METHODS
+    # solve() rejects a solver name that is neither "simple" nor an AC method.
+    use_acpf = cfg.solver != "simple"
     if use_acpf:
         base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
         admittance = build_admittance(net, base)
         slack = net.slack_index()
         pq = [i for i in range(len(net.buses)) if i != slack]
-        options = SolverOptions(method=_SOLVER_METHODS[cfg.solver])
+        options = SolverOptions(method=cfg.solver)
         load_buses = [net.bus_index(load.bus) for load in net.loads]
         producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
         keys += [(bus.id, q) for bus in net.buses for q in ("v_mag", "v_angle")]
         keys += [(grid_object, "p_grid"), (NETWORK_OBJECT, "losses")]
     else:
         demands = [load.active_power for load in net.loads]
-        producer_ids = [dev.id for dev in (*net.pvs, *net.winds)]
-        keys += [(dev_id, "p_out") for dev_id in producer_ids]
+        keys += [(dev.id, "p_out") for dev in (*net.pvs, *net.winds)]
         keys += [(load.id, "p_demand") for load in net.loads]
         keys += [(grid_object, "p_grid")]
 
@@ -299,7 +277,7 @@ def run_simulation(
         )
         solution = solve(problem, options)
         if not solution.converged:
-            worst = _worst_mismatch_bus(problem, solution)
+            worst = worst_mismatch_bus(problem, solution)
             raise NonConvergenceError(step, solution, net.buses[worst].id)
         voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
         losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)
@@ -319,16 +297,15 @@ def run_simulation(
             if use_acpf:
                 row += solved_values(productions, step)
             else:
-                dispatch = simple_power_distribution(demands, list(zip(producer_ids, productions)))
-                row += [watts for _, watts in dispatch.produced]
+                row += productions
                 row += demands
-                row.append(dispatch.grid_power)
+                row.append(simple_power_distribution(demands, productions))
         except Exception:
             # The weather values come first: a bad one is the error to report.
-            _require_finite(step, keys, row)
+            _require_finite(f"step {step}", map(" ".join, keys), row)
             raise
         if not isfinite(sum(row)):
-            _require_finite(step, keys, row)
+            _require_finite(f"step {step}", map(" ".join, keys), row)
         values += row
 
     k = len(keys)
@@ -349,33 +326,31 @@ def run_simulation(
     )
 
 
-def _require_finite(step: int, keys: Sequence[tuple[str, str]], row: Sequence[float]) -> None:
-    """Raise ValueError naming the first NaN or infinite value of a step's row."""
-    for (obj, quantity), value in zip(keys, row):
+def _require_finite(where: str, names: Iterable[str], values: Iterable[float]) -> None:
+    """Raise ValueError naming the first NaN or infinite value, as 'WHERE: NAME is VALUE, ...'."""
+    for name, value in zip(names, values):
         value = float(value)
         if not isfinite(value):
-            raise ValueError(f"step {step}: {obj} {quantity} is {value}, not a finite number")
+            raise ValueError(f"{where}: {name} is {value}, not a finite number")
 
 
 def render_csv(
-    table: ResultTable | Sequence[ResultRecord],
-    config_comments: Sequence[tuple[str, str]] | None = None,
+    table: ResultTable, config_comments: Sequence[tuple[str, str]] | None = None
 ) -> str:
     """Render a results table as CSV text (LF endings, 9 significant digits).
 
     Rows are ordered by (step, object, quantity), names in Python string
     order; rows that tie keep their table order.
     """
-    return "".join(_csv_blocks(_as_table(table), config_comments))
+    return "".join(_csv_blocks(table, config_comments))
 
 
 def write_csv(
-    table: ResultTable | Sequence[ResultRecord],
+    table: ResultTable,
     path: str | Path,
     config_comments: Sequence[tuple[str, str]] | None = None,
 ) -> None:
     """Write a results table as UTF-8 CSV; see render_csv for the format."""
-    table = _as_table(table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_csv_blocks(table, config_comments))
 
@@ -483,14 +458,15 @@ def _raise_bad_row(path: str | Path, block: Sequence[Sequence[str]], first_row_n
             raise ValueError(f"{path}: row {row_no}: value {row[4]} is not a finite number")
 
 
-def summarize(table: ResultTable | Sequence[ResultRecord], quantity: str) -> list[SummaryRow]:
+def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:
     """Per-object min/quartile/max/mean summary of one quantity.
 
     Quartiles interpolate linearly between closest ranks (the value at
     zero-based rank p*(n-1)), matching numpy's default percentile method.
-    Each object's values are taken in table order.
+    Each object's values are taken in table order.  A statistic that
+    overflows to inf or NaN, though every value is finite, raises
+    ValueError naming the object, quantity and statistic.
     """
-    table = _as_table(table)
     # Code -1 matches no row.
     code = table.quantities.index(quantity) if quantity in table.quantities else -1
     rows = np.flatnonzero(table.quantity_code == code)
@@ -509,40 +485,40 @@ def summarize(table: ResultTable | Sequence[ResultRecord], quantity: str) -> lis
         for c, group in zip(codes[np.r_[0, starts]].tolist(), np.split(rows, starts))
     }
     out = []
-    for obj in sorted(series):
-        values = series[obj]
-        q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-        out.append(
-            SummaryRow(
-                object=obj,
-                quantity=quantity,
-                minimum=float(values.min()),
-                q1=float(q1),
-                median=float(median),
-                q3=float(q3),
-                maximum=float(values.max()),
-                mean=float(values.mean()),
-            )
-        )
+    # One errstate for all objects: entering it costs more than a small
+    # object's statistics.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for obj in sorted(series):
+            values = series[obj]
+            q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0]).tolist()
+            stats = {
+                "minimum": float(values.min()),
+                "q1": q1,
+                "median": median,
+                "q3": q3,
+                "maximum": float(values.max()),
+                "mean": float(values.mean()),
+            }
+            _require_finite(f"{obj} {quantity}", stats, stats.values())
+            out.append(SummaryRow(object=obj, quantity=quantity, **stats))
     return out
 
 
 BUNDLED_SCENARIOS = ("case1", "case2", "case2_pv")
 
 
-def bundled_scenario_text(name: str) -> str:
-    """Source text of a bundled scenario (case1, case2, case2_pv)."""
+def _bundled_scenario(name: str) -> resources.abc.Traversable:
+    """The package resource of a bundled scenario; KeyError for another name."""
     if name not in BUNDLED_SCENARIOS:
         raise KeyError(f"no bundled scenario {name!r}; have {', '.join(BUNDLED_SCENARIOS)}")
-    return (
-        resources.files("microgridsim")
-        .joinpath("scenarios", f"{name}.mgs")
-        .read_text(encoding="utf-8")
-    )
+    return resources.files("microgridsim").joinpath("scenarios", f"{name}.mgs")
+
+
+def bundled_scenario_text(name: str) -> str:
+    """Source text of a bundled scenario (case1, case2, case2_pv)."""
+    return _bundled_scenario(name).read_text(encoding="utf-8")
 
 
 def bundled_scenario_path(name: str) -> Path:
     """Filesystem path of a bundled scenario (package installed from files)."""
-    if name not in BUNDLED_SCENARIOS:
-        raise KeyError(f"no bundled scenario {name!r}; have {', '.join(BUNDLED_SCENARIOS)}")
-    return Path(str(resources.files("microgridsim").joinpath("scenarios", f"{name}.mgs")))
+    return Path(str(_bundled_scenario(name)))

@@ -8,13 +8,16 @@ theta_ik = theta_i - theta_k, the bus injections are
 
 One slack bus holds |V| = 1 pu, theta = 0; every other bus is PQ with a
 specified injection (generation positive, consumption negative).  Both
-solvers start flat and stop when the worst injection mismatch drops to
-the tolerance, so their results are directly comparable.
+solvers start flat and share one stop rule: the worst injection mismatch
+is within TOLERANCE, the solver's iteration cap is reached, or the
+mismatch is not finite.  So their results are directly comparable.  The
+tolerance and the caps are module constants, read at each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import isfinite
 from typing import Sequence
 
@@ -22,11 +25,13 @@ import numpy as np
 
 from .grid import AdmittanceMatrix, Network, PerUnitBase
 
+TOLERANCE = 1e-8
 NR_MAX_ITERATIONS = 50
 GS_MAX_ITERATIONS = 5000
 
-METHOD_NEWTON_RAPHSON = "newton_raphson"
-METHOD_GAUSS_SEIDEL = "gauss_seidel"
+# The solver names of the .mgs format and the CLI.
+METHOD_NEWTON_RAPHSON = "acpf"
+METHOD_GAUSS_SEIDEL = "gs"
 
 
 class SingularMatrixError(RuntimeError):
@@ -35,15 +40,9 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration controls; max_iterations of None picks the method default."""
+    """The AC solver that solve runs."""
 
-    tolerance: float = 1e-8
-    max_iterations: int | None = None
     method: str = METHOD_NEWTON_RAPHSON
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,57 +211,85 @@ def _mismatch(
     return mismatch, p_calc, q_calc
 
 
-def solve_newton_raphson(
-    problem: PowerFlowProblem, options: SolverOptions | None = None
-) -> PowerFlowSolution:
+def _stop(
+    problem: PowerFlowProblem,
+    v_mag: np.ndarray,
+    v_angle: np.ndarray,
+    pq: np.ndarray,
+    iterations: int,
+    max_iterations: int,
+) -> tuple[PowerFlowSolution | None, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The stop rule of both solvers, at the state after `iterations` steps.
+
+    Returns (solution, mismatch, (P, Q)).  solution is the state as a
+    PowerFlowSolution when the iteration stops there: the worst mismatch
+    is within TOLERANCE (converged), the cap is reached, or the mismatch
+    is not finite.  Otherwise it is None.
+    """
+    mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
+    max_mismatch = float(np.abs(mismatch).max()) if mismatch.size else 0.0
+    converged = max_mismatch <= TOLERANCE
+    solution = None
+    if converged or iterations >= max_iterations or not isfinite(max_mismatch):
+        slack = problem.slack_index
+        solution = PowerFlowSolution(
+            v_mag=v_mag,
+            v_angle=v_angle,
+            iterations=iterations,
+            max_mismatch=max_mismatch,
+            slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
+            converged=converged,
+        )
+    return solution, mismatch, (p_calc, q_calc)
+
+
+def worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
+    """Index of the PQ bus whose final |dP| or |dQ| is largest, as np.argmax picks it.
+
+    The state may have overflowed, as the solver's own mismatch did, so
+    numpy's warnings are silenced here too.
+    """
+    pq = np.asarray(problem.pq_indices, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch, _, _ = _mismatch(problem, solution.v_mag, solution.v_angle, pq)
+        worst = np.maximum(np.abs(mismatch[: len(pq)]), np.abs(mismatch[len(pq) :]))
+    return int(pq[np.argmax(worst)])
+
+
+def solve_newton_raphson(problem: PowerFlowProblem) -> PowerFlowSolution:
     """Full Newton-Raphson power flow from a flat start.
 
     Each iteration solves J dx = mismatch for the angle and magnitude
     corrections of the PQ buses.  A singular Jacobian raises
-    SingularMatrixError; hitting the iteration cap returns the last state
-    with converged=False so callers can inspect it.  So does a mismatch
-    that overflows to inf or NaN, as soon as it does: numpy's overflow and
+    SingularMatrixError; an unconverged stop returns the last state with
+    converged=False so callers can inspect it.  numpy's overflow and
     invalid-value warnings are silenced, since the solution reports them.
     """
-    opts = options or SolverOptions()
-    max_iter = opts.max_iterations if opts.max_iterations is not None else NR_MAX_ITERATIONS
     n = problem.admittance.n
     pq = np.asarray(problem.pq_indices, dtype=np.intp)
     m = len(pq)
-    slack = problem.slack_index
     v_mag = np.ones(n)
     v_angle = np.zeros(n)
-    it = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
-            max_mismatch = float(np.max(np.abs(mismatch))) if m else 0.0
-            converged = max_mismatch <= opts.tolerance
-            if converged or it >= max_iter or not isfinite(max_mismatch):
-                return PowerFlowSolution(
-                    v_mag=v_mag,
-                    v_angle=v_angle,
-                    iterations=it,
-                    max_mismatch=max_mismatch,
-                    slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-                    converged=converged,
-                )
-            jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, (p_calc, q_calc))
+        for it in count():
+            solution, mismatch, injections = _stop(
+                problem, v_mag, v_angle, pq, it, NR_MAX_ITERATIONS
+            )
+            if solution is not None:
+                return solution
+            jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, injections)
             dx = solve_linear(jac, mismatch)
             v_angle[pq] += dx[:m]
             v_mag[pq] += dx[m:]
-            it += 1
 
 
-def solve_gauss_seidel(
-    problem: PowerFlowProblem, options: SolverOptions | None = None
-) -> PowerFlowSolution:
+def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     """Gauss-Seidel power flow with in-place complex voltage sweeps.
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
-    Convergence is judged on the same injection mismatch as
-    Newton-Raphson so the two solvers are cross-comparable, and a
-    non-finite mismatch ends the solve unconverged in the same way.
+    It stops by the same rule as Newton-Raphson, on the same injection
+    mismatch, with GS_MAX_ITERATIONS sweeps as the cap, so the two
+    solvers are cross-comparable.
 
     A sweep costs per-call overhead, not arithmetic, so every per-bus
     constant (row of Y, Y_ii, S_i*) is looked up once per solve.  The
@@ -271,8 +298,6 @@ def solve_gauss_seidel(
     would regroup the dot's SIMD accumulation, and Python complex
     division rounds differently, so either would move printed digits.
     """
-    opts = options or SolverOptions()
-    max_iter = opts.max_iterations if opts.max_iterations is not None else GS_MAX_ITERATIONS
     y = problem.admittance.y
     n = problem.admittance.n
     pq = problem.pq_indices
@@ -287,67 +312,37 @@ def solve_gauss_seidel(
     # per-call overhead.
     buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq]
     pq_idx = np.asarray(pq, dtype=np.intp)
-    slack = problem.slack_index
     conj = complex.conjugate
     v = np.ones(n, dtype=complex)
-    it = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
+        for it in count():
             v_mag = np.abs(v)
             v_angle = np.arctan2(v.imag, v.real)
-            mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq_idx)
-            max_mismatch = float(np.abs(mismatch).max()) if pq else 0.0
-            converged = max_mismatch <= opts.tolerance
-            if converged or it >= max_iter or not isfinite(max_mismatch):
-                return PowerFlowSolution(
-                    v_mag=v_mag,
-                    v_angle=v_angle,
-                    iterations=it,
-                    max_mismatch=max_mismatch,
-                    slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-                    converged=converged,
-                )
+            solution, _, _ = _stop(problem, v_mag, v_angle, pq_idx, it, GS_MAX_ITERATIONS)
+            if solution is not None:
+                return solution
             for i, row_dot, y_ii, s_conj in buses:
                 v_i = v[i]
                 v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
-            it += 1
 
 
 def solve(problem: PowerFlowProblem, options: SolverOptions | None = None) -> PowerFlowSolution:
     """Dispatch to the solver named by options.method."""
-    opts = options or SolverOptions()
-    if opts.method == METHOD_NEWTON_RAPHSON:
-        return solve_newton_raphson(problem, opts)
-    if opts.method == METHOD_GAUSS_SEIDEL:
-        return solve_gauss_seidel(problem, opts)
-    raise ValueError(f"unknown solver method {opts.method!r}")
+    method = (options or SolverOptions()).method
+    if method == METHOD_NEWTON_RAPHSON:
+        return solve_newton_raphson(problem)
+    if method == METHOD_GAUSS_SEIDEL:
+        return solve_gauss_seidel(problem)
+    raise ValueError(f"unknown solver method {method!r}")
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """Lossless dispatch result; grid_power > 0 imports, < 0 exports.
+def simple_power_distribution(demands: Sequence[float], productions: Sequence[float]) -> float:
+    """Lossless energy balance: renewables dispatch fully, the grid covers the rest.
 
-    grid_power is computed as total_demand - sum(production values), with
-    plain left-to-right summation, so that identity holds bit-exactly on
-    the stored fields.
+    Returns the grid power, sum(demands) - sum(productions) with plain
+    left-to-right sums: > 0 imports, < 0 exports.
     """
-
-    produced: tuple[tuple[str, float], ...]
-    total_demand: float
-    grid_power: float
-
-
-def simple_power_distribution(
-    demands: Sequence[float], productions: Sequence[tuple[str, float]]
-) -> Dispatch:
-    """Lossless energy balance: renewables dispatch fully, the grid covers the rest."""
-    total_demand = sum(demands)
-    total_production = sum(p for _, p in productions)
-    return Dispatch(
-        produced=tuple(productions),
-        total_demand=total_demand,
-        grid_power=total_demand - total_production,
-    )
+    return sum(demands) - sum(productions)
 
 
 def total_line_losses(

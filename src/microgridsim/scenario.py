@@ -45,9 +45,10 @@ from .grid import (
     Network,
     validate,
 )
+from .powerflow import METHOD_GAUSS_SEIDEL, METHOD_NEWTON_RAPHSON
 from .weather import WeatherParams
 
-SOLVER_CHOICES = ("acpf", "gs", "simple")
+SOLVER_CHOICES = (METHOD_NEWTON_RAPHSON, METHOD_GAUSS_SEIDEL, "simple")
 
 # Object ids the result writer uses for non-device rows.
 WEATHER_OBJECT = "weather"

@@ -23,7 +23,6 @@ from microgridsim import (
     SimulationConfig,
     SingularMatrixError,
     SolarPanel,
-    SolverOptions,
     SummaryRow,
     WeatherParams,
     WindTurbine,
@@ -31,8 +30,9 @@ from microgridsim import (
     bundled_scenario_text,
     compute_injections,
 )
+from microgridsim import powerflow
 from microgridsim.engine import RESULT_COLUMNS
-from microgridsim.powerflow import GS_MAX_ITERATIONS, PowerFlowSolution
+from microgridsim.powerflow import PowerFlowSolution
 from microgridsim.scenario import format_number
 
 BASE = PerUnitBase(s_base=10_000.0, v_base=230.0)
@@ -183,18 +183,16 @@ def loop_solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def loop_gauss_seidel(
-    problem: PowerFlowProblem, options: SolverOptions | None = None
-) -> PowerFlowSolution:
+def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     """Per-bus reference for solve_gauss_seidel.
 
     The sweep as first written: each bus slices its row of Y, reads Y_ii
     and conjugates S_i anew, the angle comes from np.angle and the PQ
     buses are indexed with a list.  solve_gauss_seidel must reproduce
-    every field of its solution bit for bit.
+    every field of its solution bit for bit.  The tolerance and the cap
+    are the package's, read at each call.
     """
-    opts = options or SolverOptions()
-    max_iter = opts.max_iterations if opts.max_iterations is not None else GS_MAX_ITERATIONS
+    max_iter = powerflow.GS_MAX_ITERATIONS
     y = problem.admittance.y
     n = problem.admittance.n
     pq = problem.pq_indices
@@ -211,7 +209,7 @@ def loop_gauss_seidel(
             [problem.p_injection - p_calc[pq], problem.q_injection - q_calc[pq]]
         )
         max_mismatch = float(np.max(np.abs(mismatch))) if pq else 0.0
-        converged = max_mismatch <= opts.tolerance
+        converged = max_mismatch <= powerflow.TOLERANCE
         if converged or it >= max_iter:
             return PowerFlowSolution(
                 v_mag=v_mag,
@@ -284,7 +282,10 @@ def loop_read_results_csv(path) -> list[ResultRecord]:
 
 
 def loop_summarize(table, quantity: str) -> list[SummaryRow]:
-    """Record-by-record reference for summarize: a dict of per-object lists."""
+    """Record-by-record reference for summarize: a dict of per-object lists.
+
+    A statistic that overflows to inf or NaN is a ValueError, as in summarize.
+    """
     series: dict[str, list[float]] = {}
     for rec in table:
         if rec.quantity == quantity:
@@ -298,9 +299,9 @@ def loop_summarize(table, quantity: str) -> list[SummaryRow]:
     out = []
     for obj in sorted(series):
         values = np.asarray(series[obj])
-        q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-        out.append(
-            SummaryRow(
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+            row = SummaryRow(
                 object=obj,
                 quantity=quantity,
                 minimum=float(values.min()),
@@ -310,7 +311,11 @@ def loop_summarize(table, quantity: str) -> list[SummaryRow]:
                 maximum=float(values.max()),
                 mean=float(values.mean()),
             )
-        )
+        for name in ("minimum", "q1", "median", "q3", "maximum", "mean"):
+            stat = getattr(row, name)
+            if not math.isfinite(stat):
+                raise ValueError(f"{obj} {quantity}: {name} is {stat}, not a finite number")
+        out.append(row)
     return out
 
 

@@ -132,19 +132,19 @@ def _step_problems(scenario):
 
 def test_c04_solver_cross_agreement(case2, case2_pv):
     with criterion(4, "NR/GS |V| within 1e-6 pu; NR <= 10 iterations on case studies"):
-        options = mg.SolverOptions(tolerance=1e-8)
+        assert mg.powerflow.TOLERANCE == 1e-8
         for scenario in (case2, case2_pv):
             for problem in _step_problems(scenario):
-                nr = mg.solve_newton_raphson(problem, options)
-                gs = mg.solve_gauss_seidel(problem, options)
+                nr = mg.solve_newton_raphson(problem)
+                gs = mg.solve_gauss_seidel(problem)
                 assert nr.converged and gs.converged
                 assert nr.iterations <= 10
                 assert np.max(np.abs(nr.v_mag - gs.v_mag)) <= 1e-6
         rng = random.Random(404)
         for _ in range(100):
             problem = problem_for(make_radial_network(rng, rng.randint(2, 10)))
-            nr = mg.solve_newton_raphson(problem, options)
-            gs = mg.solve_gauss_seidel(problem, options)
+            nr = mg.solve_newton_raphson(problem)
+            gs = mg.solve_gauss_seidel(problem)
             assert nr.converged and gs.converged
             assert np.max(np.abs(nr.v_mag - gs.v_mag)) <= 1e-6
 

@@ -2,16 +2,26 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microgridsim
-from microgridsim import bundled_scenario_path, bundled_scenario_text
+from microgridsim import (
+    WeatherParams,
+    bundled_scenario_path,
+    bundled_scenario_text,
+    emit_scenario,
+    weather_series,
+    write_weather_csv,
+)
 from microgridsim.cli import cli_main
-from conftest import overheated_case1_text
+from conftest import loop_read_results_csv, make_random_scenario, overheated_case1_text
 
 CASE1 = str(bundled_scenario_path("case1"))
 CASE2 = str(bundled_scenario_path("case2"))
@@ -199,6 +209,30 @@ class TestRun:
         assert "bad.mgs:2:" in err
 
 
+class TestRunProperty:
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), write_trace=st.booleans())
+    def test_run_writes_finite_values_or_no_file(self, tmp_path_factory, seed, write_trace):
+        # A drawn radial scenario either runs, and every value in its CSV
+        # is finite, or fails with exit code 1 or 2 and writes no file.  A
+        # scenario that names a weather trace finds it only if one is written.
+        directory = tmp_path_factory.mktemp("run")
+        scenario = make_random_scenario(random.Random(seed))
+        cfg = scenario.config
+        if scenario.weather_trace is not None and write_trace:
+            samples = weather_series(WeatherParams(seed=cfg.seed), cfg.steps, cfg.start_hour)
+            write_weather_csv(samples, directory / scenario.weather_trace)
+        path = directory / "drawn.mgs"
+        path.write_text(emit_scenario(scenario))
+        out = directory / "r.csv"
+        code = cli_main(["run", str(path), "--out", str(out)])
+        if code == 0:
+            assert loop_read_results_csv(out)  # raises on a non-finite value
+        else:
+            assert code in (1, 2)
+            assert not out.exists()
+
+
 class TestValidate:
     def test_bundled_scenarios_clean(self, capsys):
         for name in ("case1", "case2", "case2_pv"):
@@ -243,6 +277,22 @@ class TestSummarize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{out}: row 3: value {value} is not a finite number\n"
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (["1e308", "1e308"], "a p_out: mean is inf, not a finite number"),
+            (["-1e308", "1e308", "1e308", "1e308"], "a p_out: q1 is -inf, not a finite number"),
+        ],
+    )
+    def test_overflowing_statistic_exits_1(self, tmp_path, capsys, values, message):
+        out = tmp_path / "r.csv"
+        rows = "".join(f"{step},0,a,p_out,{value},W\n" for step, value in enumerate(values))
+        out.write_text("step,hour,object,quantity,value,unit\n0,0,b,losses,5,W\n" + rows)
+        assert cli_main(["summarize", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -149,6 +149,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="step 7 is for hour 3, .* needs hour 7"):
             run_simulation(case1, weather=samples)
 
+    def test_unknown_solver_is_rejected(self, case2):
+        # "newton_raphson" was the method's name before it became "acpf".
+        scenario = replace(case2, config=replace(case2.config, solver="newton_raphson"))
+        with pytest.raises(ValueError, match="^unknown solver method 'newton_raphson'$"):
+            run_simulation(scenario)
+
     def test_non_convergence_aborts_with_step(self):
         text = bundled_scenario_text("case2").replace("p_w = 6000", "p_w = 90000000")
         scenario = parse_scenario(text)
@@ -183,6 +189,34 @@ class TestRunSimulation:
         low, high = err.v_mag_range
         assert f"worst at bus '{worst_bus}'" in str(err)
         assert f"|V| from {low:.6g} to {high:.6g} pu" in str(err)
+
+    @pytest.mark.parametrize(
+        "solver, worst_bus, message",
+        [
+            (
+                "acpf",
+                "a1",
+                "power flow did not converge at step 0 (max mismatch inf pu after 2 "
+                "iterations; worst at bus 'a1'; |V| from -1.51264e+299 to 1.59621e+300 pu)",
+            ),
+            (
+                "gs",
+                "ha1",
+                "power flow did not converge at step 0 (max mismatch inf pu after 1 "
+                "iterations; worst at bus 'ha1'; |V| from 0.99987 to 2.17265e+300 pu)",
+            ),
+        ],
+    )
+    def test_overflowed_state_names_the_first_worst_bus(self, solver, worst_bus, message):
+        # One 1e308 var load: the last iterate's mismatch is inf at several
+        # PQ buses, and the first of them, in bus order, is named.
+        text = bundled_scenario_text("case2")
+        scenario = parse_scenario(text.replace("q_var = 0\n", "q_var = 1e308\n", 1))
+        scenario = replace(scenario, config=replace(scenario.config, solver=solver))
+        with pytest.raises(NonConvergenceError) as exc:
+            run_simulation(scenario)
+        assert exc.value.worst_bus == worst_bus
+        assert str(exc.value) == message
 
     def test_non_finite_result_names_step_object_and_quantity(self):
         scenario = parse_scenario(overheated_case1_text())
@@ -255,7 +289,7 @@ class TestRunSimulation:
 class TestCsv:
     def test_empty_table_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv([], path)
+        write_csv(ResultTable.from_records([]), path)
         assert path.read_text() == "step,hour,object,quantity,value,unit\n"
 
     def test_round_trip_nine_digits(self, case2_table, tmp_path):
@@ -283,7 +317,9 @@ class TestCsv:
 
     def test_config_comments_prefix(self, tmp_path):
         path = tmp_path / "results.csv"
-        write_csv([], path, config_comments=[("seed", "7"), ("solver", "acpf")])
+        write_csv(
+            ResultTable.from_records([]), path, config_comments=[("seed", "7"), ("solver", "acpf")]
+        )
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed = 7"
         assert lines[1] == "# solver = acpf"
@@ -420,8 +456,8 @@ class TestColumnsMatchRecordOracles:
         expected_summaries = self.summaries(loop_summarize, records)
         for n in BLOCK_SIZES:
             with block_rows(n):
-                assert render_csv(records, comments) == expected_csv
                 table = ResultTable.from_records(records)
+                assert render_csv(table, comments) == expected_csv
                 assert repr(list(table)) == repr(records)
                 assert render_csv(table) == expected_bare_csv
                 assert self.summaries(summarize, table) == expected_summaries
@@ -437,7 +473,7 @@ class TestColumnsMatchRecordOracles:
         expected_summaries = self.summaries(loop_summarize, expected)
         for n in BLOCK_SIZES:
             with block_rows(n):
-                write_csv(records, path, comments)
+                write_csv(ResultTable.from_records(records), path, comments)
                 assert path.read_text() == expected_csv
                 table = read_results_csv(path)
                 assert repr(list(table)) == repr(expected)
@@ -469,17 +505,18 @@ class TestColumnsMatchRecordOracles:
 
 class TestSummarize:
     def test_constant_series(self):
-        table = [ResultRecord(i, i % 24, "x", "p_out", 7.5, "W") for i in range(10)]
+        table = ResultTable.from_records(
+            ResultRecord(i, i % 24, "x", "p_out", 7.5, "W") for i in range(10)
+        )
         (row,) = summarize(table, "p_out")
         assert (row.minimum, row.q1, row.median, row.q3, row.maximum, row.mean) == (
             7.5, 7.5, 7.5, 7.5, 7.5, 7.5,
         )
 
     def test_interpolated_quartiles(self):
-        table = [
-            ResultRecord(i, 0, "x", "v_mag", float(v), "V")
-            for i, v in enumerate([1, 2, 3, 4])
-        ]
+        table = ResultTable.from_records(
+            ResultRecord(i, 0, "x", "v_mag", float(v), "V") for i, v in enumerate([1, 2, 3, 4])
+        )
         (row,) = summarize(table, "v_mag")
         assert row.q1 == pytest.approx(1.75)
         assert row.median == pytest.approx(2.5)
@@ -498,3 +535,21 @@ class TestSummarize:
     def test_unknown_quantity_lists_available(self, case2_table):
         with pytest.raises(ValueError, match="v_mag"):
             summarize(case2_table, "power_factor")
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1e308, 1e308], "x p_out: mean is inf, not a finite number"),
+            ([-1e308, 1e308, 1e308, 1e308], "x p_out: q1 is -inf, not a finite number"),
+        ],
+    )
+    def test_overflowing_statistic_is_named(self, values, message):
+        # Every value is finite; the sum behind the mean, or the difference
+        # behind an interpolated quartile, overflows.
+        records = [ResultRecord(i, 0, "x", "p_out", v, "W") for i, v in enumerate(values)]
+        with pytest.raises(ValueError) as oracle:
+            loop_summarize(records, "p_out")
+        assert str(oracle.value) == message
+        with pytest.raises(ValueError) as exc:
+            summarize(ResultTable.from_records(records), "p_out")
+        assert str(exc.value) == message
