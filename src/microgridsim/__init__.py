@@ -43,6 +43,7 @@ from .grid import (
 )
 from .powerflow import (
     PowerFlowProblem,
+    PowerFlowStack,
     SingularMatrixError,
     SolverOptions,
     compute_injections,

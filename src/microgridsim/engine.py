@@ -2,7 +2,13 @@
 
 Each step follows a fixed order so runs are reproducible: draw the
 weather sample, evaluate every generator, solve (lossless balance or AC
-power flow), then append that step's values.  Every step yields the same
+power flow), then append that step's values.  An AC run takes its steps
+in stacks of up to NR_STACK_BYTES of Newton-Raphson matrices: a stack's
+generation and injections are computed step by step, then its steps are
+solved and their values appended in step order.  Under acpf the first of
+those solves runs one Newton-Raphson loop for the whole stack, and each
+step's values are exactly those of a solve alone.  The first step that
+fails, in step order, raises its error.  Every step yields the same
 (object, quantity) sequence, so the run states it once and keeps one flat
 list of values.  The result is a ResultTable: numpy columns of step, hour,
 value and name codes, built once at the end of the run.  Iterating a
@@ -27,17 +33,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .generation import pv_power, wind_power
-from .grid import PerUnitBase, build_admittance
+from .grid import Network, PerUnitBase, build_admittance
 from .powerflow import (
-    PowerFlowProblem,
     PowerFlowSolution,
+    PowerFlowStack,
     SolverOptions,
     simple_power_distribution,
     solve,
     total_line_losses,
     worst_mismatch_bus,
 )
-from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, format_number
+from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig, format_number
 from .weather import WeatherSample, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
@@ -57,6 +63,12 @@ QUANTITY_UNITS = {
 # Rows per block when a table is rendered, read back or iterated, so that
 # the per-row Python objects of only one block are alive at a time.
 _BLOCK_ROWS = 4096
+
+# Bytes of augmented Newton-Raphson matrices, 2m x (2m + 1) float64 for m
+# PQ buses, that one stack of AC steps may hold: 31 steps of a 17-bus
+# street, 1 step of a 160-bus feeder.  A larger stack saves little per
+# pivot and costs memory in proportion.
+NR_STACK_BYTES = 256 * 1024
 
 
 class ResultRecord(NamedTuple):
@@ -179,7 +191,8 @@ class NonConvergenceError(RuntimeError):
     """The power-flow solver failed to converge at a simulation step.
 
     worst_bus is the id of the PQ bus with the largest final P or Q
-    mismatch; v_mag_range is (min, max) of the last iterate's |V| in pu.
+    mismatch, as powerflow.worst_mismatch_bus picks it on an overflowed
+    state; v_mag_range is (min, max) of the last iterate's |V| in pu.
     """
 
     def __init__(self, step: int, solution: PowerFlowSolution, worst_bus: str):
@@ -245,58 +258,25 @@ def run_simulation(
     # solve() rejects a solver name that is neither "simple" nor an AC method.
     use_acpf = cfg.solver != "simple"
     if use_acpf:
-        base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
-        admittance = build_admittance(net, base)
-        slack = net.slack_index()
-        pq = [i for i in range(len(net.buses)) if i != slack]
-        options = SolverOptions(method=cfg.solver)
-        load_buses = [net.bus_index(load.bus) for load in net.loads]
-        producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
         keys += [(bus.id, q) for bus in net.buses for q in ("v_mag", "v_angle")]
         keys += [(grid_object, "p_grid"), (NETWORK_OBJECT, "losses")]
+        ac_values = _ac_steps(net, cfg, samples)
     else:
         demands = [load.active_power for load in net.loads]
         keys += [(dev.id, "p_out") for dev in (*net.pvs, *net.winds)]
         keys += [(load.id, "p_demand") for load in net.loads]
         keys += [(grid_object, "p_grid")]
 
-    def solved_values(productions: list[float], step: int) -> list[float]:
-        n = len(net.buses)
-        p_watts = np.zeros(n)
-        q_var = np.zeros(n)
-        for load, i in zip(net.loads, load_buses):
-            p_watts[i] -= load.active_power
-            q_var[i] -= load.reactive_power
-        for watts, i in zip(productions, producer_buses):
-            p_watts[i] += watts
-        problem = PowerFlowProblem(
-            admittance=admittance,
-            slack_index=slack,
-            p_injection=p_watts[pq] / cfg.s_base_va,
-            q_injection=q_var[pq] / cfg.s_base_va,
-        )
-        solution = solve(problem, options)
-        if not solution.converged:
-            worst = worst_mismatch_bus(problem, solution)
-            raise NonConvergenceError(step, solution, net.buses[worst].id)
-        voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
-        losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)
-        return [
-            *voltages.ravel().tolist(),
-            solution.slack_injection[0] * cfg.s_base_va,
-            losses_pu * cfg.s_base_va,
-        ]
-
     values: list[float] = []
     for step in range(cfg.steps):
         ws = samples[step]
         row = [ws.cloud_factor, ws.wind_speed, ws.temperature]
         try:
-            productions = [pv_power(pv, ws) for pv in net.pvs]
-            productions += [wind_power(w, ws.wind_speed) for w in net.winds]
             if use_acpf:
-                row += solved_values(productions, step)
+                row += next(ac_values)
             else:
+                productions = [pv_power(pv, ws) for pv in net.pvs]
+                productions += [wind_power(w, ws.wind_speed) for w in net.winds]
                 row += productions
                 row += demands
                 row.append(simple_power_distribution(demands, productions))
@@ -324,6 +304,70 @@ def run_simulation(
         quantities=quantities,
         units=units,
     )
+
+
+def _ac_steps(
+    net: Network, cfg: SimulationConfig, samples: Sequence[WeatherSample]
+) -> Iterator[list[float]]:
+    """Each step's AC power-flow values, in step order: |V| and angle per bus, p_grid, losses.
+
+    The steps go in chunks of as many as NR_STACK_BYTES of augmented
+    matrices hold.  A chunk's generation and injections are computed
+    step by step into a PowerFlowStack, and then each of its steps is
+    solved by solve(), in step order: for acpf, the first solve runs
+    Newton-Raphson on the whole stack.  A step that fails raises its
+    error when it is reached, after the values of every step before it:
+    a generator's error, a singular Jacobian, or NonConvergenceError.
+    """
+    base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
+    admittance = build_admittance(net, base)
+    n = len(net.buses)
+    slack = net.slack_index()
+    pq = [i for i in range(n) if i != slack]
+    load_buses = [net.bus_index(load.bus) for load in net.loads]
+    producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
+    matrix_bytes = 8 * 2 * len(pq) * (2 * len(pq) + 1)
+    chunk = max(1, NR_STACK_BYTES // matrix_bytes) if matrix_bytes else 1
+    options = SolverOptions(method=cfg.solver)
+
+    def values() -> Iterator[list[float]]:
+        for first in range(0, cfg.steps, chunk):
+            p_pu, q_pu, failure = [], [], None
+            for ws in samples[first : min(first + chunk, cfg.steps)]:
+                try:
+                    productions = [pv_power(pv, ws) for pv in net.pvs]
+                    productions += [wind_power(w, ws.wind_speed) for w in net.winds]
+                    p_watts = np.zeros(n)
+                    q_var = np.zeros(n)
+                    for load, i in zip(net.loads, load_buses):
+                        p_watts[i] -= load.active_power
+                        q_var[i] -= load.reactive_power
+                    for watts, i in zip(productions, producer_buses):
+                        p_watts[i] += watts
+                    p_pu.append(p_watts[pq] / cfg.s_base_va)
+                    q_pu.append(q_var[pq] / cfg.s_base_va)
+                except Exception as exc:
+                    failure = exc
+                    break
+            if p_pu:
+                stack = PowerFlowStack(admittance, slack, np.array(p_pu), np.array(q_pu))
+                for i in range(len(stack)):
+                    problem = stack.step(i)
+                    solution = solve(problem, options)
+                    if not solution.converged:
+                        worst = worst_mismatch_bus(problem, solution)
+                        raise NonConvergenceError(first + i, solution, net.buses[worst].id)
+                    voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
+                    losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)
+                    yield [
+                        *voltages.ravel().tolist(),
+                        solution.slack_injection[0] * cfg.s_base_va,
+                        losses_pu * cfg.s_base_va,
+                    ]
+            if failure is not None:
+                raise failure
+
+    return values()
 
 
 def _require_finite(where: str, names: Iterable[str], values: Iterable[float]) -> None:

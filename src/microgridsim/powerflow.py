@@ -16,7 +16,8 @@ tolerance and the caps are module constants, read at each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from math import isfinite
 from typing import Sequence
@@ -59,21 +60,71 @@ class PowerFlowProblem:
     q_injection: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.admittance.n
-        if not 0 <= self.slack_index < n:
-            raise ValueError(f"slack index {self.slack_index} out of range for {n} buses")
-        p = np.array(self.p_injection, dtype=float)
-        q = np.array(self.q_injection, dtype=float)
-        if p.shape != (n - 1,) or q.shape != (n - 1,):
-            raise ValueError(f"injection vectors must have length {n - 1}")
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p_injection", p)
-        object.__setattr__(self, "q_injection", q)
+        _freeze_injections(self, 1)
 
     @property
     def pq_indices(self) -> list[int]:
         return [i for i in range(self.admittance.n) if i != self.slack_index]
+
+
+@dataclass(frozen=True, eq=False)
+class PowerFlowStack:
+    """S steps on one network, which Newton-Raphson solves together.
+
+    p_injection/q_injection have shape (S, n - 1): row s holds step s's
+    injections, ordered as in PowerFlowProblem.  step(s) is step s as a
+    problem of its own.  The first Newton-Raphson solve of one of its
+    steps, by solve() or solve_newton_raphson(), solves every step of the
+    stack in one loop (solve_newton_raphson_steps) and keeps the
+    outcomes; the solves of its other steps read theirs.  Each step's
+    solution is bit for bit the one it gets alone.  Gauss-Seidel solves
+    a step alone.
+    """
+
+    admittance: AdmittanceMatrix
+    slack_index: int
+    p_injection: np.ndarray
+    q_injection: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze_injections(self, 2)
+
+    def __len__(self) -> int:
+        return len(self.p_injection)
+
+    def step(self, s: int) -> PowerFlowProblem:
+        return _StackStep(
+            self.admittance, self.slack_index, self.p_injection[s], self.q_injection[s], self, s
+        )
+
+    @cached_property
+    def outcomes(self) -> tuple[PowerFlowSolution | SingularMatrixError, ...]:
+        """Each step's Newton-Raphson solution, or its SingularMatrixError."""
+        return tuple(solve_newton_raphson_steps(self))
+
+
+@dataclass(frozen=True, eq=False)
+class _StackStep(PowerFlowProblem):
+    """Step `index` of `stack`: a problem that Newton-Raphson solves with its stack."""
+
+    stack: PowerFlowStack = field(repr=False)
+    index: int
+
+
+def _freeze_injections(owner: PowerFlowProblem | PowerFlowStack, ndim: int) -> None:
+    """Check owner's slack index and injection shapes; store read-only float copies."""
+    n = owner.admittance.n
+    if not 0 <= owner.slack_index < n:
+        raise ValueError(f"slack index {owner.slack_index} out of range for {n} buses")
+    p = np.array(owner.p_injection, dtype=float)
+    q = np.array(owner.q_injection, dtype=float)
+    if p.shape != q.shape or p.ndim != ndim or p.shape[-1] != n - 1:
+        shape = f"vectors must have length {n - 1}" if ndim == 1 else f"stacks must be (S, {n - 1})"
+        raise ValueError(f"injection {shape}")
+    p.setflags(write=False)
+    q.setflags(write=False)
+    object.__setattr__(owner, "p_injection", p)
+    object.__setattr__(owner, "q_injection", q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +148,18 @@ class PowerFlowSolution:
 def compute_injections(
     v_mag: np.ndarray, v_angle: np.ndarray, admittance: AdmittanceMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (P, Q) at every bus for the given voltage state, in pu."""
+    """Evaluate (P, Q) at every bus for the given voltage state, in pu.
+
+    The state is one vector per quantity, (n,), or a stack of them,
+    (S, n).  Each state's Y V is its own matrix-vector product, so its
+    injections do not depend on the other states of its stack; one
+    matrix-matrix product over the stack would round differently.  A
+    single state takes the plain product, the same BLAS call with less
+    numpy overhead, since Gauss-Seidel evaluates it at every sweep.
+    """
     v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
-    s = v * np.conj(admittance.y @ v)
+    y = admittance.y
+    s = v * np.conj(y @ v if v.ndim == 1 else np.matmul(y, v[:, :, None])[:, :, 0])
     return s.real, s.imag
 
 
@@ -115,7 +175,9 @@ def newton_jacobian(
     Block layout [[dP/dtheta, dP/d|V|], [dQ/dtheta, dQ/d|V|]], each block
     m x m for m PQ buses, evaluated at the given state.  injections is
     (P, Q) at every bus for that state, as compute_injections returns it;
-    when omitted it is computed here.
+    when omitted it is computed here.  A stack of S states, (S, n) each,
+    gives a stack of S Jacobians, (S, 2m, 2m), with the same entries as
+    one state at a time.
 
     Every entry is the per-element polar formula, evaluated in the same
     operation order as an element-by-element loop over (i, k), so the
@@ -131,38 +193,42 @@ def newton_jacobian(
     if injections is None:
         injections = compute_injections(v_mag, v_angle, admittance)
     p, q = injections
-    vm = np.asarray(v_mag, dtype=float)[pq]
-    va = np.asarray(v_angle, dtype=float)[pq]
+    vm = np.asarray(v_mag, dtype=float)[..., pq]
+    va = np.asarray(v_angle, dtype=float)[..., pq]
     block = np.ix_(pq, pq)
     g = admittance.conductance[block]
     b = admittance.susceptance[block]
-    t = va[:, None] - va[None, :]
+    t = va[..., :, None] - va[..., None, :]
     cos_t, sin_t = np.cos(t), np.sin(t)
-    vv = vm[:, None] * vm[None, :]
+    vv = vm[..., :, None] * vm[..., None, :]
     gs_bc = g * sin_t - b * cos_t
     gc_bs = g * cos_t + b * sin_t
     m = len(pq)
-    jac = np.empty((2 * m, 2 * m))
-    jac[:m, :m] = vv * gs_bc
-    jac[:m, m:] = vm[:, None] * gc_bs
-    jac[m:, :m] = -vv * gc_bs
-    jac[m:, m:] = vm[:, None] * gs_bc
+    jac = np.empty((*vm.shape[:-1], 2 * m, 2 * m))
+    jac[..., :m, :m] = vv * gs_bc
+    jac[..., :m, m:] = vm[..., :, None] * gc_bs
+    jac[..., m:, :m] = -vv * gc_bs
+    jac[..., m:, m:] = vm[..., :, None] * gs_bc
 
     d = np.arange(m)
-    g_ii, b_ii, p_i, q_i = g[d, d], b[d, d], p[pq], q[pq]
+    g_ii, b_ii, p_i, q_i = g[d, d], b[d, d], p[..., pq], q[..., pq]
     vm_sq = np.float_power(vm, 2)
-    jac[d, d] = -q_i - b_ii * vm_sq
-    jac[d, m + d] = p_i / vm + g_ii * vm
-    jac[m + d, d] = p_i - g_ii * vm_sq
-    jac[m + d, m + d] = q_i / vm - b_ii * vm
+    jac[..., d, d] = -q_i - b_ii * vm_sq
+    jac[..., d, m + d] = p_i / vm + g_ii * vm
+    jac[..., m + d, d] = p_i - g_ii * vm_sq
+    jac[..., m + d, m + d] = q_i / vm - b_ii * vm
     return jac
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a dense real system by Gaussian elimination with partial pivoting.
 
-    Raises SingularMatrixError when the best available pivot falls below
-    1e-12 in magnitude.
+    a is (n, n) and b (n,), or a stack of S systems, a (S, n, n) and
+    b (S, n).  A system is singular when its best available pivot falls
+    below 1e-12 in magnitude.  Alone, it raises SingularMatrixError; in a
+    stack, its solution comes back as NaN and the other systems are
+    solved.  Each other system's solution equals the one it gets alone,
+    value for value: a zero in it may differ in sign.
 
     b rides along as column n of one working copy, so a row swap and an
     update cover both.  Each pivot updates only the rows below it whose
@@ -172,14 +238,34 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     value, and every updated element gets the same multiply and subtract
     in the same pivot order as the full dense update.  Column k below the
     pivot is never read again, so it is left as it is.
+
+    A stack is eliminated together, one pivot at a time for all of its
+    systems (see _eliminate_stack).  A NaN in the solution of a system
+    not found singular there may come from a zero factor that met an
+    infinite entry, which that system alone never meets, so it is
+    solved again alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if b.shape != a.shape[:-1]:
+        raise ValueError(f"right-hand side must have shape {a.shape[:-1]}")
+    if a.ndim == 2:
+        return _eliminate(a, b)
+    x, singular = _eliminate_stack(a, b)
+    for i in np.flatnonzero(np.isnan(x).any(axis=1) & ~singular).tolist():
+        try:
+            x[i] = _eliminate(a[i], b[i])
+        except SingularMatrixError:
+            singular[i] = True
+    x[singular] = np.nan
+    return x
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """solve_linear for one system."""
     n = a.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}")
     ab = np.hstack([a, b[:, None]])
     for k in range(n):
         pivot_row = int(np.abs(ab[k:, k]).argmax()) + k
@@ -198,41 +284,96 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _eliminate_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_linear's elimination of a stack of systems, all at once.
+
+    Returns the solutions and a mask of the singular systems, whose
+    solutions are meaningless.  Each pivot and row swap is per system,
+    but one row selection serves the stack: the rows below the pivot
+    that are nonzero in any system.  A system whose own entry is zero
+    there subtracts a zero factor times its pivot row, which changes no
+    finite value; only where that zero meets an infinite entry does it
+    make a NaN.  The back substitution takes each system's own BLAS dot,
+    as one system's does: matmul of a row by a column, like ``@`` of two
+    vectors, calls it.  The pivot check reads U's diagonal once
+    elimination is done, so numpy's warnings for the divisions past a
+    singular pivot are silenced.  Up to its first NaN pivot, a system
+    has the pivots it has alone: a NaN met in the stack first shows up
+    as a NaN pivot.  So a pivot below 1e-12 before that one makes it
+    singular alone too, and only such a system is marked.
+    """
+    systems, n = b.shape
+    # Row k of every system is ab[k], and each system's row is contiguous.
+    ab = np.empty((n, systems, n + 1))
+    ab[:, :, :n] = a.transpose(1, 0, 2)
+    ab[:, :, n] = b.T
+    index = np.arange(systems)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            pivot_row = np.abs(ab[k:, :, k]).argmax(axis=0)
+            if np.count_nonzero(pivot_row):
+                pivot_row += k
+                row = ab[pivot_row, index]
+                ab[pivot_row, index] = ab[k]
+                ab[k] = row
+            below = ab[k + 1 :]
+            col = below[:, :, k]
+            rows = col.any(axis=1).nonzero()[0]
+            if rows.size:
+                factors = col[rows] / ab[k, :, k]
+                below[rows, :, k + 1 :] -= factors[:, :, None] * ab[k, :, k + 1 :]
+        x = np.zeros((systems, n))
+        for k in range(n - 1, -1, -1):
+            row = ab[k]
+            dot = np.matmul(row[:, None, k + 1 : n], x[:, k + 1 :, None])[:, 0, 0]
+            x[:, k] = (row[:, n] - dot) / row[:, k]
+    diagonal = np.arange(n)
+    pivots = np.abs(ab[diagonal, :, diagonal])
+    after_nan = np.logical_or.accumulate(np.isnan(pivots), axis=0)
+    return x, (~after_nan & (pivots < 1e-12)).any(axis=0)
+
+
 def _mismatch(
-    problem: PowerFlowProblem,
+    admittance: AdmittanceMatrix,
+    p_spec: np.ndarray,
+    q_spec: np.ndarray,
     v_mag: np.ndarray,
     v_angle: np.ndarray,
     pq: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
-    mismatch = np.concatenate(
-        [problem.p_injection - p_calc[pq], problem.q_injection - q_calc[pq]]
-    )
-    return mismatch, p_calc, q_calc
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Injection mismatch [dP, dQ] at the PQ buses of a state or a stack of states.
+
+    Returns (mismatch, worst, P, Q): worst is each state's largest
+    |mismatch| (0 without PQ buses), and (P, Q) the injections at every
+    bus.
+    """
+    p_calc, q_calc = compute_injections(v_mag, v_angle, admittance)
+    # With the bus axis first (.T leaves a vector as it is), the PQ buses
+    # are a first-axis index, numpy's cheapest: Gauss-Seidel pays for this
+    # at every sweep.
+    mismatch = np.concatenate([p_spec.T - p_calc.T[pq], q_spec.T - q_calc.T[pq]]).T
+    return mismatch, np.abs(mismatch).max(-1, initial=0.0), p_calc, q_calc
 
 
 def _stop(
-    problem: PowerFlowProblem,
     v_mag: np.ndarray,
     v_angle: np.ndarray,
-    pq: np.ndarray,
+    max_mismatch: float,
+    injections: tuple[np.ndarray, np.ndarray],
+    slack: int,
     iterations: int,
     max_iterations: int,
-) -> tuple[PowerFlowSolution | None, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The stop rule of both solvers, at the state after `iterations` steps.
+) -> PowerFlowSolution | None:
+    """The stop rule of both solvers, at one state after `iterations` steps.
 
-    Returns (solution, mismatch, (P, Q)).  solution is the state as a
-    PowerFlowSolution when the iteration stops there: the worst mismatch
-    is within TOLERANCE (converged), the cap is reached, or the mismatch
-    is not finite.  Otherwise it is None.
+    Returns the state as a PowerFlowSolution when the iteration stops
+    there: the worst mismatch is within TOLERANCE (converged), the cap is
+    reached, or the mismatch is not finite.  Otherwise it returns None.
     """
-    mismatch, p_calc, q_calc = _mismatch(problem, v_mag, v_angle, pq)
-    max_mismatch = float(np.abs(mismatch).max()) if mismatch.size else 0.0
     converged = max_mismatch <= TOLERANCE
-    solution = None
     if converged or iterations >= max_iterations or not isfinite(max_mismatch):
-        slack = problem.slack_index
-        solution = PowerFlowSolution(
+        p_calc, q_calc = injections
+        return PowerFlowSolution(
             v_mag=v_mag,
             v_angle=v_angle,
             iterations=iterations,
@@ -240,47 +381,127 @@ def _stop(
             slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
             converged=converged,
         )
-    return solution, mismatch, (p_calc, q_calc)
+    return None
 
 
 def worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
     """Index of the PQ bus whose final |dP| or |dQ| is largest, as np.argmax picks it.
 
-    The state may have overflowed, as the solver's own mismatch did, so
-    numpy's warnings are silenced here too.
+    When the last iterate has overflowed, several buses' mismatch is
+    inf or NaN and the first of them says nothing of the cause.  Then
+    the bus named is the one, among those, with the largest specified
+    max(|P|, |Q|) injection.  The state may have overflowed, as the
+    solver's own mismatch did, so numpy's warnings are silenced here too.
     """
     pq = np.asarray(problem.pq_indices, dtype=np.intp)
+    m = len(pq)
     with np.errstate(over="ignore", invalid="ignore"):
-        mismatch, _, _ = _mismatch(problem, solution.v_mag, solution.v_angle, pq)
-        worst = np.maximum(np.abs(mismatch[: len(pq)]), np.abs(mismatch[len(pq) :]))
+        mismatch, _, _, _ = _mismatch(
+            problem.admittance,
+            problem.p_injection,
+            problem.q_injection,
+            solution.v_mag,
+            solution.v_angle,
+            pq,
+        )
+        worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
+    overflowed = ~np.isfinite(worst)
+    if overflowed.any():
+        load = np.maximum(np.abs(problem.p_injection), np.abs(problem.q_injection))
+        worst = np.where(overflowed, load, -np.inf)
     return int(pq[np.argmax(worst)])
 
 
-def solve_newton_raphson(problem: PowerFlowProblem) -> PowerFlowSolution:
-    """Full Newton-Raphson power flow from a flat start.
+def solve_newton_raphson_steps(
+    stack: PowerFlowStack,
+) -> list[PowerFlowSolution | SingularMatrixError]:
+    """Full Newton-Raphson power flow from a flat start, for every step of a stack.
 
-    Each iteration solves J dx = mismatch for the angle and magnitude
-    corrections of the PQ buses.  A singular Jacobian raises
-    SingularMatrixError; an unconverged stop returns the last state with
-    converged=False so callers can inspect it.  numpy's overflow and
-    invalid-value warnings are silenced, since the solution reports them.
+    The steps share one loop.  Each iteration evaluates their mismatches
+    together, ends the steps that the stop rule ends, and builds and
+    solves the Jacobians of the others as one stack; a lone step takes
+    the one-system elimination, which makes fewer numpy calls per pivot.
+    Every function involved computes each step as it would alone, so
+    each step's solution is bit for bit the one it gets in a stack of
+    one.  A step whose Jacobian is singular gets its SingularMatrixError
+    in place of a solution, and the other steps go on.  An unconverged
+    stop gives the last state with converged=False so callers can
+    inspect it.  numpy's overflow and invalid-value warnings are
+    silenced, since the solutions report them.
     """
-    n = problem.admittance.n
-    pq = np.asarray(problem.pq_indices, dtype=np.intp)
+    admittance, slack = stack.admittance, stack.slack_index
+    pq = np.flatnonzero(np.arange(admittance.n) != slack)
     m = len(pq)
-    v_mag = np.ones(n)
-    v_angle = np.zeros(n)
+    p_spec, q_spec = stack.p_injection, stack.q_injection
+    outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(p_spec)
+    steps = list(range(len(p_spec)))
+    v_mag = np.ones((len(steps), admittance.n))
+    v_angle = np.zeros((len(steps), admittance.n))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in count():
-            solution, mismatch, injections = _stop(
-                problem, v_mag, v_angle, pq, it, NR_MAX_ITERATIONS
+            mismatch, worst, p_calc, q_calc = _mismatch(
+                admittance, p_spec, q_spec, v_mag, v_angle, pq
             )
-            if solution is not None:
-                return solution
-            jac = newton_jacobian(v_mag, v_angle, problem.admittance, pq, injections)
-            dx = solve_linear(jac, mismatch)
-            v_angle[pq] += dx[:m]
-            v_mag[pq] += dx[m:]
+            going = []
+            for i, (step, max_mismatch) in enumerate(zip(steps, worst.tolist())):
+                # A step that met a singular Jacobian keeps its error.
+                if outcomes[step] is None:
+                    outcomes[step] = _stop(
+                        v_mag[i], v_angle[i], max_mismatch, (p_calc[i], q_calc[i]),
+                        slack, it, NR_MAX_ITERATIONS,
+                    )
+                if outcomes[step] is None:
+                    going.append(i)
+            if not going:
+                return outcomes
+            if len(going) < len(steps):
+                steps = [steps[i] for i in going]
+                v_mag, v_angle, p_spec, q_spec, mismatch, p_calc, q_calc = (
+                    arr[going] for arr in (v_mag, v_angle, p_spec, q_spec, mismatch, p_calc, q_calc)
+                )
+            jac = newton_jacobian(v_mag, v_angle, admittance, pq, (p_calc, q_calc))
+            if len(steps) == 1:
+                try:
+                    dx = solve_linear(jac[0], mismatch[0])[None]
+                except SingularMatrixError as exc:
+                    outcomes[steps[0]] = exc
+                    return outcomes
+            else:
+                dx = solve_linear(jac, mismatch)
+                # A singular system comes back as NaN; alone, it raises
+                # the step's error.
+                for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
+                    try:
+                        _eliminate(jac[i], mismatch[i])
+                    except SingularMatrixError as exc:
+                        outcomes[steps[i]] = exc
+            v_angle[:, pq] += dx[:, :m]
+            v_mag[:, pq] += dx[:, m:]
+
+
+def solve_newton_raphson(problem: PowerFlowProblem) -> PowerFlowSolution:
+    """Full Newton-Raphson power flow from a flat start, for one problem.
+
+    Each iteration solves J dx = mismatch for the angle and magnitude
+    corrections of the PQ buses.  A step of a PowerFlowStack is solved
+    with its stack; any other problem is solve_newton_raphson_steps on a
+    stack of one.  A singular Jacobian raises SingularMatrixError; an
+    unconverged stop returns the last state with converged=False.
+    """
+    if isinstance(problem, _StackStep):
+        outcome = problem.stack.outcomes[problem.index]
+    else:
+        [outcome] = solve_newton_raphson_steps(
+            PowerFlowStack(
+                problem.admittance,
+                problem.slack_index,
+                problem.p_injection[None],
+                problem.q_injection[None],
+            )
+        )
+    if isinstance(outcome, SingularMatrixError):
+        raise outcome
+    return outcome
 
 
 def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
@@ -318,7 +539,13 @@ def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
         for it in count():
             v_mag = np.abs(v)
             v_angle = np.arctan2(v.imag, v.real)
-            solution, _, _ = _stop(problem, v_mag, v_angle, pq_idx, it, GS_MAX_ITERATIONS)
+            _, worst, p_calc, q_calc = _mismatch(
+                problem.admittance, problem.p_injection, problem.q_injection, v_mag, v_angle, pq_idx
+            )
+            solution = _stop(
+                v_mag, v_angle, float(worst), (p_calc, q_calc), problem.slack_index, it,
+                GS_MAX_ITERATIONS,
+            )
             if solution is not None:
                 return solution
             for i, row_dot, y_ii, s_conj in buses:

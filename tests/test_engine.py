@@ -1,5 +1,6 @@
 """Simulation loop, results CSV, and summaries."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,10 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microgridsim import (
+    Bus,
+    BusKind,
+    Line,
+    Network,
     NonConvergenceError,
     PerUnitBase,
     ResultRecord,
     ResultTable,
+    Scenario,
+    SimulationConfig,
+    SingularMatrixError,
+    SolarPanel,
+    WeatherParams,
+    WindTurbine,
     bundled_scenario_text,
     compute_injections,
     parse_scenario,
@@ -30,6 +41,7 @@ from conftest import (
     loop_read_results_csv,
     loop_render_csv,
     loop_summarize,
+    make_random_scenario,
     overheated_case1_text,
     problem_for,
 )
@@ -62,6 +74,16 @@ BLOCK_SIZES = (1, 2, 5, engine._BLOCK_ROWS)
 def block_rows(n):
     """Context in which the CSV layer works in blocks of n rows."""
     return mock.patch.object(engine, "_BLOCK_ROWS", n)
+
+
+def stacks_of(network, steps):
+    """Context in which an acpf run on network solves stacks of `steps` steps."""
+    m = len(network.buses) - 1
+    return mock.patch.object(engine, "NR_STACK_BYTES", steps * 8 * 2 * m * (2 * m + 1))
+
+
+# The stack sizes error order is checked at: 1 solves step by step.
+STACK_STEPS = (1, 2, 3)
 
 
 class TestRunSimulation:
@@ -195,9 +217,9 @@ class TestRunSimulation:
         [
             (
                 "acpf",
-                "a1",
+                "ha1",
                 "power flow did not converge at step 0 (max mismatch inf pu after 2 "
-                "iterations; worst at bus 'a1'; |V| from -1.51264e+299 to 1.59621e+300 pu)",
+                "iterations; worst at bus 'ha1'; |V| from -1.51264e+299 to 1.59621e+300 pu)",
             ),
             (
                 "gs",
@@ -207,9 +229,10 @@ class TestRunSimulation:
             ),
         ],
     )
-    def test_overflowed_state_names_the_first_worst_bus(self, solver, worst_bus, message):
-        # One 1e308 var load: the last iterate's mismatch is inf at several
-        # PQ buses, and the first of them, in bus order, is named.
+    def test_overflowed_state_names_the_loaded_bus(self, solver, worst_bus, message):
+        # One 1e308 var load at ha1: the last iterate's mismatch is inf at
+        # several PQ buses, and of those the one with the largest specified
+        # injection, the loaded bus, is named.
         text = bundled_scenario_text("case2")
         scenario = parse_scenario(text.replace("q_var = 0\n", "q_var = 1e308\n", 1))
         scenario = replace(scenario, config=replace(scenario.config, solver=solver))
@@ -251,6 +274,82 @@ class TestRunSimulation:
             run_simulation(scenario, weather=samples)
         assert exc.value.step == 7
 
+    @pytest.mark.parametrize("steps", STACK_STEPS)
+    def test_first_failing_step_is_reported_whatever_the_stacks(self, bright_case2_pv, steps):
+        # Step 7 fails to converge while later steps of its stack are
+        # solved; a bad weather value before it, or at it, comes first.
+        scenario, samples = bright_case2_pv
+        nan_temperature = list(samples)
+        nan_temperature[3] = replace(samples[3], temperature=float("nan"))
+        inf_cloud = list(samples)
+        inf_cloud[7] = replace(samples[7], cloud_factor=-float("inf"))
+        inf_wind = list(samples)
+        inf_wind[7] = replace(samples[7], wind_speed=-float("inf"))
+        bright = (
+            "power flow did not converge at step 7 (max mismatch inf pu after 1 "
+            "iterations; worst at bus 'hb4'; |V| from 0.995383 to 4.92905e+192 pu)"
+        )
+        hot = parse_scenario(overheated_case1_text())
+        hot = replace(hot, config=replace(hot.config, solver="acpf"))
+        not_finite = "step {}: weather {} is {}, not a finite number"
+        cases = [
+            (scenario, samples, NonConvergenceError, bright),
+            (scenario, nan_temperature, ValueError, not_finite.format(3, "temperature", "nan")),
+            (scenario, inf_cloud, ValueError, not_finite.format(7, "cloud_factor", "-inf")),
+            (scenario, inf_wind, ValueError, not_finite.format(7, "wind_speed", "-inf")),
+            (hot, None, ValueError, not_finite.format(13, "temperature", "inf")),
+        ]
+        for case, weather, error, message in cases:
+            with stacks_of(case.network, steps), pytest.raises(error) as exc:
+                run_simulation(case, weather=weather)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("steps", STACK_STEPS)
+    def test_singular_step_before_a_non_converging_one(self, steps):
+        # Bus far hangs off the slack by a line of conductance 5e-13 pu,
+        # so a step that needs a Newton step has a singular Jacobian.  Its
+        # PV panel gives power at step 4 only, and the two 1e308 W turbines
+        # at bus w make step 5's injection infinite: it stops at once.
+        # Stacks of 2 and 3 steps both hold steps 4 and 5.
+        network = Network(
+            buses=(
+                Bus("s", BusKind.SLACK, 230.0),
+                Bus("far", BusKind.PQ, 230.0),
+                Bus("w", BusKind.PQ, 230.0),
+            ),
+            lines=(Line("l1", "s", "far", 1e13), Line("l2", "s", "w", 0.05)),
+            pvs=(SolarPanel("pv", "far", 5000.0, 1.0),),
+            winds=(WindTurbine("wt1", "w", 1e308), WindTurbine("wt2", "w", 1e308)),
+        )
+        config = SimulationConfig(
+            steps=6, start_hour=8, solver="acpf", seed=1, s_base_va=10_000.0, v_base_v=230.0
+        )
+        scenario = Scenario(network=network, config=config, weather=WeatherParams(seed=1))
+        calm = [
+            replace(sample, cloud_factor=1.0, wind_speed=0.0)
+            for sample in weather_series(WeatherParams(seed=1), 6, 8)
+        ]
+        windy = list(calm)
+        windy[5] = replace(calm[5], wind_speed=15.0)
+        sunny = list(windy)
+        sunny[4] = replace(calm[4], cloud_factor=0.0)
+        # wind_power raises for a negative speed: at step 5, after step 4.
+        backwards = list(sunny)
+        backwards[5] = replace(calm[5], wind_speed=-1.0)
+        # 1e308 + 1e308 overflows to inf, as the turbines are meant to.
+        with stacks_of(network, steps), np.errstate(over="ignore"):
+            # Three weather values, |V| and angle of three buses, p_grid, losses.
+            assert len(run_simulation(scenario, weather=calm)) == 6 * 11
+            for weather in (sunny, backwards):
+                with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
+                    run_simulation(scenario, weather=weather)
+            with pytest.raises(NonConvergenceError) as exc:
+                run_simulation(scenario, weather=windy)
+        assert str(exc.value) == (
+            "power flow did not converge at step 5 (max mismatch inf pu after 0 "
+            "iterations; worst at bus 'w'; |V| from 1 to 1 pu)"
+        )
+
     def test_non_finite_value_before_a_non_converging_step(self, bright_case2_pv):
         scenario, samples = bright_case2_pv
         samples = list(samples)
@@ -284,6 +383,59 @@ class TestRunSimulation:
         gs = {(r.step, r.object): r.value for r in by_quantity(gs_table, "v_mag")}
         worst = max(abs(nr[k] - gs[k]) for k in nr)
         assert worst <= 1e-6 * 230.0
+
+
+class TestStackedRuns:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        steps=st.integers(2, 60),
+        load_scale=st.sampled_from([1.0, 60.0]),
+        producer_scale=st.sampled_from([1.0, 100.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=40)
+    def test_run_does_not_depend_on_the_stacks(
+        self, seed, steps, load_scale, producer_scale, data
+    ):
+        # A drawn scenario solved step by step and in stacks of a drawn
+        # size gives the same values, bit for bit, or the same error.
+        # Scaled up, some loads fail to converge at night and some
+        # generators by day, at various steps.
+        scenario = make_random_scenario(random.Random(seed))
+        net = scenario.network
+        net = replace(
+            net,
+            loads=tuple(replace(d, active_power=d.active_power * load_scale) for d in net.loads),
+            pvs=tuple(replace(d, peak_power=d.peak_power * producer_scale) for d in net.pvs),
+            winds=tuple(replace(d, peak_power=d.peak_power * producer_scale) for d in net.winds),
+        )
+        scenario = Scenario(
+            network=net,
+            config=replace(scenario.config, solver="acpf", steps=steps),
+            weather=WeatherParams(seed=seed),
+        )
+        outcomes = []
+        for size in (1, data.draw(st.integers(2, steps))):
+            with stacks_of(scenario.network, size):
+                try:
+                    outcomes.append(run_simulation(scenario).value.tobytes())
+                except (NonConvergenceError, SingularMatrixError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("solver", ["acpf", "gs"])
+    def test_each_step_is_one_solve_call(self, solver):
+        # Stacks of 3 over 7 steps, the last of them ragged: solve() is
+        # called once a step, in step order, with the run's solver.
+        scenario = parse_scenario(bundled_scenario_text("case2_pv"))
+        scenario = replace(scenario, config=replace(scenario.config, solver=solver, steps=7))
+        with stacks_of(scenario.network, 3), mock.patch.object(
+            engine, "solve", wraps=engine.solve
+        ) as spy:
+            run_simulation(scenario)
+        calls = spy.call_args_list
+        assert [call.args[0].index for call in calls] == [0, 1, 2] * 2 + [0]
+        assert {call.args[1].method for call in calls} == {solver}
 
 
 class TestCsv:

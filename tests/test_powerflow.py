@@ -19,6 +19,7 @@ from microgridsim import (
     LoadDevice,
     Network,
     PowerFlowProblem,
+    PowerFlowStack,
     SingularMatrixError,
     SolverOptions,
     build_admittance,
@@ -116,15 +117,16 @@ def radial_feeders(draw):
 
 
 @st.composite
-def sparse_systems(draw):
+def sparse_systems(draw, n=None):
     """Sparse, diagonally weighted systems with their rows shuffled.
 
     The shuffle moves each row's heavy diagonal entry away from the
     diagonal, so elimination has to swap rows; the sparse off-diagonal
     part leaves many pivot columns with nothing to eliminate below the
-    pivot.
+    pivot.  n, the size, is drawn when not given.
     """
-    n = draw(st.integers(1, 12))
+    if n is None:
+        n = draw(st.integers(1, 12))
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     off = draw(arrays(float, (n, n), elements=entries))
     keep = draw(arrays(bool, (n, n), elements=st.sampled_from([False, False, False, True])))
@@ -135,6 +137,39 @@ def sparse_systems(draw):
     a[np.arange(n), np.arange(n)] = np.where(signs, -weights, weights)
     b = draw(arrays(float, n, elements=st.floats(-10.0, 10.0, allow_nan=False)))
     return a[list(order)], b
+
+
+@st.composite
+def sparse_stacks(draw):
+    """Stacks of 2-5 sparse_systems of one size, and maybe one made singular.
+
+    Each system has its own sparsity and row order, so a row's entry in a
+    pivot column is zero in some systems of the stack and nonzero in
+    others.  The singular one repeats a row (or is zero at size 1).
+    """
+    n = draw(st.integers(1, 10))
+    systems = draw(st.lists(sparse_systems(n), min_size=2, max_size=5))
+    a = np.array([a for a, _ in systems])
+    b = np.array([b for _, b in systems])
+    singular = draw(st.none() | st.integers(0, len(a) - 1))
+    if singular is not None:
+        a[singular, -1] = a[singular, 0] if n > 1 else 0.0
+    return a, b
+
+
+def same_bits(x, y) -> bool:
+    """Equal as float64 bytes: values, signs of zeros and NaN alike."""
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def assert_same_bits(a, b) -> None:
+    """Every field of two solutions equal bit for bit."""
+    assert same_bits(a.v_mag, b.v_mag)
+    assert same_bits(a.v_angle, b.v_angle)
+    assert a.iterations == b.iterations
+    assert same_bits(a.max_mismatch, b.max_mismatch)
+    assert same_bits(a.slack_injection, b.slack_injection)
+    assert a.converged == b.converged
 
 
 class TestComputeInjections:
@@ -364,6 +399,182 @@ class TestJacobian:
             newton_jacobian(vm, va, problem.admittance, pq, injections),
             newton_jacobian(vm, va, problem.admittance, pq),
         )
+
+
+class TestStacks:
+    """Stacked kernels and the stacked NR against one system or step at a time."""
+
+    def test_stacked_jacobian_equals_loop_per_slice(self):
+        rng = random.Random(61)
+        np_rng = np.random.default_rng(61)
+        for _ in range(30):
+            net = random_reactive_network(rng, rng.randint(2, 30))
+            admittance = build_admittance(net, BASE)
+            n = admittance.n
+            pq = list(range(1, n))
+            s = rng.randint(1, 6)
+            vm = np_rng.uniform(0.95, 1.05, (s, n))
+            va = np_rng.uniform(-0.2, 0.2, (s, n))
+            jac = newton_jacobian(vm, va, admittance, pq)
+            assert jac.shape == (s, 2 * n - 2, 2 * n - 2)
+            for i in range(s):
+                assert np.array_equal(jac[i], loop_jacobian(vm[i], va[i], admittance, pq))
+                assert same_bits(jac[i], newton_jacobian(vm[i], va[i], admittance, pq))
+
+    @given(sparse_stacks())
+    def test_stacked_solve_equals_loop_per_slice(self, stack):
+        a, b = stack
+        a_in, b_in = a.copy(), b.copy()
+        x = solve_linear(a, b)
+        for i in range(len(a)):
+            try:
+                expected = loop_solve_linear(a[i], b[i])
+            except SingularMatrixError:
+                assert np.isnan(x[i]).all()
+            else:
+                assert np.array_equal(x[i], expected)
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
+    def test_stacked_solve_equals_loop_on_newton_systems(self):
+        rng = random.Random(67)
+        np_rng = np.random.default_rng(67)
+        for _ in range(20):
+            problem = problem_for(random_reactive_network(rng, rng.randint(2, 40)))
+            n = problem.admittance.n
+            pq = problem.pq_indices
+            s = rng.randint(2, 8)
+            vm = np.ones((s, n))
+            va = np.zeros((s, n))
+            vm[:, pq] += np_rng.uniform(-0.05, 0.05, (s, n - 1))
+            va[:, pq] += np_rng.uniform(-0.05, 0.05, (s, n - 1))
+            jac = newton_jacobian(vm, va, problem.admittance, pq)
+            rhs = np_rng.uniform(-1.0, 1.0, (s, 2 * n - 2))
+            x = solve_linear(jac, rhs)
+            for i in range(s):
+                assert np.array_equal(x[i], loop_solve_linear(jac[i], rhs[i]))
+
+    def test_slice_with_infinite_entry_is_solved_alone(self):
+        # System 1's row 1 is nonzero in pivot column 0, so the stack
+        # updates that row in system 0 too, with a zero factor times
+        # system 0's pivot row [1, inf]: NaN, where alone row 1 is skipped.
+        a = np.array([[[1.0, np.inf], [0.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]])
+        b = np.array([[1.0, 1.0], [3.0, 5.0]])
+        with np.errstate(invalid="ignore"):
+            x = solve_linear(a, b)
+            alone = [solve_linear(a[i], b[i]) for i in range(2)]
+        assert np.array_equal(alone[0], [-np.inf, 1.0])
+        assert same_bits(x, alone)
+
+    def test_singular_slice_is_found_in_the_stack(self, monkeypatch):
+        # System 1's pivot 0 is exactly zero, and its elimination goes on
+        # to a NaN pivot 1.  The zero pivot comes first, so the stack alone
+        # finds it singular; system 0 has no NaN: neither is solved again.
+        a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [0.0, 2.0]]])
+        b = np.ones((2, 2))
+        monkeypatch.setattr(powerflow, "_eliminate", None)
+        x = solve_linear(a, b)
+        monkeypatch.undo()
+        assert np.array_equal(x[0], loop_solve_linear(a[0], b[0]))
+        assert np.isnan(x[1]).all()
+
+    def test_stack_of_one_singular_system_is_nan(self):
+        x = solve_linear(np.ones((1, 2, 2)), np.ones((1, 2)))
+        assert x.shape == (1, 2) and np.isnan(x).all()
+
+    def test_stack_shape_checks(self):
+        with pytest.raises(ValueError):
+            solve_linear(np.ones((2, 2, 3)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            solve_linear(np.ones((2, 2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            solve_linear(np.ones((1, 2, 2, 2)), np.ones((1, 2, 2)))
+
+    @given(
+        net=radial_feeders(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_each_step_as_if_alone(self, net, scales, data):
+        # Steps scale the feeder's loads; heavy ones fail to converge.
+        # A drawn subset of them is solved in chunks split at drawn
+        # boundaries, and each step must equal its solve alone.
+        base = problem_for(net)
+        p = np.outer(scales, base.p_injection)
+        q = np.outer(scales, base.q_injection)
+        subset = data.draw(st.lists(st.sampled_from(range(len(scales))), min_size=1))
+        cuts = st.sets(st.integers(1, len(subset) - 1)) if len(subset) > 1 else st.just(set())
+        bounds = sorted(data.draw(cuts))
+        for chunk in np.split(np.array(subset), bounds):
+            stack = PowerFlowStack(base.admittance, base.slack_index, p[chunk], q[chunk])
+            for s, i in enumerate(chunk.tolist()):
+                alone = replace(base, p_injection=p[i], q_injection=q[i])
+                assert_same_bits(solve(stack.step(s)), solve_newton_raphson(alone))
+
+    def test_singular_step_does_not_stop_the_others(self):
+        # Bus 1 hangs off the slack by a conductance of 5e-13 pu, below the
+        # pivot threshold, and bus 2 by 100 pu, so every Jacobian here is
+        # singular.  Step 0 starts converged; steps 1 and 2 need a Newton
+        # step, at bus 1 and at bus 2, and meet a singular Jacobian in one
+        # stack; step 3 has an infinite injection and stops at once; and
+        # step 4 is step 0 again, after them.
+        y = np.zeros((3, 3), dtype=complex)
+        for i, g in ((1, 5e-13), (2, 100.0)):
+            y[[0, i], [0, i]] += g
+            y[[0, i], [i, 0]] -= g
+        p = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.0, np.inf], [0.0, 0.0]])
+        stack = PowerFlowStack(AdmittanceMatrix(y), 0, p, np.zeros_like(p))
+        outcomes = stack.outcomes
+        assert outcomes[0].converged and outcomes[0].iterations == 0
+        for s in (1, 2):
+            assert isinstance(outcomes[s], SingularMatrixError)
+            assert str(outcomes[s]) == "pivot 0 below 1e-12"
+        assert not outcomes[3].converged and outcomes[3].iterations == 0
+        for s in range(5):
+            alone = PowerFlowProblem(stack.admittance, 0, p[s], np.zeros(2))
+            if s in (1, 2):
+                for problem in (stack.step(s), alone):
+                    with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
+                        solve_newton_raphson(problem)
+            else:
+                assert_same_bits(solve_newton_raphson(stack.step(s)), solve_newton_raphson(alone))
+
+    def test_stack_is_solved_once_and_gauss_seidel_alone(self, monkeypatch):
+        net = make_radial_network(random.Random(71), 6)
+        base = problem_for(net)
+        scales = np.array([0.5, 1.0, 2.0])
+        stack = PowerFlowStack(
+            base.admittance,
+            base.slack_index,
+            np.outer(scales, base.p_injection),
+            np.outer(scales, base.q_injection),
+        )
+        calls = []
+        stacked = powerflow.solve_newton_raphson_steps
+        monkeypatch.setattr(
+            powerflow, "solve_newton_raphson_steps", lambda s: calls.append(len(s)) or stacked(s)
+        )
+        gs = SolverOptions(method="gs")
+        for s in (2, 0, 1):
+            problem = stack.step(s)
+            assert_same_bits(solve(problem), stack.outcomes[s])
+            alone = replace(base, p_injection=problem.p_injection, q_injection=problem.q_injection)
+            assert_same_bits(solve(problem, gs), solve_gauss_seidel(alone))
+        assert calls == [3]
+
+    def test_problem_and_stack_shapes(self):
+        y = AdmittanceMatrix(np.eye(3, dtype=complex))
+        stack = PowerFlowStack(y, 0, np.zeros((4, 2)), np.ones((4, 2)))
+        assert len(stack) == 4
+        assert np.array_equal(stack.step(3).q_injection, [1.0, 1.0])
+        # A problem is one step; a stack of steps is a PowerFlowStack.
+        with pytest.raises(ValueError, match="^injection vectors must have length 2$"):
+            PowerFlowProblem(y, 0, np.zeros((4, 2)), np.zeros((4, 2)))
+        for shape_p, shape_q in (((4, 2), (2,)), ((4, 3), (4, 3)), ((2,), (2,)), ((1, 4, 2),) * 2):
+            with pytest.raises(ValueError, match=r"^injection stacks must be \(S, 2\)$"):
+                PowerFlowStack(y, 0, np.zeros(shape_p), np.zeros(shape_q))
+        with pytest.raises(ValueError, match="slack index 3 out of range"):
+            PowerFlowStack(y, 3, np.zeros((4, 2)), np.zeros((4, 2)))
+
 
 class TestGaussSeidel:
     def test_zero_injections_flat(self):
