@@ -43,7 +43,6 @@ from .grid import (
 )
 from .powerflow import (
     PowerFlowProblem,
-    PowerFlowStack,
     SingularMatrixError,
     SolverOptions,
     compute_injections,

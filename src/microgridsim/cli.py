@@ -1,8 +1,8 @@
 """Command-line interface: run, validate, and summarize subcommands.
 
 Exit codes: 0 on success, 1 for parse/validation/usage problems, 2 when
-the power-flow solver fails to converge mid-run.  Diagnostics go to
-stderr; results go to the output file or stdout.
+a step's power flow does not converge or meets a singular matrix.
+Diagnostics go to stderr; results go to the output file or stdout.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .engine import (
     summarize,
     write_csv,
 )
+from .powerflow import SingularMatrixError
 from .scenario import (
     SOLVER_CHOICES,
     Scenario,
@@ -121,7 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         table = run_simulation(
             scenario, weather=weather, trace_dir=Path(args.scenario).parent
         )
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, SingularMatrixError) as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 2
     except (WeatherTraceError, ValueError, OSError) as exc:

@@ -5,14 +5,14 @@ weather sample, evaluate every generator, solve (lossless balance or AC
 power flow), then append that step's values.  An AC run takes its steps
 in stacks of up to NR_STACK_BYTES of Newton-Raphson matrices: a stack's
 generation and injections are computed step by step, then its steps are
-solved and their values appended in step order.  Under acpf the first of
-those solves runs one Newton-Raphson loop for the whole stack, and each
-step's values are exactly those of a solve alone.  The first step that
-fails, in step order, raises its error.  Every step yields the same
-(object, quantity) sequence, so the run states it once and keeps one flat
-list of values.  The result is a ResultTable: numpy columns of step, hour,
-value and name codes, built once at the end of the run.  Iterating a
-table yields (step, hour, object, quantity, value, unit) ResultRecords.
+solved by index and their values appended in step order.  Under acpf the
+first of those solves runs one Newton-Raphson loop for the whole stack,
+and each step's values are exactly those of a solve alone.  The first
+step that fails, in step order, raises its error.  Every step yields the
+same (object, quantity) sequence, so the run states it once and keeps one
+flat list of values.  The result is a ResultTable: numpy columns of step,
+hour, value and name codes, built once at the end of the run.  Iterating
+a table yields (step, hour, object, quantity, value, unit) ResultRecords.
 The CSV form sorts rows by (step, object, quantity) and renders values at
 up to 9 significant digits.  Rendering, reading back and iterating a table
 go one fixed-size block of rows at a time, so that the per-row Python
@@ -35,8 +35,9 @@ import numpy as np
 from .generation import pv_power, wind_power
 from .grid import Network, PerUnitBase, build_admittance
 from .powerflow import (
+    PowerFlowProblem,
     PowerFlowSolution,
-    PowerFlowStack,
+    SingularMatrixError,
     SolverOptions,
     simple_power_distribution,
     solve,
@@ -220,7 +221,8 @@ def run_simulation(
     or the synthetic model supplies the samples.  Sample i must be for
     hour (start_hour + i) % 24, else ValueError names the step.
     Non-convergence of the AC solver aborts the run by raising
-    NonConvergenceError.  A NaN or infinite result value raises
+    NonConvergenceError, a singular matrix by raising SingularMatrixError
+    as 'step S: MESSAGE'.  A NaN or infinite result value raises
     ValueError naming its step, object and quantity, so a table never
     holds one.  A solver other than acpf, gs or simple is a ValueError.
     """
@@ -311,13 +313,13 @@ def _ac_steps(
 ) -> Iterator[list[float]]:
     """Each step's AC power-flow values, in step order: |V| and angle per bus, p_grid, losses.
 
-    The steps go in chunks of as many as NR_STACK_BYTES of augmented
-    matrices hold.  A chunk's generation and injections are computed
-    step by step into a PowerFlowStack, and then each of its steps is
-    solved by solve(), in step order: for acpf, the first solve runs
-    Newton-Raphson on the whole stack.  A step that fails raises its
-    error when it is reached, after the values of every step before it:
-    a generator's error, a singular Jacobian, or NonConvergenceError.
+    The steps go in stacks of as many as NR_STACK_BYTES of augmented
+    matrices hold.  A stack's generation and injections are computed step
+    by step into one PowerFlowProblem, whose steps are then solved by
+    solve(stack, options, step) in step order: for acpf, the first solve
+    runs Newton-Raphson on the whole stack.  A step that fails raises its
+    error when it is reached, after the values of every step before it: a
+    generator's error, a SingularMatrixError, or NonConvergenceError.
     """
     base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
     admittance = build_admittance(net, base)
@@ -350,12 +352,14 @@ def _ac_steps(
                     failure = exc
                     break
             if p_pu:
-                stack = PowerFlowStack(admittance, slack, np.array(p_pu), np.array(q_pu))
+                stack = PowerFlowProblem(admittance, slack, np.array(p_pu), np.array(q_pu))
                 for i in range(len(stack)):
-                    problem = stack.step(i)
-                    solution = solve(problem, options)
+                    try:
+                        solution = solve(stack, options, i)
+                    except SingularMatrixError as exc:
+                        raise SingularMatrixError(f"step {first + i}: {exc}") from exc
                     if not solution.converged:
-                        worst = worst_mismatch_bus(problem, solution)
+                        worst = worst_mismatch_bus(stack, solution, i)
                         raise NonConvergenceError(first + i, solution, net.buses[worst].id)
                     voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
                     losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)

@@ -11,7 +11,8 @@ specified injection (generation positive, consumption negative).  Both
 solvers start flat and share one stop rule: the worst injection mismatch
 is within TOLERANCE, the solver's iteration cap is reached, or the
 mismatch is not finite.  So their results are directly comparable.  The
-tolerance and the caps are module constants, read at each call.
+tolerance and the caps are module constants, read by Gauss-Seidel at
+each call and by Newton-Raphson when it first solves a problem's steps.
 """
 
 from __future__ import annotations
@@ -48,83 +49,42 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowProblem:
-    """Per-unit injection problem on an admittance matrix.
+    """S >= 1 steps of per-unit injections on one admittance matrix.
 
-    p_injection/q_injection hold one entry per non-slack bus, in
-    ascending bus-index order with the slack skipped.
+    p_injection/q_injection have shape (S, n - 1), a vector being one
+    step: row s holds step s's injection at each bus of pq_indices, the
+    non-slack buses in ascending order (a read-only intp array).  The
+    first Newton-Raphson solve of any step solves them all
+    (solve_newton_raphson_steps) and keeps the outcomes, each bit for bit
+    that of the step alone.  Gauss-Seidel solves a step alone.
     """
 
     admittance: AdmittanceMatrix
     slack_index: int
     p_injection: np.ndarray
     q_injection: np.ndarray
+    pq_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _freeze_injections(self, 1)
-
-    @property
-    def pq_indices(self) -> list[int]:
-        return [i for i in range(self.admittance.n) if i != self.slack_index]
-
-
-@dataclass(frozen=True, eq=False)
-class PowerFlowStack:
-    """S steps on one network, which Newton-Raphson solves together.
-
-    p_injection/q_injection have shape (S, n - 1): row s holds step s's
-    injections, ordered as in PowerFlowProblem.  step(s) is step s as a
-    problem of its own.  The first Newton-Raphson solve of one of its
-    steps, by solve() or solve_newton_raphson(), solves every step of the
-    stack in one loop (solve_newton_raphson_steps) and keeps the
-    outcomes; the solves of its other steps read theirs.  Each step's
-    solution is bit for bit the one it gets alone.  Gauss-Seidel solves
-    a step alone.
-    """
-
-    admittance: AdmittanceMatrix
-    slack_index: int
-    p_injection: np.ndarray
-    q_injection: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_injections(self, 2)
+        n = self.admittance.n
+        if not 0 <= self.slack_index < n:
+            raise ValueError(f"slack index {self.slack_index} out of range for {n} buses")
+        p = np.array(self.p_injection, dtype=float, ndmin=2)
+        q = np.array(self.q_injection, dtype=float, ndmin=2)
+        if p.shape != q.shape or p.ndim != 2 or p.shape[1] != n - 1 or not len(p):
+            raise ValueError(f"injections must have shape (S, {n - 1}) with S >= 1, or ({n - 1},)")
+        pq = np.flatnonzero(np.arange(n) != self.slack_index)
+        for name, arr in (("p_injection", p), ("q_injection", q), ("pq_indices", pq)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.p_injection)
-
-    def step(self, s: int) -> PowerFlowProblem:
-        return _StackStep(
-            self.admittance, self.slack_index, self.p_injection[s], self.q_injection[s], self, s
-        )
 
     @cached_property
     def outcomes(self) -> tuple[PowerFlowSolution | SingularMatrixError, ...]:
         """Each step's Newton-Raphson solution, or its SingularMatrixError."""
         return tuple(solve_newton_raphson_steps(self))
-
-
-@dataclass(frozen=True, eq=False)
-class _StackStep(PowerFlowProblem):
-    """Step `index` of `stack`: a problem that Newton-Raphson solves with its stack."""
-
-    stack: PowerFlowStack = field(repr=False)
-    index: int
-
-
-def _freeze_injections(owner: PowerFlowProblem | PowerFlowStack, ndim: int) -> None:
-    """Check owner's slack index and injection shapes; store read-only float copies."""
-    n = owner.admittance.n
-    if not 0 <= owner.slack_index < n:
-        raise ValueError(f"slack index {owner.slack_index} out of range for {n} buses")
-    p = np.array(owner.p_injection, dtype=float)
-    q = np.array(owner.q_injection, dtype=float)
-    if p.shape != q.shape or p.ndim != ndim or p.shape[-1] != n - 1:
-        shape = f"vectors must have length {n - 1}" if ndim == 1 else f"stacks must be (S, {n - 1})"
-        raise ValueError(f"injection {shape}")
-    p.setflags(write=False)
-    q.setflags(write=False)
-    object.__setattr__(owner, "p_injection", p)
-    object.__setattr__(owner, "q_injection", q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +344,10 @@ def _stop(
     return None
 
 
-def worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -> int:
-    """Index of the PQ bus whose final |dP| or |dQ| is largest, as np.argmax picks it.
+def worst_mismatch_bus(
+    problem: PowerFlowProblem, solution: PowerFlowSolution, step: int = 0
+) -> int:
+    """Index of the PQ bus whose final |dP| or |dQ| at `step` is largest, as np.argmax picks it.
 
     When the last iterate has overflowed, several buses' mismatch is
     inf or NaN and the first of them says nothing of the cause.  Then
@@ -393,46 +355,41 @@ def worst_mismatch_bus(problem: PowerFlowProblem, solution: PowerFlowSolution) -
     max(|P|, |Q|) injection.  The state may have overflowed, as the
     solver's own mismatch did, so numpy's warnings are silenced here too.
     """
-    pq = np.asarray(problem.pq_indices, dtype=np.intp)
+    pq = problem.pq_indices
     m = len(pq)
+    p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
     with np.errstate(over="ignore", invalid="ignore"):
         mismatch, _, _, _ = _mismatch(
-            problem.admittance,
-            problem.p_injection,
-            problem.q_injection,
-            solution.v_mag,
-            solution.v_angle,
-            pq,
+            problem.admittance, p_spec, q_spec, solution.v_mag, solution.v_angle, pq
         )
         worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
     overflowed = ~np.isfinite(worst)
     if overflowed.any():
-        load = np.maximum(np.abs(problem.p_injection), np.abs(problem.q_injection))
+        load = np.maximum(np.abs(p_spec), np.abs(q_spec))
         worst = np.where(overflowed, load, -np.inf)
     return int(pq[np.argmax(worst)])
 
 
 def solve_newton_raphson_steps(
-    stack: PowerFlowStack,
+    problem: PowerFlowProblem,
 ) -> list[PowerFlowSolution | SingularMatrixError]:
-    """Full Newton-Raphson power flow from a flat start, for every step of a stack.
+    """Full Newton-Raphson power flow from a flat start, for every step of a problem.
 
     The steps share one loop.  Each iteration evaluates their mismatches
     together, ends the steps that the stop rule ends, and builds and
     solves the Jacobians of the others as one stack; a lone step takes
     the one-system elimination, which makes fewer numpy calls per pivot.
     Every function involved computes each step as it would alone, so
-    each step's solution is bit for bit the one it gets in a stack of
-    one.  A step whose Jacobian is singular gets its SingularMatrixError
+    each step's solution is bit for bit the one it gets in a problem of
+    its own.  A step whose Jacobian is singular gets its SingularMatrixError
     in place of a solution, and the other steps go on.  An unconverged
     stop gives the last state with converged=False so callers can
     inspect it.  numpy's overflow and invalid-value warnings are
     silenced, since the solutions report them.
     """
-    admittance, slack = stack.admittance, stack.slack_index
-    pq = np.flatnonzero(np.arange(admittance.n) != slack)
+    admittance, slack, pq = problem.admittance, problem.slack_index, problem.pq_indices
     m = len(pq)
-    p_spec, q_spec = stack.p_injection, stack.q_injection
+    p_spec, q_spec = problem.p_injection, problem.q_injection
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(p_spec)
     steps = list(range(len(p_spec)))
     v_mag = np.ones((len(steps), admittance.n))
@@ -479,33 +436,22 @@ def solve_newton_raphson_steps(
             v_mag[:, pq] += dx[:, m:]
 
 
-def solve_newton_raphson(problem: PowerFlowProblem) -> PowerFlowSolution:
-    """Full Newton-Raphson power flow from a flat start, for one problem.
+def solve_newton_raphson(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
+    """Full Newton-Raphson power flow from a flat start, for one step of a problem.
 
     Each iteration solves J dx = mismatch for the angle and magnitude
-    corrections of the PQ buses.  A step of a PowerFlowStack is solved
-    with its stack; any other problem is solve_newton_raphson_steps on a
-    stack of one.  A singular Jacobian raises SingularMatrixError; an
-    unconverged stop returns the last state with converged=False.
+    corrections of the PQ buses.  The outcome is problem.outcomes[step].
+    A singular Jacobian raises SingularMatrixError; an unconverged stop
+    returns the last state with converged=False.
     """
-    if isinstance(problem, _StackStep):
-        outcome = problem.stack.outcomes[problem.index]
-    else:
-        [outcome] = solve_newton_raphson_steps(
-            PowerFlowStack(
-                problem.admittance,
-                problem.slack_index,
-                problem.p_injection[None],
-                problem.q_injection[None],
-            )
-        )
+    outcome = problem.outcomes[step]
     if isinstance(outcome, SingularMatrixError):
         raise outcome
     return outcome
 
 
-def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
-    """Gauss-Seidel power flow with in-place complex voltage sweeps.
+def solve_gauss_seidel(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
+    """Gauss-Seidel power flow of step `step`, with in-place complex voltage sweeps.
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
     It stops by the same rule as Newton-Raphson, on the same injection
@@ -522,17 +468,17 @@ def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     y = problem.admittance.y
     n = problem.admittance.n
     pq = problem.pq_indices
-    for i in pq:
+    for i in pq.tolist():
         if y[i, i] == 0:
             raise SingularMatrixError(f"zero admittance diagonal at bus index {i}")
+    p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
     s_spec = np.zeros(n, dtype=complex)
-    s_spec[pq] = problem.p_injection + 1j * problem.q_injection
+    s_spec[pq] = p_spec + 1j * q_spec
     # Per PQ bus: index, bound dot of its row of Y (ndarray.dot is np.dot
     # without the dispatch wrapper), Y_ii and S_i*.  complex.conjugate and
     # np.arctan2 below give the bits of np.conj and np.angle, minus their
     # per-call overhead.
-    buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq]
-    pq_idx = np.asarray(pq, dtype=np.intp)
+    buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq.tolist()]
     conj = complex.conjugate
     v = np.ones(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -540,7 +486,7 @@ def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
             v_mag = np.abs(v)
             v_angle = np.arctan2(v.imag, v.real)
             _, worst, p_calc, q_calc = _mismatch(
-                problem.admittance, problem.p_injection, problem.q_injection, v_mag, v_angle, pq_idx
+                problem.admittance, p_spec, q_spec, v_mag, v_angle, pq
             )
             solution = _stop(
                 v_mag, v_angle, float(worst), (p_calc, q_calc), problem.slack_index, it,
@@ -553,13 +499,15 @@ def solve_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
                 v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
 
 
-def solve(problem: PowerFlowProblem, options: SolverOptions | None = None) -> PowerFlowSolution:
-    """Dispatch to the solver named by options.method."""
+def solve(
+    problem: PowerFlowProblem, options: SolverOptions | None = None, step: int = 0
+) -> PowerFlowSolution:
+    """Solve step `step` of a problem with the solver named by options.method."""
     method = (options or SolverOptions()).method
     if method == METHOD_NEWTON_RAPHSON:
-        return solve_newton_raphson(problem)
+        return solve_newton_raphson(problem, step)
     if method == METHOD_GAUSS_SEIDEL:
-        return solve_gauss_seidel(problem)
+        return solve_gauss_seidel(problem, step)
     raise ValueError(f"unknown solver method {method!r}")
 
 
@@ -573,18 +521,24 @@ def simple_power_distribution(demands: Sequence[float], productions: Sequence[fl
 
 
 def total_line_losses(
-    network: Network,
-    base: PerUnitBase,
-    v_mag: np.ndarray,
-    v_angle: np.ndarray,
-) -> float:
-    """Sum of R |I|^2 over all lines, in pu, for a solved voltage state."""
+    network: Network, base: PerUnitBase, v_mag: np.ndarray, v_angle: np.ndarray
+) -> float | np.ndarray:
+    """Sum of R |I|^2 over all lines, in pu, for a state (n,) or each state of a stack (S, n).
+
+    The array terms have the bits of a scalar loop's: |I| is np.hypot, as
+    abs of a complex scalar is (np.abs on an array is not), and the square
+    np.float_power, as ** 2 is.  They are summed from 0.0 in line order;
+    np.sum would regroup more than 8 of them.
+    """
     index = {bus.id: i for i, bus in enumerate(network.buses)}
+    z_base, lines = base.z_base, network.lines
+    r = np.array([line.resistance / z_base for line in lines])
+    z = np.array([complex(line.resistance, line.reactance) / z_base for line in lines])
+    from_bus = [index[line.from_bus] for line in lines]
+    to_bus = [index[line.to_bus] for line in lines]
     v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
-    total = 0.0
-    for line in network.lines:
-        z = complex(line.resistance, line.reactance) / base.z_base
-        i, k = index[line.from_bus], index[line.to_bus]
-        current = (v[i] - v[k]) / z
-        total += (line.resistance / base.z_base) * abs(current) ** 2
-    return total
+    current = (v.take(from_bus, axis=-1) - v.take(to_bus, axis=-1)) / z
+    terms = r * np.float_power(np.hypot(current.real, current.imag), 2)
+    zero = np.zeros((*terms.shape[:-1], 1))
+    total = np.add.accumulate(np.concatenate((zero, terms), axis=-1), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total

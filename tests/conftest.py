@@ -184,7 +184,7 @@ def loop_solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
-    """Per-bus reference for solve_gauss_seidel.
+    """Per-bus reference for solve_gauss_seidel on step 0 of a problem.
 
     The sweep as first written: each bus slices its row of Y, reads Y_ii
     and conjugates S_i anew, the angle comes from np.angle and the PQ
@@ -198,7 +198,7 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     pq = problem.pq_indices
     slack = problem.slack_index
     s_spec = np.zeros(n, dtype=complex)
-    s_spec[pq] = problem.p_injection + 1j * problem.q_injection
+    s_spec[pq] = problem.p_injection[0] + 1j * problem.q_injection[0]
     v = np.ones(n, dtype=complex)
     it = 0
     while True:
@@ -206,9 +206,9 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
         v_angle = np.angle(v)
         p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
         mismatch = np.concatenate(
-            [problem.p_injection - p_calc[pq], problem.q_injection - q_calc[pq]]
+            [problem.p_injection[0] - p_calc[pq], problem.q_injection[0] - q_calc[pq]]
         )
-        max_mismatch = float(np.max(np.abs(mismatch))) if pq else 0.0
+        max_mismatch = float(np.max(np.abs(mismatch))) if len(pq) else 0.0
         converged = max_mismatch <= powerflow.TOLERANCE
         if converged or it >= max_iter:
             return PowerFlowSolution(
@@ -223,6 +223,24 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
             row_sum = y[i, :] @ v - y[i, i] * v[i]
             v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
         it += 1
+
+
+def loop_line_losses(network: Network, base: PerUnitBase, v_mag, v_angle) -> float:
+    """Line-by-line reference for total_line_losses on one state.
+
+    The loop as first written: per line, its impedance as a Python
+    complex, the current as a numpy scalar division, and R |I|^2 added to
+    a running total from 0.0.  total_line_losses must give the same bits.
+    """
+    index = {bus.id: i for i, bus in enumerate(network.buses)}
+    v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
+    total = 0.0
+    for line in network.lines:
+        z = complex(line.resistance, line.reactance) / base.z_base
+        i, k = index[line.from_bus], index[line.to_bus]
+        current = (v[i] - v[k]) / z
+        total += (line.resistance / base.z_base) * abs(current) ** 2
+    return total
 
 
 def loop_render_csv(table, config_comments=None) -> str:

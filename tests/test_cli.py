@@ -201,6 +201,30 @@ class TestRun:
         (line,) = proc.stderr.splitlines()
         assert line.startswith(f"{huge}: power flow did not converge at step 0 ")
 
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ("acpf", "step 0: pivot 7 below 1e-12"),
+            ("gs", "power flow did not converge at step 0 "),
+        ],
+    )
+    def test_singular_network_is_one_line_exit_2(self, tmp_path, solver, message):
+        # A 1e15 ohm first line all but cuts the street off the slack: the
+        # scenario passes validation, the Newton-Raphson Jacobian is
+        # singular and Gauss-Seidel does not converge.
+        text = bundled_scenario_text("case2")
+        assert "resistance_ohm = 0.006896\n" in text
+        cut = tmp_path / "cut.mgs"
+        cut.write_text(text.replace("resistance_ohm = 0.006896\n", "resistance_ohm = 1e15\n", 1))
+        assert cli_main(["validate", str(cut)]) == 0
+        out = tmp_path / "r.csv"
+        proc = run_module("run", str(cut), "--solver", solver, "--out", str(out))
+        assert proc.returncode == 2
+        assert not out.exists()
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"{cut}: {message}")
+
     def test_scenario_errors_listed_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
         bad.write_text("[simulation]\nsteps = nope\n")

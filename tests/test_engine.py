@@ -202,7 +202,7 @@ class TestRunSimulation:
         worst_bus, worst = None, -1.0
         for k, i in enumerate(problem.pq_indices):
             bus_mismatch = max(
-                abs(problem.p_injection[k] - p[i]), abs(problem.q_injection[k] - q[i])
+                abs(problem.p_injection[0][k] - p[i]), abs(problem.q_injection[0][k] - q[i])
             )
             if bus_mismatch > worst:
                 worst_bus, worst = scenario.network.buses[i].id, bus_mismatch
@@ -341,7 +341,7 @@ class TestRunSimulation:
             # Three weather values, |V| and angle of three buses, p_grid, losses.
             assert len(run_simulation(scenario, weather=calm)) == 6 * 11
             for weather in (sunny, backwards):
-                with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
+                with pytest.raises(SingularMatrixError, match="^step 4: pivot 0 below 1e-12$"):
                     run_simulation(scenario, weather=weather)
             with pytest.raises(NonConvergenceError) as exc:
                 run_simulation(scenario, weather=windy)
@@ -434,7 +434,7 @@ class TestStackedRuns:
         ) as spy:
             run_simulation(scenario)
         calls = spy.call_args_list
-        assert [call.args[0].index for call in calls] == [0, 1, 2] * 2 + [0]
+        assert [call.args[2] for call in calls] == [0, 1, 2] * 2 + [0]
         assert {call.args[1].method for call in calls} == {solver}
 
 

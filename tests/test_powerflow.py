@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,6 @@ from microgridsim import (
     LoadDevice,
     Network,
     PowerFlowProblem,
-    PowerFlowStack,
     SingularMatrixError,
     SolverOptions,
     build_admittance,
@@ -35,11 +34,13 @@ from microgridsim import (
     total_line_losses,
 )
 from microgridsim import powerflow
+from microgridsim.powerflow import PowerFlowSolution, worst_mismatch_bus
 from conftest import (
     BASE,
     finite_difference_jacobian,
     loop_gauss_seidel,
     loop_jacobian,
+    loop_line_losses,
     loop_solve_linear,
     make_radial_network,
     problem_for,
@@ -67,7 +68,7 @@ def case2_pv_problem():
     """case2_pv's constant loads with its PV panel at peak output."""
     network = parse_scenario(bundled_scenario_text("case2_pv")).network
     problem = problem_for(network)
-    p = problem.p_injection.copy()
+    p = problem.p_injection[0].copy()
     slack = problem.slack_index
     for pv in network.pvs:
         i = network.bus_index(pv.bus)
@@ -155,6 +156,29 @@ def sparse_stacks(draw):
     if singular is not None:
         a[singular, -1] = a[singular, 0] if n > 1 else 0.0
     return a, b
+
+
+@st.composite
+def line_loss_cases(draw):
+    """A radial R+jX feeder of 1-60 buses in drawn bus order, and 1-4 states of it.
+
+    Some lines are purely reactive, with a resistance of 0.0 or -0.0 ohm.
+    """
+    n = draw(st.integers(1, 60))
+    lines = []
+    for i in range(1, n):
+        parent = draw(st.integers(0, i - 1))
+        r_pu = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.001, 0.01))
+        x_pu = draw(st.floats(0.001, 0.01) if r_pu == 0.0 else st.floats(0.0, 0.01))
+        lines.append(
+            Line(f"line{i}", f"bus{parent}", f"bus{i}", r_pu * BASE.z_base, x_pu * BASE.z_base)
+        )
+    buses = [Bus(f"bus{i}", BusKind.SLACK if i == 0 else BusKind.PQ, 230.0) for i in range(n)]
+    net = Network(buses=tuple(draw(st.permutations(buses))), lines=tuple(lines))
+    s = draw(st.integers(1, 4))
+    v_mag = draw(arrays(float, (s, n), elements=st.floats(0.9, 1.1)))
+    v_angle = draw(arrays(float, (s, n), elements=st.floats(-0.3, 0.3)))
+    return net, v_mag, v_angle
 
 
 def same_bits(x, y) -> bool:
@@ -248,7 +272,7 @@ class TestSolveLinear:
             jac = newton_jacobian(vm, va, problem.admittance, pq)
             p, q = compute_injections(vm, va, problem.admittance)
             mismatch = np.concatenate(
-                [problem.p_injection - p[pq], problem.q_injection - q[pq]]
+                [problem.p_injection[0] - p[pq], problem.q_injection[0] - q[pq]]
             )
             assert np.array_equal(
                 solve_linear(jac, mismatch), loop_solve_linear(jac, mismatch)
@@ -297,8 +321,8 @@ class TestNewtonRaphson:
         sol = solve_newton_raphson(problem)
         p, q = compute_injections(sol.v_mag, sol.v_angle, problem.admittance)
         pq = problem.pq_indices
-        assert np.max(np.abs(problem.p_injection - p[pq])) <= 1e-8
-        assert np.max(np.abs(problem.q_injection - q[pq])) <= 1e-8
+        assert np.max(np.abs(problem.p_injection[0] - p[pq])) <= 1e-8
+        assert np.max(np.abs(problem.q_injection[0] - q[pq])) <= 1e-8
 
     def test_slack_state_pinned(self):
         problem, _ = case2_problem()
@@ -505,10 +529,10 @@ class TestStacks:
         cuts = st.sets(st.integers(1, len(subset) - 1)) if len(subset) > 1 else st.just(set())
         bounds = sorted(data.draw(cuts))
         for chunk in np.split(np.array(subset), bounds):
-            stack = PowerFlowStack(base.admittance, base.slack_index, p[chunk], q[chunk])
+            stack = PowerFlowProblem(base.admittance, base.slack_index, p[chunk], q[chunk])
             for s, i in enumerate(chunk.tolist()):
                 alone = replace(base, p_injection=p[i], q_injection=q[i])
-                assert_same_bits(solve(stack.step(s)), solve_newton_raphson(alone))
+                assert_same_bits(solve(stack, None, s), solve_newton_raphson(alone))
 
     def test_singular_step_does_not_stop_the_others(self):
         # Bus 1 hangs off the slack by a conductance of 5e-13 pu, below the
@@ -522,7 +546,7 @@ class TestStacks:
             y[[0, i], [0, i]] += g
             y[[0, i], [i, 0]] -= g
         p = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.0, np.inf], [0.0, 0.0]])
-        stack = PowerFlowStack(AdmittanceMatrix(y), 0, p, np.zeros_like(p))
+        stack = PowerFlowProblem(AdmittanceMatrix(y), 0, p, np.zeros_like(p))
         outcomes = stack.outcomes
         assert outcomes[0].converged and outcomes[0].iterations == 0
         for s in (1, 2):
@@ -532,17 +556,17 @@ class TestStacks:
         for s in range(5):
             alone = PowerFlowProblem(stack.admittance, 0, p[s], np.zeros(2))
             if s in (1, 2):
-                for problem in (stack.step(s), alone):
+                for problem, step in ((stack, s), (alone, 0)):
                     with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
-                        solve_newton_raphson(problem)
+                        solve_newton_raphson(problem, step)
             else:
-                assert_same_bits(solve_newton_raphson(stack.step(s)), solve_newton_raphson(alone))
+                assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
 
     def test_stack_is_solved_once_and_gauss_seidel_alone(self, monkeypatch):
         net = make_radial_network(random.Random(71), 6)
         base = problem_for(net)
         scales = np.array([0.5, 1.0, 2.0])
-        stack = PowerFlowStack(
+        stack = PowerFlowProblem(
             base.admittance,
             base.slack_index,
             np.outer(scales, base.p_injection),
@@ -555,25 +579,29 @@ class TestStacks:
         )
         gs = SolverOptions(method="gs")
         for s in (2, 0, 1):
-            problem = stack.step(s)
-            assert_same_bits(solve(problem), stack.outcomes[s])
-            alone = replace(base, p_injection=problem.p_injection, q_injection=problem.q_injection)
-            assert_same_bits(solve(problem, gs), solve_gauss_seidel(alone))
+            assert_same_bits(solve(stack, None, s), stack.outcomes[s])
+            alone = replace(base, p_injection=stack.p_injection[s], q_injection=stack.q_injection[s])
+            assert_same_bits(solve(stack, gs, s), solve_gauss_seidel(alone))
         assert calls == [3]
 
     def test_problem_and_stack_shapes(self):
         y = AdmittanceMatrix(np.eye(3, dtype=complex))
-        stack = PowerFlowStack(y, 0, np.zeros((4, 2)), np.ones((4, 2)))
+        stack = PowerFlowProblem(y, 0, np.zeros((4, 2)), np.ones((4, 2)))
         assert len(stack) == 4
-        assert np.array_equal(stack.step(3).q_injection, [1.0, 1.0])
-        # A problem is one step; a stack of steps is a PowerFlowStack.
-        with pytest.raises(ValueError, match="^injection vectors must have length 2$"):
-            PowerFlowProblem(y, 0, np.zeros((4, 2)), np.zeros((4, 2)))
-        for shape_p, shape_q in (((4, 2), (2,)), ((4, 3), (4, 3)), ((2,), (2,)), ((1, 4, 2),) * 2):
-            with pytest.raises(ValueError, match=r"^injection stacks must be \(S, 2\)$"):
-                PowerFlowStack(y, 0, np.zeros(shape_p), np.zeros(shape_q))
+        assert np.array_equal(stack.q_injection[3], [1.0, 1.0])
+        assert np.array_equal(stack.pq_indices, [1, 2])
+        # A vector is one step.
+        one = PowerFlowProblem(y, 1, np.zeros(2), np.ones(2))
+        assert len(one) == 1 and one.q_injection.shape == (1, 2)
+        assert np.array_equal(one.pq_indices, [0, 2])
+        shapes = (((4, 2), (2,)), ((4, 3), (4, 3)), ((3,), (3,)), ((1, 4, 2),) * 2, ((0, 2),) * 2)
+        for shape_p, shape_q in shapes:
+            with pytest.raises(
+                ValueError, match=r"^injections must have shape \(S, 2\) with S >= 1, or \(2,\)$"
+            ):
+                PowerFlowProblem(y, 0, np.zeros(shape_p), np.zeros(shape_q))
         with pytest.raises(ValueError, match="slack index 3 out of range"):
-            PowerFlowStack(y, 3, np.zeros((4, 2)), np.zeros((4, 2)))
+            PowerFlowProblem(y, 3, np.zeros((4, 2)), np.zeros((4, 2)))
 
 
 class TestGaussSeidel:
@@ -641,7 +669,7 @@ class TestOverflowingState:
         # iterates overflow within the first two iterations.
         problem, _ = case2_problem()
         q = problem.q_injection.copy()
-        q[0] = -1e308 / BASE.s_base
+        q[0, 0] = -1e308 / BASE.s_base
         problem = replace(problem, q_injection=q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -678,6 +706,56 @@ class TestSolverProperties:
         load_pu = sum(load.active_power for load in net.loads) / BASE.s_base
         m = len(problem.pq_indices)
         assert abs(nr.slack_injection[0] - load_pu - losses) <= m * powerflow.TOLERANCE
+
+
+# One purely reactive line of resistance -0.0 ohm: its term is -0.0, and
+# a sum that starts from 0.0 makes the total 0.0.
+NEGATIVE_ZERO_LINE = (
+    Network(
+        buses=(Bus("bus0", BusKind.SLACK, 230.0), Bus("bus1", BusKind.PQ, 230.0)),
+        lines=(Line("line1", "bus0", "bus1", -0.0, 0.01 * BASE.z_base),),
+    ),
+    np.array([[1.0, 0.99]]),
+    np.array([[0.0, -0.01]]),
+)
+
+
+class TestLineLosses:
+    @given(line_loss_cases())
+    @example(NEGATIVE_ZERO_LINE)
+    def test_bitwise_equal_to_loop_reference(self, case):
+        # Each state's total, alone or in a stack, has the loop's bytes.
+        net, v_mag, v_angle = case
+        totals = total_line_losses(net, BASE, v_mag, v_angle)
+        assert totals.shape == (len(v_mag),)
+        for s in range(len(v_mag)):
+            expected = loop_line_losses(net, BASE, v_mag[s], v_angle[s])
+            alone = total_line_losses(net, BASE, v_mag[s], v_angle[s])
+            assert type(alone) is float
+            assert same_bits(alone, expected) and same_bits(totals[s], expected)
+
+
+class TestWorstMismatchBus:
+    def test_each_step_against_its_own_injections(self):
+        # A four-bus chain whose three steps each load one bus most.  At
+        # the flat state each step's mismatch is about its own injections,
+        # so steps 0 and 2 have different worst buses.
+        net = Network(
+            buses=tuple(
+                Bus(f"bus{i}", BusKind.SLACK if i == 0 else BusKind.PQ, 230.0) for i in range(4)
+            ),
+            lines=tuple(
+                Line(f"line{i}", f"bus{i - 1}", f"bus{i}", 0.005 * BASE.z_base) for i in (1, 2, 3)
+            ),
+        )
+        p = -np.array([[0.3, 0.1, 0.1], [0.1, 0.3, 0.1], [0.1, 0.1, 0.3]])
+        problem = PowerFlowProblem(build_admittance(net, BASE), 0, p, np.zeros_like(p))
+        flat = PowerFlowSolution(np.ones(4), np.zeros(4), 0, 0.3, (0.0, 0.0), False)
+        assert [worst_mismatch_bus(problem, flat, s) for s in range(3)] == [1, 2, 3]
+        assert worst_mismatch_bus(problem, flat) == 1
+        for s in range(3):
+            alone = PowerFlowProblem(problem.admittance, 0, p[s], np.zeros(3))
+            assert worst_mismatch_bus(alone, flat) == worst_mismatch_bus(problem, flat, s)
 
 
 class TestPowerBalance:
