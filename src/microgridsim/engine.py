@@ -1,22 +1,16 @@
 """Hourly simulation loop, results tables, CSV output, and summaries.
 
-Each step follows a fixed order so runs are reproducible: draw the
-weather sample, evaluate every generator, solve (lossless balance or AC
-power flow), then append that step's values.  An AC run takes its steps
-in stacks of up to NR_STACK_BYTES of Newton-Raphson matrices: a stack's
-generation and injections are computed step by step, then its steps are
-solved by index and their values appended in step order.  Under acpf the
-first of those solves runs one Newton-Raphson loop for the whole stack,
-and each step's values are exactly those of a solve alone.  The first
-step that fails, in step order, raises its error.  Every step yields the
-same (object, quantity) sequence, so the run states it once and keeps one
-flat list of values.  The result is a ResultTable: numpy columns of step,
-hour, value and name codes, built once at the end of the run.  Iterating
-a table yields (step, hour, object, quantity, value, unit) ResultRecords.
-The CSV form sorts rows by (step, object, quantity) and renders values at
-up to 9 significant digits.  Rendering, reading back and iterating a table
-go one fixed-size block of rows at a time, so that the per-row Python
-objects of only one block are alive at once.
+A run goes through its steps in stacks of _BLOCK_ROWS balance steps, or of
+as many AC steps as NR_STACK_BYTES of Newton-Raphson matrices hold.  A
+stack's generators are evaluated step by step up to the first that raises,
+the steps before it are solved into a (steps x K) block of values, weather
+first, and the block is scanned for its first non-finite row: the run
+raises its first failure in step order, a step's weather before its other
+errors.  The blocks are the value column of the ResultTable; iterating it
+yields ResultRecords.  The CSV form sorts rows by (step, object, quantity)
+and renders values at up to 9 significant digits.  Rendering, reading back
+and iterating a table go one fixed-size block of rows at a time, so that
+the per-row Python objects of only one block are alive at once.
 """
 
 from __future__ import annotations
@@ -27,8 +21,9 @@ from functools import partial
 from importlib import resources
 from itertools import chain, islice
 from math import isfinite
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +56,10 @@ QUANTITY_UNITS = {
     "losses": "W",
 }
 
-# Rows per block when a table is rendered, read back or iterated, so that
-# the per-row Python objects of only one block are alive at a time.
+_WEATHER = ("cloud_factor", "wind_speed", "temperature")
+
+# Rows per block of a table being rendered, read back or iterated, and steps
+# per balance stack, so that only one block's per-row Python objects live.
 _BLOCK_ROWS = 4096
 
 # Bytes of augmented Newton-Raphson matrices, 2m x (2m + 1) float64 for m
@@ -220,11 +217,12 @@ def run_simulation(
     source; otherwise a scenario trace path (resolved against trace_dir)
     or the synthetic model supplies the samples.  Sample i must be for
     hour (start_hour + i) % 24, else ValueError names the step.
-    Non-convergence of the AC solver aborts the run by raising
-    NonConvergenceError, a singular matrix by raising SingularMatrixError
-    as 'step S: MESSAGE'.  A NaN or infinite result value raises
-    ValueError naming its step, object and quantity, so a table never
-    holds one.  A solver other than acpf, gs or simple is a ValueError.
+    The first failing step, in step order, aborts the run: a NaN or
+    infinite value, its weather checked first, raises ValueError naming
+    step, object and quantity, so a table never holds one; else its
+    generator's error, NonConvergenceError, or SingularMatrixError as
+    'step S: MESSAGE', naming the bus of a Newton-Raphson pivot.  A solver
+    other than acpf, gs or simple is a ValueError.
     """
     cfg = scenario.config
     net = scenario.network
@@ -253,125 +251,123 @@ def run_simulation(
 
     grid_object = net.grid.id if net.grid is not None else net.buses[net.slack_index()].id
 
-    # Every step emits the same (object, quantity) sequence: the weather,
-    # then the balance or power-flow results.  Each step's values are
-    # appended to one flat list, in that order.
-    keys = [(WEATHER_OBJECT, q) for q in ("cloud_factor", "wind_speed", "temperature")]
-    # solve() rejects a solver name that is neither "simple" nor an AC method.
-    use_acpf = cfg.solver != "simple"
-    if use_acpf:
-        keys += [(bus.id, q) for bus in net.buses for q in ("v_mag", "v_angle")]
-        keys += [(grid_object, "p_grid"), (NETWORK_OBJECT, "losses")]
-        ac_values = _ac_steps(net, cfg, samples)
-    else:
-        demands = [load.active_power for load in net.loads]
+    # Every step's K (object, quantity) columns: weather, then solver results.
+    keys = [(WEATHER_OBJECT, q) for q in _WEATHER]
+    if cfg.solver == "simple":
         keys += [(dev.id, "p_out") for dev in (*net.pvs, *net.winds)]
         keys += [(load.id, "p_demand") for load in net.loads]
         keys += [(grid_object, "p_grid")]
+        stack_steps = _BLOCK_ROWS
+        solve_stack = partial(_balance_values, [load.active_power for load in net.loads])
+    else:
+        # solve() rejects a solver name that is neither "simple" nor an AC method.
+        keys += [(bus.id, q) for bus in net.buses for q in ("v_mag", "v_angle")]
+        keys += [(grid_object, "p_grid"), (NETWORK_OBJECT, "losses")]
+        stack_steps, solve_stack = _ac_stacks(net, cfg)
 
-    values: list[float] = []
-    for step in range(cfg.steps):
-        ws = samples[step]
-        row = [ws.cloud_factor, ws.wind_speed, ws.temperature]
-        try:
-            if use_acpf:
-                row += next(ac_values)
-            else:
-                productions = [pv_power(pv, ws) for pv in net.pvs]
-                productions += [wind_power(w, ws.wind_speed) for w in net.winds]
-                row += productions
-                row += demands
-                row.append(simple_power_distribution(demands, productions))
-        except Exception:
-            # The weather values come first: a bad one is the error to report.
-            _require_finite(f"step {step}", map(" ".join, keys), row)
-            raise
-        if not isfinite(sum(row)):
-            _require_finite(f"step {step}", map(" ".join, keys), row)
-        values += row
+    values = np.zeros((cfg.steps, len(keys)))
+    for first in range(0, cfg.steps, stack_steps):
+        block = values[first : first + stack_steps]
+        stack = samples[first : first + len(block)]
+        productions, failure = [], None
+        for step, ws in enumerate(stack, first):
+            try:
+                out = [pv_power(pv, ws) for pv in net.pvs]
+                out += [wind_power(w, ws.wind_speed) for w in net.winds]
+            except Exception as exc:
+                failure = step, exc
+                break
+            productions.append(out)
+        block[:, : len(_WEATHER)] = list(map(attrgetter(*_WEATHER), stack))
+        if productions:
+            results = block[: len(productions), len(_WEATHER) :]
+            failure = solve_stack(results, productions, first) or failure
+        # The scan ends at the failing step, whose row holds only its
+        # weather: a bad weather value there comes before the step's error.
+        end = len(block) if failure is None else failure[0] - first + 1
+        bad = np.flatnonzero(~np.isfinite(block[:end]).all(axis=1))
+        if bad.size:
+            _require_finite(f"step {first + int(bad[0])}", map(" ".join, keys), block[bad[0]])
+        if failure is not None:
+            raise failure[1]
 
-    k = len(keys)
     object_code, objects = _encode(obj for obj, _ in keys)
     quantity_code, quantities = _encode(q for _, q in keys)
     unit_code, units = _encode(QUANTITY_UNITS[q] for _, q in keys)
     steps = np.arange(cfg.steps, dtype=np.int64)
     return ResultTable(
-        step=np.repeat(steps, k),
-        hour=np.repeat((cfg.start_hour + steps) % 24, k),
+        step=np.repeat(steps, len(keys)),
+        hour=np.repeat((cfg.start_hour + steps) % 24, len(keys)),
         object_code=np.tile(object_code, cfg.steps),
         quantity_code=np.tile(quantity_code, cfg.steps),
         unit_code=np.tile(unit_code, cfg.steps),
-        value=np.array(values, dtype=np.float64),
-        objects=objects,
-        quantities=quantities,
-        units=units,
+        value=values.ravel(),
+        objects=objects, quantities=quantities, units=units,
     )
 
 
-def _ac_steps(
-    net: Network, cfg: SimulationConfig, samples: Sequence[WeatherSample]
-) -> Iterator[list[float]]:
-    """Each step's AC power-flow values, in step order: |V| and angle per bus, p_grid, losses.
+def _balance_values(demands: list, values: np.ndarray, productions: list, first: int) -> None:
+    """Write a stack's lossless-balance values: each producer's and load's power, then p_grid."""
+    values[:, : -1 - len(demands)] = productions
+    values[:, -1 - len(demands) : -1] = demands
+    values[:, -1] = [simple_power_distribution(demands, out) for out in productions]
 
-    The steps go in stacks of as many as NR_STACK_BYTES of augmented
-    matrices hold.  A stack's generation and injections are computed step
-    by step into one PowerFlowProblem, whose steps are then solved by
-    solve(stack, options, step) in step order: for acpf, the first solve
-    runs Newton-Raphson on the whole stack.  A step that fails raises its
-    error when it is reached, after the values of every step before it: a
-    generator's error, a SingularMatrixError, or NonConvergenceError.
+
+def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
+    """The steps per stack of an AC run, as many as NR_STACK_BYTES of matrices hold, and its solver.
+
+    The solver solves a stack by solve(stack, options, step) in step order,
+    writes the values of the steps before the first that fails, and returns
+    that step and its error, if any.
     """
     base = PerUnitBase(s_base=cfg.s_base_va, v_base=cfg.v_base_v)
     admittance = build_admittance(net, base)
     n = len(net.buses)
     slack = net.slack_index()
     pq = [i for i in range(n) if i != slack]
-    load_buses = [net.bus_index(load.bus) for load in net.loads]
-    producer_buses = [net.bus_index(dev.bus) for dev in (*net.pvs, *net.winds)]
-    matrix_bytes = 8 * 2 * len(pq) * (2 * len(pq) + 1)
-    chunk = max(1, NR_STACK_BYTES // matrix_bytes) if matrix_bytes else 1
+    m = len(pq)
+    # The loads' part of every step's injections, subtracted in device order.
+    p_load, q_load = np.zeros(n), np.zeros(n)
+    for load in net.loads:
+        i = net.bus_index(load.bus)
+        p_load[i] -= load.active_power
+        q_load[i] -= load.reactive_power
+    producer_buses = np.array([net.bus_index(d.bus) for d in (*net.pvs, *net.winds)], np.intp)
     options = SolverOptions(method=cfg.solver)
 
-    def values() -> Iterator[list[float]]:
-        for first in range(0, cfg.steps, chunk):
-            p_pu, q_pu, failure = [], [], None
-            for ws in samples[first : min(first + chunk, cfg.steps)]:
-                try:
-                    productions = [pv_power(pv, ws) for pv in net.pvs]
-                    productions += [wind_power(w, ws.wind_speed) for w in net.winds]
-                    p_watts = np.zeros(n)
-                    q_var = np.zeros(n)
-                    for load, i in zip(net.loads, load_buses):
-                        p_watts[i] -= load.active_power
-                        q_var[i] -= load.reactive_power
-                    for watts, i in zip(productions, producer_buses):
-                        p_watts[i] += watts
-                    p_pu.append(p_watts[pq] / cfg.s_base_va)
-                    q_pu.append(q_var[pq] / cfg.s_base_va)
-                except Exception as exc:
-                    failure = exc
-                    break
-            if p_pu:
-                stack = PowerFlowProblem(admittance, slack, np.array(p_pu), np.array(q_pu))
-                for i in range(len(stack)):
-                    try:
-                        solution = solve(stack, options, i)
-                    except SingularMatrixError as exc:
-                        raise SingularMatrixError(f"step {first + i}: {exc}") from exc
-                    if not solution.converged:
-                        worst = worst_mismatch_bus(stack, solution, i)
-                        raise NonConvergenceError(first + i, solution, net.buses[worst].id)
-                    voltages = np.column_stack((solution.v_mag * cfg.v_base_v, solution.v_angle))
-                    losses_pu = total_line_losses(net, base, solution.v_mag, solution.v_angle)
-                    yield [
-                        *voltages.ravel().tolist(),
-                        solution.slack_injection[0] * cfg.s_base_va,
-                        losses_pu * cfg.s_base_va,
-                    ]
-            if failure is not None:
-                raise failure
+    def solve_stack(values: np.ndarray, productions: list[list[float]], first: int):
+        p_watts = np.tile(p_load, (len(values), 1))
+        np.add.at(p_watts, (slice(None), producer_buses), productions)  # in device order
+        q_pu = np.tile(q_load[pq] / cfg.s_base_va, (len(values), 1))
+        stack = PowerFlowProblem(admittance, slack, p_watts[:, pq] / cfg.s_base_va, q_pu)
+        solutions, failure = [], None
+        for i in range(len(stack)):
+            try:
+                solution = solve(stack, options, i)
+            except SingularMatrixError as exc:
+                # Pivot k is the column of the angle (k < m) or |V| of PQ bus k % m.
+                where = "" if exc.pivot is None else " ({} of bus {!r})".format(
+                    "|V|" if exc.pivot >= m else "angle", net.buses[pq[exc.pivot % m]].id
+                )
+                failure = first + i, SingularMatrixError(f"step {first + i}: {exc}{where}")
+                break
+            if not solution.converged:
+                worst = net.buses[worst_mismatch_bus(stack, solution, i)].id
+                failure = first + i, NonConvergenceError(first + i, solution, worst)
+                break
+            solutions.append(solution)
+        if solutions:
+            v_mag = np.array([sol.v_mag for sol in solutions])
+            v_angle = np.array([sol.v_angle for sol in solutions])
+            rows = values[: len(solutions)]
+            rows[:, : 2 * n : 2] = v_mag * cfg.v_base_v
+            rows[:, 1 : 2 * n : 2] = v_angle
+            rows[:, -2] = np.array([sol.slack_injection[0] for sol in solutions]) * cfg.s_base_va
+            rows[:, -1] = total_line_losses(net, base, v_mag, v_angle) * cfg.s_base_va
+        return failure
 
-    return values()
+    matrix_bytes = 8 * 2 * m * (2 * m + 1)
+    return (max(1, NR_STACK_BYTES // matrix_bytes) if matrix_bytes else 1), solve_stack
 
 
 def _require_finite(where: str, names: Iterable[str], values: Iterable[float]) -> None:

@@ -37,7 +37,11 @@ METHOD_GAUSS_SEIDEL = "gs"
 
 
 class SingularMatrixError(RuntimeError):
-    """Linear system (or GS diagonal) is singular to working precision."""
+    """Linear system (or GS diagonal) singular to working precision; pivot is its index, if any."""
+
+    def __init__(self, message: str, pivot: int | None = None):
+        super().__init__(message)
+        self.pivot = pivot
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(n):
         pivot_row = int(np.abs(ab[k:, k]).argmax()) + k
         if abs(ab[pivot_row, k]) < 1e-12:
-            raise SingularMatrixError(f"pivot {k} below 1e-12")
+            raise SingularMatrixError(f"pivot {k} below 1e-12", k)
         if pivot_row != k:
             ab[[k, pivot_row]] = ab[[pivot_row, k]]
         col = ab[k + 1 :, k]

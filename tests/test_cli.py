@@ -204,7 +204,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "solver, message",
         [
-            ("acpf", "step 0: pivot 7 below 1e-12"),
+            ("acpf", "step 0: pivot 7 below 1e-12 (angle of bus 'ha4')"),
             ("gs", "power flow did not converge at step 0 "),
         ],
     )

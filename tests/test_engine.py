@@ -258,6 +258,34 @@ class TestRunSimulation:
         ):
             run_simulation(scenario)
 
+    @pytest.mark.parametrize("steps", STACK_STEPS)
+    def test_non_finite_balance_value_names_its_object(self, steps):
+        # Two 1e308 W loads are finite, but the grid's share of them is not.
+        text = bundled_scenario_text("case1")
+        assert text.count("p_w = 800\n") == 3
+        scenario = parse_scenario(text.replace("p_w = 800\n", "p_w = 1e308\n", 2))
+        with block_rows(steps), pytest.raises(
+            ValueError, match=r"^step 0: utility p_grid is inf, not a finite number$"
+        ):
+            run_simulation(scenario)
+
+    @pytest.mark.parametrize("steps", STACK_STEPS)
+    def test_first_failing_balance_step_is_reported_whatever_the_stacks(self, case1, steps):
+        # wind_power rejects step 5's negative speed, but step 3's NaN
+        # temperature comes first, in whichever stack either falls.
+        samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
+        backwards = list(samples)
+        backwards[5] = replace(samples[5], wind_speed=-1.0)
+        both = list(backwards)
+        both[3] = replace(samples[3], temperature=float("nan"))
+        with block_rows(steps):
+            with pytest.raises(ValueError, match=r"^wind speed must be >= 0, got -1\.0$"):
+                run_simulation(case1, weather=backwards)
+            with pytest.raises(
+                ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
+            ):
+                run_simulation(case1, weather=both)
+
     @pytest.fixture(scope="class")
     def bright_case2_pv(self):
         # A 1e200 W rooftop PV: from the first daylight step on, the AC
@@ -340,8 +368,9 @@ class TestRunSimulation:
         with stacks_of(network, steps), np.errstate(over="ignore"):
             # Three weather values, |V| and angle of three buses, p_grid, losses.
             assert len(run_simulation(scenario, weather=calm)) == 6 * 11
+            singular = r"^step 4: pivot 0 below 1e-12 \(angle of bus 'far'\)$"
             for weather in (sunny, backwards):
-                with pytest.raises(SingularMatrixError, match="^step 4: pivot 0 below 1e-12$"):
+                with pytest.raises(SingularMatrixError, match=singular):
                     run_simulation(scenario, weather=weather)
             with pytest.raises(NonConvergenceError) as exc:
                 run_simulation(scenario, weather=windy)
@@ -412,6 +441,41 @@ class TestStackedRuns:
         scenario = Scenario(
             network=net,
             config=replace(scenario.config, solver="acpf", steps=steps),
+            weather=WeatherParams(seed=seed),
+        )
+        outcomes = []
+        for size in (1, data.draw(st.integers(2, steps))):
+            with stacks_of(scenario.network, size):
+                try:
+                    outcomes.append(run_simulation(scenario).value.tobytes())
+                except (NonConvergenceError, SingularMatrixError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 60), data=st.data())
+    @settings(max_examples=25)
+    def test_balance_run_does_not_depend_on_the_stacks(self, seed, steps, data):
+        # A drawn balance run in one stack, in stacks of one step and in
+        # stacks of a drawn size gives the same values, bit for bit.
+        scenario = make_random_scenario(random.Random(seed))
+        scenario = Scenario(
+            network=scenario.network,
+            config=replace(scenario.config, solver="simple", steps=steps),
+            weather=WeatherParams(seed=seed),
+        )
+        values = run_simulation(scenario).value.tobytes()
+        for size in (1, data.draw(st.integers(2, steps))):
+            with block_rows(size):
+                assert run_simulation(scenario).value.tobytes() == values
+
+    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 4), data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_gauss_seidel_run_does_not_depend_on_the_stacks(self, seed, steps, data):
+        # As for acpf, over a few steps only: each takes hundreds of sweeps.
+        scenario = make_random_scenario(random.Random(seed))
+        scenario = Scenario(
+            network=scenario.network,
+            config=replace(scenario.config, solver="gs", steps=steps),
             weather=WeatherParams(seed=seed),
         )
         outcomes = []
