@@ -11,14 +11,14 @@ specified injection (generation positive, consumption negative).  Both
 solvers start flat and share one stop rule: the worst injection mismatch
 is within TOLERANCE, the solver's iteration cap is reached, or the
 mismatch is not finite.  So their results are directly comparable.  The
-tolerance and the caps are module constants, read by Gauss-Seidel at
-each call and by Newton-Raphson when it first solves a problem's steps.
+tolerance and the caps are module constants, read when a method first
+solves a problem's steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 from itertools import count
 from math import isfinite
 from typing import Sequence
@@ -57,10 +57,9 @@ class PowerFlowProblem:
 
     p_injection/q_injection have shape (S, n - 1), a vector being one
     step: row s holds step s's injection at each bus of pq_indices, the
-    non-slack buses in ascending order (a read-only intp array).  The
-    first Newton-Raphson solve of any step solves them all
-    (solve_newton_raphson_steps) and keeps the outcomes, each bit for bit
-    that of the step alone.  Gauss-Seidel solves a step alone.
+    non-slack buses in ascending order (a read-only intp array).  A
+    method's first solve of any step solves them all (solve_steps) and
+    keeps the outcomes, each bit for bit that of the step alone.
     """
 
     admittance: AdmittanceMatrix
@@ -68,6 +67,7 @@ class PowerFlowProblem:
     p_injection: np.ndarray
     q_injection: np.ndarray
     pq_indices: np.ndarray = field(init=False, repr=False)
+    _outcomes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.admittance.n
@@ -85,10 +85,11 @@ class PowerFlowProblem:
     def __len__(self) -> int:
         return len(self.p_injection)
 
-    @cached_property
-    def outcomes(self) -> tuple[PowerFlowSolution | SingularMatrixError, ...]:
-        """Each step's Newton-Raphson solution, or its SingularMatrixError."""
-        return tuple(solve_newton_raphson_steps(self))
+    def outcomes(self, method: str) -> tuple[PowerFlowSolution | SingularMatrixError, ...]:
+        """Each step's solution by `method`, or its SingularMatrixError."""
+        if method not in self._outcomes:
+            self._outcomes[method] = tuple(solve_steps(self, method))
+        return self._outcomes[method]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +118,10 @@ def compute_injections(
     The state is one vector per quantity, (n,), or a stack of them,
     (S, n).  Each state's Y V is its own matrix-vector product, so its
     injections do not depend on the other states of its stack; one
-    matrix-matrix product over the stack would round differently.  A
-    single state takes the plain product, the same BLAS call with less
-    numpy overhead, since Gauss-Seidel evaluates it at every sweep.
+    matrix-matrix product over the stack would round differently.
     """
     v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
-    y = admittance.y
-    s = v * np.conj(y @ v if v.ndim == 1 else np.matmul(y, v[:, :, None])[:, :, 0])
+    s = v * np.conj(np.matmul(admittance.y, v[..., None])[..., 0])
     return s.real, s.imag
 
 
@@ -312,10 +310,7 @@ def _mismatch(
     bus.
     """
     p_calc, q_calc = compute_injections(v_mag, v_angle, admittance)
-    # With the bus axis first (.T leaves a vector as it is), the PQ buses
-    # are a first-axis index, numpy's cheapest: Gauss-Seidel pays for this
-    # at every sweep.
-    mismatch = np.concatenate([p_spec.T - p_calc.T[pq], q_spec.T - q_calc.T[pq]]).T
+    mismatch = np.concatenate([p_spec - p_calc[..., pq], q_spec - q_calc[..., pq]], axis=-1)
     return mismatch, np.abs(mismatch).max(-1, initial=0.0), p_calc, q_calc
 
 
@@ -374,32 +369,45 @@ def worst_mismatch_bus(
     return int(pq[np.argmax(worst)])
 
 
-def solve_newton_raphson_steps(
-    problem: PowerFlowProblem,
+def solve_steps(
+    problem: PowerFlowProblem, method: str
 ) -> list[PowerFlowSolution | SingularMatrixError]:
-    """Full Newton-Raphson power flow from a flat start, for every step of a problem.
+    """Power flow from a flat start by `method`, for every step of a problem.
 
     The steps share one loop.  Each iteration evaluates their mismatches
-    together, ends the steps that the stop rule ends, and builds and
-    solves the Jacobians of the others as one stack; a lone step takes
-    the one-system elimination, which makes fewer numpy calls per pivot.
-    Every function involved computes each step as it would alone, so
-    each step's solution is bit for bit the one it gets in a problem of
-    its own.  A step whose Jacobian is singular gets its SingularMatrixError
-    in place of a solution, and the other steps go on.  An unconverged
-    stop gives the last state with converged=False so callers can
-    inspect it.  numpy's overflow and invalid-value warnings are
-    silenced, since the solutions report them.
+    together, ends the steps that the stop rule ends, and updates the
+    others; the method picks only the cap, the state, how it reads as |V|
+    and theta, and the update.  Each step's solution is bit for bit the
+    one it gets alone.  A step whose Jacobian is singular gets its
+    SingularMatrixError in place of a solution, and the other steps go on;
+    a zero Gauss-Seidel diagonal is every step's error.  numpy's overflow
+    and invalid-value warnings are silenced: the solutions report them.
     """
     admittance, slack, pq = problem.admittance, problem.slack_index, problem.pq_indices
-    m = len(pq)
     p_spec, q_spec = problem.p_injection, problem.q_injection
-    outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(p_spec)
-    steps = list(range(len(p_spec)))
-    v_mag = np.ones((len(steps), admittance.n))
-    v_angle = np.zeros((len(steps), admittance.n))
+    shape = (len(problem), admittance.n)
+    if method == METHOD_NEWTON_RAPHSON:
+        cap = NR_MAX_ITERATIONS
+        state = (np.ones(shape), np.zeros(shape))
+        polar = lambda v_mag, v_angle: (v_mag, v_angle)
+        update = partial(_newton_step, admittance, pq)
+    elif method == METHOD_GAUSS_SEIDEL:
+        y = admittance.y
+        if zero := [i for i in pq.tolist() if y[i, i] == 0]:
+            message = f"zero admittance diagonal at bus index {zero[0]}"
+            return [SingularMatrixError(message) for _ in range(len(problem))]
+        cap = GS_MAX_ITERATIONS
+        # Complex V, and S* at the PQ buses.
+        state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec))
+        polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
+        update = partial(_gauss_seidel_sweeps, [(i, y[i].dot, y[i, i]) for i in pq.tolist()])
+    else:
+        raise ValueError(f"unknown solver method {method!r}")
+    outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
+    steps = list(range(len(problem)))
     with np.errstate(over="ignore", invalid="ignore"):
         for it in count():
+            v_mag, v_angle = polar(*state)
             mismatch, worst, p_calc, q_calc = _mismatch(
                 admittance, p_spec, q_spec, v_mag, v_angle, pq
             )
@@ -409,7 +417,7 @@ def solve_newton_raphson_steps(
                 if outcomes[step] is None:
                     outcomes[step] = _stop(
                         v_mag[i], v_angle[i], max_mismatch, (p_calc[i], q_calc[i]),
-                        slack, it, NR_MAX_ITERATIONS,
+                        slack, it, cap,
                     )
                 if outcomes[step] is None:
                     going.append(i)
@@ -417,102 +425,89 @@ def solve_newton_raphson_steps(
                 return outcomes
             if len(going) < len(steps):
                 steps = [steps[i] for i in going]
-                v_mag, v_angle, p_spec, q_spec, mismatch, p_calc, q_calc = (
-                    arr[going] for arr in (v_mag, v_angle, p_spec, q_spec, mismatch, p_calc, q_calc)
+                state = tuple(arr[going] for arr in state)
+                p_spec, q_spec, mismatch, p_calc, q_calc = (
+                    arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
                 )
-            jac = newton_jacobian(v_mag, v_angle, admittance, pq, (p_calc, q_calc))
-            if len(steps) == 1:
-                try:
-                    dx = solve_linear(jac[0], mismatch[0])[None]
-                except SingularMatrixError as exc:
-                    outcomes[steps[0]] = exc
-                    return outcomes
-            else:
-                dx = solve_linear(jac, mismatch)
-                # A singular system comes back as NaN; alone, it raises
-                # the step's error.
-                for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
-                    try:
-                        _eliminate(jac[i], mismatch[i])
-                    except SingularMatrixError as exc:
-                        outcomes[steps[i]] = exc
-            v_angle[:, pq] += dx[:, :m]
-            v_mag[:, pq] += dx[:, m:]
+            for i, error in update(state, mismatch, (p_calc, q_calc)):
+                outcomes[steps[i]] = error
 
 
-def solve_newton_raphson(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
-    """Full Newton-Raphson power flow from a flat start, for one step of a problem.
+def _newton_step(
+    admittance: AdmittanceMatrix, pq: np.ndarray, state: tuple[np.ndarray, np.ndarray],
+    mismatch: np.ndarray, injections: tuple[np.ndarray, np.ndarray],
+) -> list[tuple[int, SingularMatrixError]]:
+    """One Newton-Raphson iteration of a stack of (|V|, theta) states, in place.
 
-    Each iteration solves J dx = mismatch for the angle and magnitude
-    corrections of the PQ buses.  The outcome is problem.outcomes[step].
-    A singular Jacobian raises SingularMatrixError; an unconverged stop
-    returns the last state with converged=False.
+    J dx = mismatch gives each state's angle and magnitude corrections.
+    The Jacobians are built and solved as one stack; a lone state takes
+    the one-system elimination, which makes fewer numpy calls per pivot.
+    Returns (index, error) for each state whose Jacobian is singular.
     """
-    outcome = problem.outcomes[step]
-    if isinstance(outcome, SingularMatrixError):
-        raise outcome
-    return outcome
+    v_mag, v_angle = state
+    m = len(pq)
+    jac = newton_jacobian(v_mag, v_angle, admittance, pq, injections)
+    errors = []
+    if len(jac) == 1:
+        try:
+            dx = solve_linear(jac[0], mismatch[0])[None]
+        except SingularMatrixError as exc:
+            return [(0, exc)]
+    else:
+        dx = solve_linear(jac, mismatch)
+        # A singular system comes back as NaN; alone, it raises its error.
+        for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
+            try:
+                _eliminate(jac[i], mismatch[i])
+            except SingularMatrixError as exc:
+                errors.append((i, exc))
+    v_angle[:, pq] += dx[:, :m]
+    v_mag[:, pq] += dx[:, m:]
+    return errors
 
 
-def solve_gauss_seidel(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
-    """Gauss-Seidel power flow of step `step`, with in-place complex voltage sweeps.
+def _gauss_seidel_sweeps(
+    buses: list[tuple], state: tuple, mismatch: np.ndarray, injections: tuple
+) -> tuple[()]:
+    """One Gauss-Seidel sweep of each (V, S*) state of a stack in turn, in place.
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
-    It stops by the same rule as Newton-Raphson, on the same injection
-    mismatch, with GS_MAX_ITERATIONS sweeps as the cap, so the two
-    solvers are cross-comparable.
-
-    A sweep costs per-call overhead, not arithmetic, so every per-bus
-    constant (row of Y, Y_ii, S_i*) is looked up once per solve.  The
-    row sum is a dense BLAS dot over the whole row minus Y_ii V_i, and
-    the divisions are numpy scalar divisions: summing only the nonzeros
-    would regroup the dot's SIMD accumulation, and Python complex
-    division rounds differently, so either would move printed digits.
+    buses holds each PQ bus's index, the bound dot of its row of Y
+    (ndarray.dot is np.dot without the dispatch wrapper) and Y_ii, looked
+    up once per solve: a sweep costs per-call overhead, not arithmetic.
+    The row sum is a dense BLAS dot minus Y_ii V_i, and the divisions are
+    numpy scalar divisions: summing only the nonzeros would regroup the
+    dot's SIMD accumulation, and Python complex division rounds
+    differently, so either would move printed digits.  complex.conjugate
+    here, and np.arctan2 in solve_steps, give the bits of np.conj and
+    np.angle with less overhead.  The mismatch and injections are unused.
     """
-    y = problem.admittance.y
-    n = problem.admittance.n
-    pq = problem.pq_indices
-    for i in pq.tolist():
-        if y[i, i] == 0:
-            raise SingularMatrixError(f"zero admittance diagonal at bus index {i}")
-    p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
-    s_spec = np.zeros(n, dtype=complex)
-    s_spec[pq] = p_spec + 1j * q_spec
-    # Per PQ bus: index, bound dot of its row of Y (ndarray.dot is np.dot
-    # without the dispatch wrapper), Y_ii and S_i*.  complex.conjugate and
-    # np.arctan2 below give the bits of np.conj and np.angle, minus their
-    # per-call overhead.
-    buses = [(i, y[i].dot, y[i, i], np.conj(s_spec[i])) for i in pq.tolist()]
     conj = complex.conjugate
-    v = np.ones(n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in count():
-            v_mag = np.abs(v)
-            v_angle = np.arctan2(v.imag, v.real)
-            _, worst, p_calc, q_calc = _mismatch(
-                problem.admittance, p_spec, q_spec, v_mag, v_angle, pq
-            )
-            solution = _stop(
-                v_mag, v_angle, float(worst), (p_calc, q_calc), problem.slack_index, it,
-                GS_MAX_ITERATIONS,
-            )
-            if solution is not None:
-                return solution
-            for i, row_dot, y_ii, s_conj in buses:
-                v_i = v[i]
-                v[i] = (s_conj / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
+    for v, s_conj in zip(*state):
+        for (i, row_dot, y_ii), s in zip(buses, s_conj):
+            v_i = v[i]
+            v[i] = (s / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
+    return ()
 
 
 def solve(
     problem: PowerFlowProblem, options: SolverOptions | None = None, step: int = 0
 ) -> PowerFlowSolution:
-    """Solve step `step` of a problem with the solver named by options.method."""
-    method = (options or SolverOptions()).method
-    if method == METHOD_NEWTON_RAPHSON:
-        return solve_newton_raphson(problem, step)
-    if method == METHOD_GAUSS_SEIDEL:
-        return solve_gauss_seidel(problem, step)
-    raise ValueError(f"unknown solver method {method!r}")
+    """Solve step `step` by options.method: problem.outcomes(method)[step], its error raised."""
+    outcome = problem.outcomes((options or SolverOptions()).method)[step]
+    if isinstance(outcome, SingularMatrixError):
+        raise outcome
+    return outcome
+
+
+def solve_newton_raphson(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
+    """solve by Newton-Raphson, the default method."""
+    return solve(problem, SolverOptions(METHOD_NEWTON_RAPHSON), step)
+
+
+def solve_gauss_seidel(problem: PowerFlowProblem, step: int = 0) -> PowerFlowSolution:
+    """solve by Gauss-Seidel."""
+    return solve(problem, SolverOptions(METHOD_GAUSS_SEIDEL), step)
 
 
 def simple_power_distribution(demands: Sequence[float], productions: Sequence[float]) -> float:

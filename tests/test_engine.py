@@ -302,23 +302,38 @@ class TestRunSimulation:
             run_simulation(scenario, weather=samples)
         assert exc.value.step == 7
 
+    @pytest.mark.parametrize(
+        "solver, bright",
+        [
+            (
+                "acpf",
+                "power flow did not converge at step 7 (max mismatch inf pu after 1 "
+                "iterations; worst at bus 'hb4'; |V| from 0.995383 to 4.92905e+192 pu)",
+            ),
+            (
+                "gs",
+                "power flow did not converge at step 7 (max mismatch inf pu after 1 "
+                "iterations; worst at bus 'hb4'; |V| from 0.999881 to 3.08066e+191 pu)",
+            ),
+        ],
+        ids=["acpf", "gs"],
+    )
     @pytest.mark.parametrize("steps", STACK_STEPS)
-    def test_first_failing_step_is_reported_whatever_the_stacks(self, bright_case2_pv, steps):
+    def test_first_failing_step_is_reported_whatever_the_stacks(
+        self, bright_case2_pv, steps, solver, bright
+    ):
         # Step 7 fails to converge while later steps of its stack are
         # solved; a bad weather value before it, or at it, comes first.
         scenario, samples = bright_case2_pv
+        scenario = replace(scenario, config=replace(scenario.config, solver=solver))
         nan_temperature = list(samples)
         nan_temperature[3] = replace(samples[3], temperature=float("nan"))
         inf_cloud = list(samples)
         inf_cloud[7] = replace(samples[7], cloud_factor=-float("inf"))
         inf_wind = list(samples)
         inf_wind[7] = replace(samples[7], wind_speed=-float("inf"))
-        bright = (
-            "power flow did not converge at step 7 (max mismatch inf pu after 1 "
-            "iterations; worst at bus 'hb4'; |V| from 0.995383 to 4.92905e+192 pu)"
-        )
         hot = parse_scenario(overheated_case1_text())
-        hot = replace(hot, config=replace(hot.config, solver="acpf"))
+        hot = replace(hot, config=replace(hot.config, solver=solver))
         not_finite = "step {}: weather {} is {}, not a finite number"
         cases = [
             (scenario, samples, NonConvergenceError, bright),

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -547,7 +547,7 @@ class TestStacks:
             y[[0, i], [i, 0]] -= g
         p = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.0, np.inf], [0.0, 0.0]])
         stack = PowerFlowProblem(AdmittanceMatrix(y), 0, p, np.zeros_like(p))
-        outcomes = stack.outcomes
+        outcomes = stack.outcomes("acpf")
         assert outcomes[0].converged and outcomes[0].iterations == 0
         for s in (1, 2):
             assert isinstance(outcomes[s], SingularMatrixError)
@@ -562,6 +562,31 @@ class TestStacks:
             else:
                 assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
 
+    @given(
+        net=radial_feeders(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=25)
+    def test_each_gauss_seidel_step_as_if_alone(self, net, scales, data):
+        # As test_each_step_as_if_alone, against the per-bus loop; at a
+        # lower cap, so that the heavy steps stop soon.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(powerflow, "GS_MAX_ITERATIONS", 200)
+            base = problem_for(net)
+            p = np.outer(scales, base.p_injection)
+            q = np.outer(scales, base.q_injection)
+            steps = st.sampled_from(range(len(scales)))
+            subset = data.draw(st.lists(steps, min_size=1, max_size=8))
+            cuts = st.sets(st.integers(1, len(subset) - 1)) if len(subset) > 1 else st.just(set())
+            bounds = sorted(data.draw(cuts))
+            gs = SolverOptions(method="gs")
+            for chunk in np.split(np.array(subset), bounds):
+                stack = PowerFlowProblem(base.admittance, base.slack_index, p[chunk], q[chunk])
+                for s, i in enumerate(chunk.tolist()):
+                    alone = replace(base, p_injection=p[i], q_injection=q[i])
+                    assert_same_bits(solve(stack, gs, s), loop_gauss_seidel(alone))
+
     def test_stack_is_solved_once_and_gauss_seidel_alone(self, monkeypatch):
         net = make_radial_network(random.Random(71), 6)
         base = problem_for(net)
@@ -573,16 +598,19 @@ class TestStacks:
             np.outer(scales, base.q_injection),
         )
         calls = []
-        stacked = powerflow.solve_newton_raphson_steps
+        stacked = powerflow.solve_steps
         monkeypatch.setattr(
-            powerflow, "solve_newton_raphson_steps", lambda s: calls.append(len(s)) or stacked(s)
+            powerflow,
+            "solve_steps",
+            lambda s, method: calls.append((len(s), method)) or stacked(s, method),
         )
         gs = SolverOptions(method="gs")
         for s in (2, 0, 1):
-            assert_same_bits(solve(stack, None, s), stack.outcomes[s])
+            assert_same_bits(solve(stack, None, s), stack.outcomes("acpf")[s])
             alone = replace(base, p_injection=stack.p_injection[s], q_injection=stack.q_injection[s])
             assert_same_bits(solve(stack, gs, s), solve_gauss_seidel(alone))
-        assert calls == [3]
+        # One call per stack and method, then the lone steps' own.
+        assert calls == [(3, "acpf"), (3, "gs")] + [(1, "gs")] * 3
 
     def test_problem_and_stack_shapes(self):
         y = AdmittanceMatrix(np.eye(3, dtype=complex))
@@ -631,6 +659,11 @@ class TestGaussSeidel:
         problem = PowerFlowProblem(y, 0, np.array([0.1]), np.array([0.0]))
         with pytest.raises(SingularMatrixError):
             solve_gauss_seidel(problem)
+        # In a stack, it is every step's error.
+        stack = PowerFlowProblem(y, 0, np.array([[0.1], [0.0]]), np.zeros((2, 1)))
+        for s in range(2):
+            with pytest.raises(SingularMatrixError, match="^zero admittance diagonal at bus index 1$"):
+                solve_gauss_seidel(stack, s)
 
     def test_iteration_cap_returns_non_converged(self, monkeypatch):
         monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 3)
