@@ -37,7 +37,6 @@ from .powerflow import (
     simple_power_distribution,
     solve,
     total_line_losses,
-    worst_mismatch_bus,
 )
 from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig, format_number
 from .weather import WeatherSample, load_weather_csv, weather_series
@@ -188,9 +187,9 @@ class SummaryRow:
 class NonConvergenceError(RuntimeError):
     """The power-flow solver failed to converge at a simulation step.
 
-    worst_bus is the id of the PQ bus with the largest final P or Q
-    mismatch, as powerflow.worst_mismatch_bus picks it on an overflowed
-    state; v_mag_range is (min, max) of the last iterate's |V| in pu.
+    worst_bus is the id of the bus at solution.worst_bus (see
+    PowerFlowSolution); v_mag_range is (min, max) of the last iterate's
+    |V| in pu.
     """
 
     def __init__(self, step: int, solution: PowerFlowSolution, worst_bus: str):
@@ -352,7 +351,7 @@ def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
                 failure = first + i, SingularMatrixError(f"step {first + i}: {exc}{where}")
                 break
             if not solution.converged:
-                worst = net.buses[worst_mismatch_bus(stack, solution, i)].id
+                worst = net.buses[solution.worst_bus].id
                 failure = first + i, NonConvergenceError(first + i, solution, worst)
                 break
             solutions.append(solution)

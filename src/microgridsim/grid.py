@@ -69,8 +69,8 @@ class PerUnitBase:
     v_base: float
 
     def __post_init__(self) -> None:
-        if self.s_base <= 0.0 or self.v_base <= 0.0:
-            raise ValueError("per-unit bases must be positive")
+        if not (0.0 < self.s_base < math.inf and 0.0 < self.v_base < math.inf):
+            raise ValueError("per-unit bases must be positive and finite")
 
     @property
     def z_base(self) -> float:

@@ -10,9 +10,10 @@ One slack bus holds |V| = 1 pu, theta = 0; every other bus is PQ with a
 specified injection (generation positive, consumption negative).  Both
 solvers start flat and share one stop rule: the worst injection mismatch
 is within TOLERANCE, the solver's iteration cap is reached, or the
-mismatch is not finite.  So their results are directly comparable.  The
-tolerance and the caps are module constants, read when a method first
-solves a problem's steps.
+mismatch is not finite.  So their results are directly comparable.  A
+step that stops unconverged names the PQ bus with its worst final
+mismatch.  The tolerance and the caps are module constants, read when a
+method first solves a problem's steps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +94,13 @@ class PowerFlowProblem:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """Voltage state plus convergence bookkeeping; slack stays (1.0, 0.0)."""
+    """Voltage state plus convergence bookkeeping; slack stays (1.0, 0.0).
+
+    worst_bus is None for a converged state.  For one that is not, it is
+    the index of the PQ bus with the largest final |dP| or |dQ|, or, when
+    that mismatch has overflowed, of the non-finite bus with the largest
+    specified max(|P|, |Q|).
+    """
 
     v_mag: np.ndarray
     v_angle: np.ndarray
@@ -102,6 +108,7 @@ class PowerFlowSolution:
     max_mismatch: float
     slack_injection: tuple[float, float]
     converged: bool
+    worst_bus: int | None
 
     def __post_init__(self) -> None:
         for name in ("v_mag", "v_angle"):
@@ -314,54 +321,18 @@ def _mismatch(
     return mismatch, np.abs(mismatch).max(-1, initial=0.0), p_calc, q_calc
 
 
-def _stop(
-    v_mag: np.ndarray,
-    v_angle: np.ndarray,
-    max_mismatch: float,
-    injections: tuple[np.ndarray, np.ndarray],
-    slack: int,
-    iterations: int,
-    max_iterations: int,
-) -> PowerFlowSolution | None:
-    """The stop rule of both solvers, at one state after `iterations` steps.
-
-    Returns the state as a PowerFlowSolution when the iteration stops
-    there: the worst mismatch is within TOLERANCE (converged), the cap is
-    reached, or the mismatch is not finite.  Otherwise it returns None.
-    """
-    converged = max_mismatch <= TOLERANCE
-    if converged or iterations >= max_iterations or not isfinite(max_mismatch):
-        p_calc, q_calc = injections
-        return PowerFlowSolution(
-            v_mag=v_mag,
-            v_angle=v_angle,
-            iterations=iterations,
-            max_mismatch=max_mismatch,
-            slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
-            converged=converged,
-        )
-    return None
-
-
-def worst_mismatch_bus(
-    problem: PowerFlowProblem, solution: PowerFlowSolution, step: int = 0
+def _worst_bus(
+    mismatch: np.ndarray, p_spec: np.ndarray, q_spec: np.ndarray, pq: np.ndarray
 ) -> int:
-    """Index of the PQ bus whose final |dP| or |dQ| at `step` is largest, as np.argmax picks it.
+    """Index of the PQ bus with the largest |dP| or |dQ| in one state's mismatch.
 
-    When the last iterate has overflowed, several buses' mismatch is
-    inf or NaN and the first of them says nothing of the cause.  Then
-    the bus named is the one, among those, with the largest specified
-    max(|P|, |Q|) injection.  The state may have overflowed, as the
-    solver's own mismatch did, so numpy's warnings are silenced here too.
+    np.argmax picks among equals.  When the state has overflowed, several
+    buses' mismatch is inf or NaN and the first of them says nothing of
+    the cause.  Then the bus named is the one, among those, with the
+    largest specified max(|P|, |Q|) injection.
     """
-    pq = problem.pq_indices
     m = len(pq)
-    p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mismatch, _, _, _ = _mismatch(
-            problem.admittance, p_spec, q_spec, solution.v_mag, solution.v_angle, pq
-        )
-        worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
+    worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
     overflowed = ~np.isfinite(worst)
     if overflowed.any():
         load = np.maximum(np.abs(p_spec), np.abs(q_spec))
@@ -375,13 +346,16 @@ def solve_steps(
     """Power flow from a flat start by `method`, for every step of a problem.
 
     The steps share one loop.  Each iteration evaluates their mismatches
-    together, ends the steps that the stop rule ends, and updates the
-    others; the method picks only the cap, the state, how it reads as |V|
-    and theta, and the update.  Each step's solution is bit for bit the
-    one it gets alone.  A step whose Jacobian is singular gets its
-    SingularMatrixError in place of a solution, and the other steps go on;
-    a zero Gauss-Seidel diagonal is every step's error.  numpy's overflow
-    and invalid-value warnings are silenced: the solutions report them.
+    together, applies the stop rule to all of them as one boolean mask,
+    builds a solution for each step that stops, and updates the others;
+    the method picks only the cap, the state, how it reads as |V| and
+    theta, and the update.  A step that stops unconverged gets its worst
+    bus (_worst_bus) from the mismatch that stopped it.  Each step's
+    solution is bit for bit the one it gets alone.  A step whose Jacobian
+    is singular gets its SingularMatrixError in place of a solution, and
+    the other steps go on; a zero Gauss-Seidel diagonal is every step's
+    error.  numpy's overflow and invalid-value warnings are silenced: the
+    solutions report them.
     """
     admittance, slack, pq = problem.admittance, problem.slack_index, problem.pq_indices
     p_spec, q_spec = problem.p_injection, problem.q_injection
@@ -404,33 +378,42 @@ def solve_steps(
     else:
         raise ValueError(f"unknown solver method {method!r}")
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
-    steps = list(range(len(problem)))
+    steps = np.arange(len(problem))
+    # The steps whose Jacobian the last update found singular: they keep their error.
+    singular = np.zeros(len(problem), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in count():
             v_mag, v_angle = polar(*state)
             mismatch, worst, p_calc, q_calc = _mismatch(
                 admittance, p_spec, q_spec, v_mag, v_angle, pq
             )
-            going = []
-            for i, (step, max_mismatch) in enumerate(zip(steps, worst.tolist())):
-                # A step that met a singular Jacobian keeps its error.
-                if outcomes[step] is None:
-                    outcomes[step] = _stop(
-                        v_mag[i], v_angle[i], max_mismatch, (p_calc[i], q_calc[i]),
-                        slack, it, cap,
+            # The stop rule, negated: a step goes on while its mismatch is
+            # finite and above TOLERANCE and the cap is not reached.
+            going = (worst > TOLERANCE) & np.isfinite(worst) & (it < cap) & ~singular
+            if not going.all():
+                converged = worst <= TOLERANCE
+                for i in np.flatnonzero(~(going | singular)).tolist():
+                    ok = bool(converged[i])
+                    outcomes[steps[i]] = PowerFlowSolution(
+                        v_mag=v_mag[i],
+                        v_angle=v_angle[i],
+                        iterations=it,
+                        max_mismatch=float(worst[i]),
+                        slack_injection=(float(p_calc[i, slack]), float(q_calc[i, slack])),
+                        converged=ok,
+                        worst_bus=None if ok else _worst_bus(mismatch[i], p_spec[i], q_spec[i], pq),
                     )
-                if outcomes[step] is None:
-                    going.append(i)
-            if not going:
-                return outcomes
-            if len(going) < len(steps):
-                steps = [steps[i] for i in going]
+                if not going.any():
+                    return outcomes
+                steps = steps[going]
                 state = tuple(arr[going] for arr in state)
                 p_spec, q_spec, mismatch, p_calc, q_calc = (
                     arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
                 )
+                singular = np.zeros(len(steps), dtype=bool)
             for i, error in update(state, mismatch, (p_calc, q_calc)):
                 outcomes[steps[i]] = error
+                singular[i] = True
 
 
 def _newton_step(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import settings
@@ -211,18 +212,46 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
         max_mismatch = float(np.max(np.abs(mismatch))) if len(pq) else 0.0
         converged = max_mismatch <= powerflow.TOLERANCE
         if converged or it >= max_iter:
-            return PowerFlowSolution(
+            solution = PowerFlowSolution(
                 v_mag=v_mag,
                 v_angle=v_angle,
                 iterations=it,
                 max_mismatch=max_mismatch,
                 slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
                 converged=converged,
+                worst_bus=None,
             )
+            if converged:
+                return solution
+            return replace(solution, worst_bus=loop_worst_mismatch_bus(problem, solution))
         for i in pq:
             row_sum = y[i, :] @ v - y[i, i] * v[i]
             v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
         it += 1
+
+
+def loop_worst_mismatch_bus(
+    problem: PowerFlowProblem, solution: PowerFlowSolution, step: int = 0
+) -> int:
+    """Reference for PowerFlowSolution.worst_bus: recomputed from the final state.
+
+    The index of the PQ bus whose final |dP| or |dQ| at `step` is largest,
+    as np.argmax picks it.  When the state has overflowed, several buses'
+    mismatch is inf or NaN; then it is the one, among those, with the
+    largest specified max(|P|, |Q|) injection.
+    """
+    pq = problem.pq_indices
+    m = len(pq)
+    p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_calc, q_calc = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
+        mismatch = np.concatenate([p_spec - p_calc[pq], q_spec - q_calc[pq]])
+        worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
+    overflowed = ~np.isfinite(worst)
+    if overflowed.any():
+        load = np.maximum(np.abs(p_spec), np.abs(q_spec))
+        worst = np.where(overflowed, load, -np.inf)
+    return int(pq[np.argmax(worst)])
 
 
 def loop_line_losses(network: Network, base: PerUnitBase, v_mag, v_angle) -> float:

@@ -74,11 +74,22 @@ class TestPerUnitBase:
     def test_street_base(self):
         assert BASE.z_base == pytest.approx(5.29)
 
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            PerUnitBase(0.0, 230.0)
-        with pytest.raises(ValueError):
-            PerUnitBase(10_000.0, -5.0)
+    @pytest.mark.parametrize(
+        "s_base, v_base",
+        [
+            (0.0, 230.0),
+            (10_000.0, -5.0),
+            # NaN made z_base NaN, and an infinite s_base made it 0.0.
+            (math.nan, 230.0),
+            (math.inf, 230.0),
+            (-math.inf, 230.0),
+            (10_000.0, math.nan),
+            (10_000.0, math.inf),
+        ],
+    )
+    def test_positive_required(self, s_base, v_base):
+        with pytest.raises(ValueError, match="^per-unit bases must be positive and finite$"):
+            PerUnitBase(s_base, v_base)
 
 
 class TestBuildAdmittance:

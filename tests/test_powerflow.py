@@ -34,7 +34,6 @@ from microgridsim import (
     total_line_losses,
 )
 from microgridsim import powerflow
-from microgridsim.powerflow import PowerFlowSolution, worst_mismatch_bus
 from conftest import (
     BASE,
     finite_difference_jacobian,
@@ -42,6 +41,7 @@ from conftest import (
     loop_jacobian,
     loop_line_losses,
     loop_solve_linear,
+    loop_worst_mismatch_bus,
     make_radial_network,
     problem_for,
 )
@@ -83,6 +83,7 @@ def assert_same_solution(a, b) -> None:
     assert a.max_mismatch == b.max_mismatch
     assert a.slack_injection == b.slack_injection
     assert a.converged == b.converged
+    assert a.worst_bus == b.worst_bus
 
 
 def random_reactive_network(rng: random.Random, n_buses: int, **kwargs):
@@ -194,6 +195,7 @@ def assert_same_bits(a, b) -> None:
     assert same_bits(a.max_mismatch, b.max_mismatch)
     assert same_bits(a.slack_injection, b.slack_injection)
     assert a.converged == b.converged
+    assert a.worst_bus == b.worst_bus
 
 
 class TestComputeInjections:
@@ -769,10 +771,16 @@ class TestLineLosses:
 
 
 class TestWorstMismatchBus:
-    def test_each_step_against_its_own_injections(self):
-        # A four-bus chain whose three steps each load one bus most.  At
-        # the flat state each step's mismatch is about its own injections,
-        # so steps 0 and 2 have different worst buses.
+    """worst_bus of each unconverged step against loop_worst_mismatch_bus."""
+
+    @pytest.mark.parametrize(
+        "method, cap", [("acpf", "NR_MAX_ITERATIONS"), ("gs", "GS_MAX_ITERATIONS")]
+    )
+    def test_each_step_against_its_own_injections(self, monkeypatch, method, cap):
+        # A four-bus chain whose three steps each load one bus most.  With
+        # no iteration allowed, every step stops unconverged at the flat
+        # state, where its mismatch is about its own injections, so steps
+        # 0 and 2 have different worst buses, stacked and alone.
         net = Network(
             buses=tuple(
                 Bus(f"bus{i}", BusKind.SLACK if i == 0 else BusKind.PQ, 230.0) for i in range(4)
@@ -783,12 +791,57 @@ class TestWorstMismatchBus:
         )
         p = -np.array([[0.3, 0.1, 0.1], [0.1, 0.3, 0.1], [0.1, 0.1, 0.3]])
         problem = PowerFlowProblem(build_admittance(net, BASE), 0, p, np.zeros_like(p))
-        flat = PowerFlowSolution(np.ones(4), np.zeros(4), 0, 0.3, (0.0, 0.0), False)
-        assert [worst_mismatch_bus(problem, flat, s) for s in range(3)] == [1, 2, 3]
-        assert worst_mismatch_bus(problem, flat) == 1
-        for s in range(3):
+        monkeypatch.setattr(powerflow, cap, 0)
+        options = SolverOptions(method=method)
+        stacked = [solve(problem, options, s) for s in range(3)]
+        assert [sol.worst_bus for sol in stacked] == [1, 2, 3]
+        for s, sol in enumerate(stacked):
+            assert not sol.converged
+            assert sol.worst_bus == loop_worst_mismatch_bus(problem, sol, s)
             alone = PowerFlowProblem(problem.admittance, 0, p[s], np.zeros(3))
-            assert worst_mismatch_bus(alone, flat) == worst_mismatch_bus(problem, flat, s)
+            assert_same_bits(solve(alone, options), sol)
+
+    @given(
+        net=radial_feeders(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+        cuts=st.sets(st.integers(1, 5)),
+        overflow=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 10)),
+    )
+    @example(
+        net=make_radial_network(random.Random(7), 5),
+        scales=[1.0, 40.0, 1.0, 1.0],
+        cuts={2},
+        overflow=(3, 1),
+    )
+    @settings(max_examples=25)
+    def test_unconverged_steps_name_the_oracle_bus(self, net, scales, cuts, overflow):
+        # Steps scale the feeder's loads, so heavy ones fail to converge,
+        # and `overflow` puts a 1e308 var load on one (step, bus), whose
+        # iterates overflow.  The steps are solved in chunks split at the
+        # drawn cuts, by each method; GS has a cap of 20 sweeps, so that
+        # most of its steps stop there with a finite mismatch.  Each
+        # unconverged step's worst_bus is the oracle's on that step alone,
+        # and each converged step's is None.
+        base = problem_for(net)
+        p = np.outer(scales, base.p_injection)
+        q = np.outer(scales, base.q_injection)
+        if overflow is not None:
+            q[overflow[0] % len(scales), overflow[1] % q.shape[1]] = -1e308 / BASE.s_base
+        bounds = sorted(c for c in cuts if c < len(scales))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(powerflow, "GS_MAX_ITERATIONS", 20)
+            for options in (SolverOptions(method="acpf"), SolverOptions(method="gs")):
+                for chunk in np.split(np.arange(len(scales)), bounds):
+                    stack = PowerFlowProblem(base.admittance, base.slack_index, p[chunk], q[chunk])
+                    for s, i in enumerate(chunk.tolist()):
+                        alone = replace(base, p_injection=p[i], q_injection=q[i])
+                        expected = solve(alone, options)
+                        solution = solve(stack, options, s)
+                        assert_same_bits(solution, expected)
+                        if solution.converged:
+                            assert solution.worst_bus is None
+                        else:
+                            assert solution.worst_bus == loop_worst_mismatch_bus(alone, expected)
 
 
 class TestPowerBalance:
