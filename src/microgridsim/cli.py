@@ -30,7 +30,6 @@ from .scenario import (
     parse_scenario,
     simulation_pairs,
 )
-from .weather import WeatherTraceError, load_weather_csv
 
 
 class _UsageError(Exception):
@@ -71,6 +70,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _print_scenario_errors(path: str, exc: ScenarioFormatError) -> None:
@@ -89,43 +90,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_scenario_errors(args.scenario, exc)
         return 1
 
-    cfg = scenario.config
-    if args.steps is not None:
-        if args.steps < 1:
-            raise _UsageError("--steps must be at least 1")
-        cfg = replace(cfg, steps=args.steps)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise _UsageError("--seed must fit in an unsigned 64-bit integer")
-        cfg = replace(cfg, seed=args.seed)
-    if args.solver is not None:
-        cfg = replace(cfg, solver=args.solver)
+    flags = {"steps": args.steps, "seed": args.seed, "solver": args.solver}
+    try:
+        cfg = replace(scenario.config, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:  # the message starts with the key, which names the flag
+        raise _UsageError(f"--{exc}") from None
     scenario = replace(scenario, config=cfg)
-
-    weather = None
-    if args.weather_csv is not None:
-        try:
-            weather = load_weather_csv(args.weather_csv)
-        except OSError as exc:
-            raise _UsageError(
-                f"cannot read {args.weather_csv!r}: {exc.strerror or exc}"
-            ) from None
-        except WeatherTraceError as exc:
-            print(f"{args.weather_csv}: {exc}", file=sys.stderr)
-            return 1
-
     comments = simulation_pairs(cfg)
     if args.weather_csv is not None:
+        trace = str(Path(args.weather_csv).absolute())
+        scenario = replace(scenario, weather=None, weather_trace=trace)
         comments.append(("weather_csv", args.weather_csv))
 
     try:
-        table = run_simulation(
-            scenario, weather=weather, trace_dir=Path(args.scenario).parent
-        )
+        table = run_simulation(scenario, trace_dir=Path(args.scenario).parent)
     except (NonConvergenceError, SingularMatrixError) as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 2
-    except (WeatherTraceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 1
 

@@ -63,7 +63,11 @@ class GridConnection:
 
 @dataclass(frozen=True)
 class PerUnitBase:
-    """Normalization base: s_base in VA, v_base in volts."""
+    """Normalization base: s_base in VA, v_base in volts.
+
+    Both bases and the impedance base z_base they give are positive and
+    finite, else construction raises ValueError.
+    """
 
     s_base: float
     v_base: float
@@ -71,6 +75,14 @@ class PerUnitBase:
     def __post_init__(self) -> None:
         if not (0.0 < self.s_base < math.inf and 0.0 < self.v_base < math.inf):
             raise ValueError("per-unit bases must be positive and finite")
+        try:
+            z_base = self.z_base
+        except OverflowError:  # float ** raises where / gives inf
+            z_base = math.inf
+        if not 0.0 < z_base < math.inf:
+            raise ValueError(
+                f"impedance base v_base**2 / s_base is {z_base!r}, not positive and finite"
+            )
 
     @property
     def z_base(self) -> float:

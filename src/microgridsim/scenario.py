@@ -43,6 +43,7 @@ from .grid import (
     Line,
     LoadDevice,
     Network,
+    PerUnitBase,
     validate,
 )
 from .powerflow import METHOD_GAUSS_SEIDEL, METHOD_NEWTON_RAPHSON
@@ -99,6 +100,11 @@ class SimulationConfig:
     """Run controls parsed from the [simulation] section.
 
     A document without v_base_v takes the first bus's nominal voltage.
+    Every instance, however it is made (``replace`` included), holds
+    values within the bounds of its keys in ``_SCHEMA``, finite bases,
+    and bases that make a valid :class:`~microgridsim.grid.PerUnitBase`;
+    else construction raises ValueError naming the key.  The solver name
+    is checked where it is used.
     """
 
     steps: int
@@ -107,6 +113,22 @@ class SimulationConfig:
     seed: int
     s_base_va: float = 10000.0
     v_base_v: float = 230.0
+
+    def __post_init__(self) -> None:
+        for key in _SCHEMA["simulation"].keys:
+            value = getattr(self, key.attr)
+            unmet = key.bound.unmet(value)
+            if unmet is None and key.kind == "number" and not math.isfinite(value):
+                unmet = "finite"
+            if unmet:
+                raise ValueError(f"{key.key} must be {unmet}, got {value!r}")
+        try:
+            PerUnitBase(self.s_base_va, self.v_base_v)
+        except ValueError as exc:
+            raise ValueError(
+                f"v_base_v = {format_number(self.v_base_v)} with "
+                f"s_base_va = {format_number(self.s_base_va)}: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -514,8 +536,17 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(errors)
 
     simulation = values["simulation"][0]
-    simulation.setdefault("v_base_v", network.buses[0].nominal_voltage)
-    config = SimulationConfig(**simulation)
+    base_entry = first["simulation"].entries.get("v_base_v")
+    if base_entry is None:
+        simulation["v_base_v"] = network.buses[0].nominal_voltage
+        base_entry = id_sections[network.buses[0].id].entries["nominal_voltage_v"]
+    try:
+        config = SimulationConfig(**simulation)
+    except ValueError as exc:  # each value is in bounds, so the bases' pair is not
+        error = ParseError(
+            base_entry.line, base_entry.value_column, ParseErrorKind.SEMANTIC_CONFLICT, str(exc)
+        )
+        raise ScenarioFormatError([error]) from None
     weather = None
     if weather_trace is None:
         weather = WeatherParams(**(values["weather"] or [{}])[0], seed=config.seed)

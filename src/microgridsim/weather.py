@@ -126,10 +126,15 @@ def weather_series(
 
 
 class WeatherTraceError(ValueError):
-    """Raised for malformed weather-trace CSV files; row is 1-based data row."""
+    """Raised for malformed weather-trace CSV files.
 
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message if row is None else f"row {row}: {message}")
+    The message starts with the file's path, then with "row N: " when
+    data row N (1-based), kept as row, is to blame.
+    """
+
+    def __init__(self, path: str | Path, message: str, row: int | None = None):
+        where = f"{path}: " if row is None else f"{path}: row {row}: "
+        super().__init__(where + message)
         self.row = row
 
 
@@ -139,54 +144,60 @@ def load_weather_csv(path: str | Path) -> list[WeatherSample]:
     Expects the exact column set step, hour, cloud_factor, wind_speed_mps,
     temperature_c; accepts LF or CRLF line endings.  The i-th sample must
     carry step i (counting from 0), so duplicate, missing and out-of-order
-    steps are rejected with the row that breaks the sequence.
+    steps are rejected with the row that breaks the sequence.  A file that
+    is not UTF-8 is a WeatherTraceError too; an unreadable one is OSError.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise WeatherTraceError("empty file, expected header") from None
-        missing = [c for c in TRACE_COLUMNS if c not in header]
-        if missing:
-            raise WeatherTraceError(f"missing column(s): {', '.join(missing)}")
-        extra = [c for c in header if c not in TRACE_COLUMNS]
-        if extra:
-            raise WeatherTraceError(f"unknown column(s): {', '.join(extra)}")
-        col = {name: header.index(name) for name in TRACE_COLUMNS}
-
-        samples = []
-        for row_no, cells in enumerate(reader, start=1):
-            if not cells or (len(cells) == 1 and cells[0].strip() == ""):
-                continue
-            if len(cells) != len(TRACE_COLUMNS):
-                raise WeatherTraceError(
-                    f"expected {len(TRACE_COLUMNS)} cells, got {len(cells)}", row_no
-                )
-            try:
-                step = int(cells[col["step"]])
-                hour = int(cells[col["hour"]])
-                cloud = float(cells[col["cloud_factor"]])
-                wind = float(cells[col["wind_speed_mps"]])
-                temp = float(cells[col["temperature_c"]])
-            except ValueError:
-                raise WeatherTraceError("non-numeric cell", row_no) from None
-            if not 0 <= hour <= 23:
-                raise WeatherTraceError(f"hour must be in 0..23, got {hour}", row_no)
-            if not 0.0 <= cloud <= 1.0:
-                raise WeatherTraceError(
-                    f"cloud_factor outside [0, 1]: {cloud}", row_no
-                )
-            for name, value in (("wind_speed_mps", wind), ("temperature_c", temp)):
-                if not math.isfinite(value):
-                    raise WeatherTraceError(f"{name} must be finite, got {value}", row_no)
-            if wind < 0.0:
-                raise WeatherTraceError(f"negative wind speed: {wind}", row_no)
-            if step != len(samples):
-                raise WeatherTraceError(f"step must be {len(samples)}, got {step}", row_no)
-            samples.append(WeatherSample(step, hour, cloud, wind, temp))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            samples = _read_trace(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise WeatherTraceError(path, f"not UTF-8 text ({exc.reason})") from None
     if not samples:
-        raise WeatherTraceError("no samples")
+        raise WeatherTraceError(path, "no samples")
+    return samples
+
+
+def _read_trace(path: str | Path, reader) -> list[WeatherSample]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise WeatherTraceError(path, "empty file, expected header") from None
+    missing = [c for c in TRACE_COLUMNS if c not in header]
+    if missing:
+        raise WeatherTraceError(path, f"missing column(s): {', '.join(missing)}")
+    extra = [c for c in header if c not in TRACE_COLUMNS]
+    if extra:
+        raise WeatherTraceError(path, f"unknown column(s): {', '.join(extra)}")
+    col = {name: header.index(name) for name in TRACE_COLUMNS}
+
+    samples = []
+    for row_no, cells in enumerate(reader, start=1):
+        if not cells or (len(cells) == 1 and cells[0].strip() == ""):
+            continue
+        if len(cells) != len(TRACE_COLUMNS):
+            raise WeatherTraceError(
+                path, f"expected {len(TRACE_COLUMNS)} cells, got {len(cells)}", row_no
+            )
+        try:
+            step = int(cells[col["step"]])
+            hour = int(cells[col["hour"]])
+            cloud = float(cells[col["cloud_factor"]])
+            wind = float(cells[col["wind_speed_mps"]])
+            temp = float(cells[col["temperature_c"]])
+        except ValueError:
+            raise WeatherTraceError(path, "non-numeric cell", row_no) from None
+        if not 0 <= hour <= 23:
+            raise WeatherTraceError(path, f"hour must be in 0..23, got {hour}", row_no)
+        if not 0.0 <= cloud <= 1.0:
+            raise WeatherTraceError(path, f"cloud_factor outside [0, 1]: {cloud}", row_no)
+        for name, value in (("wind_speed_mps", wind), ("temperature_c", temp)):
+            if not math.isfinite(value):
+                raise WeatherTraceError(path, f"{name} must be finite, got {value}", row_no)
+        if wind < 0.0:
+            raise WeatherTraceError(path, f"negative wind speed: {wind}", row_no)
+        if step != len(samples):
+            raise WeatherTraceError(path, f"step must be {len(samples)}, got {step}", row_no)
+        samples.append(WeatherSample(step, hour, cloud, wind, temp))
     return samples
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from microgridsim import (
     bundled_scenario_path,
     bundled_scenario_text,
     emit_scenario,
+    parse_scenario,
     weather_series,
     write_weather_csv,
 )
@@ -53,7 +55,7 @@ GOLDEN_SHA256 = {
 }
 
 
-def run_module(*args: str) -> subprocess.CompletedProcess:
+def run_module(*args: str, cwd: str | Path | None = None) -> subprocess.CompletedProcess:
     """Run `python -m microgridsim ARGS` in a child process, capturing text."""
     # The child finds the package where this process imported it from,
     # whether that came from PYTHONPATH or pytest's pythonpath setting.
@@ -64,6 +66,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
     )
 
 
@@ -231,6 +234,140 @@ class TestRun:
         assert cli_main(["run", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "bad.mgs:2:" in err
+
+
+def _case2_with(tmp: Path, *changes: tuple[str, str]) -> str:
+    text = bundled_scenario_text("case2")
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp / "bases.mgs"
+    path.write_text(text)
+    return str(path)
+
+
+def _trace(tmp: Path, edit=lambda data: data) -> str:
+    """A 48-step weather trace, its bytes passed through edit."""
+    path = tmp / "wx.csv"
+    write_weather_csv(weather_series(WeatherParams(seed=4), 48), path)
+    path.write_bytes(edit(path.read_bytes()))
+    return str(path)
+
+
+def _case1_tracing(tmp: Path, edit) -> str:
+    """case1 with a `trace = wx.csv` weather section, the trace edited by edit."""
+    _trace(tmp, edit)
+    scenario = parse_scenario(bundled_scenario_text("case1"))
+    path = tmp / "traced.mgs"
+    path.write_text(emit_scenario(replace(scenario, weather=None, weather_trace="wx.csv")))
+    return str(path)
+
+
+def _not_utf8(data: bytes) -> bytes:
+    return data.replace(b"step", b"st\xffp", 1)
+
+
+def _bad_row(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[5] = lines[5].replace(b",", b",x", 1)
+    return b"\n".join(lines)
+
+
+def _not_utf8_scenario(tmp: Path) -> str:
+    path = tmp / "latin1.mgs"
+    path.write_bytes(b"# caf\xe9\n" + bundled_scenario_text("case1").encode())
+    return str(path)
+
+
+_HUGE_V = ("v_base_v = 230\n", "v_base_v = 1e200\n")
+_TINY_Z = (
+    ("s_base_va = 10000\n", "s_base_va = 1e308\n"),
+    ("v_base_v = 230\n", "v_base_v = 1e-150\n"),
+)
+
+# (argv, stderr text) of inputs that each must exit 1 with one line per
+# problem and no traceback; "{out}" is the --out path.
+BAD_INPUTS = {
+    "steps 0": (lambda tmp: ["run", CASE1, "--steps", "0"], "--steps must be >= 1, got 0"),
+    "seed -1": (lambda tmp: ["run", CASE1, "--seed", "-1"], "--seed must be >= 0, got -1"),
+    "seed 2**64": (
+        lambda tmp: ["run", CASE1, "--seed", str(2**64)],
+        f"--seed must be <= {2**64 - 1}, got {2**64}",
+    ),
+    "run non-UTF-8 scenario": (
+        lambda tmp: ["run", _not_utf8_scenario(tmp)],
+        "latin1.mgs: not UTF-8 text (invalid continuation byte)",
+    ),
+    "validate non-UTF-8 scenario": (
+        lambda tmp: ["validate", _not_utf8_scenario(tmp)],
+        "latin1.mgs: not UTF-8 text (invalid continuation byte)",
+    ),
+    "non-UTF-8 --weather-csv": (
+        lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _not_utf8)],
+        "wx.csv: not UTF-8 text (invalid start byte)",
+    ),
+    "missing --weather-csv": (
+        lambda tmp: ["run", CASE1, "--weather-csv", str(tmp / "absent.csv")],
+        "No such file or directory",
+    ),
+    "bad row in --weather-csv": (
+        lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _bad_row)],
+        "wx.csv: row 5: non-numeric cell",
+    ),
+    "non-UTF-8 trace entry": (
+        lambda tmp: ["run", _case1_tracing(tmp, _not_utf8)],
+        "wx.csv: not UTF-8 text (invalid start byte)",
+    ),
+    "bad row in trace entry": (
+        lambda tmp: ["run", _case1_tracing(tmp, _bad_row)],
+        "wx.csv: row 5: non-numeric cell",
+    ),
+    "run overflowing impedance base": (
+        lambda tmp: ["run", _case2_with(tmp, _HUGE_V)],
+        "semantic_conflict: v_base_v = 1e+200 with s_base_va = 10000: impedance base",
+    ),
+    "validate overflowing impedance base": (
+        lambda tmp: ["validate", _case2_with(tmp, _HUGE_V)],
+        "semantic_conflict: v_base_v = 1e+200 with s_base_va = 10000: impedance base",
+    ),
+    "run underflowing impedance base": (
+        lambda tmp: ["run", _case2_with(tmp, *_TINY_Z), "--solver", "simple"],
+        "semantic_conflict: v_base_v = 1e-150 with s_base_va = 1e+308: impedance base",
+    ),
+    "validate underflowing impedance base": (
+        lambda tmp: ["validate", _case2_with(tmp, *_TINY_Z)],
+        "semantic_conflict: v_base_v = 1e-150 with s_base_va = 1e+308: impedance base",
+    ),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_one_line_exit_1_and_no_file(self, tmp_path, capsys, case):
+        make_argv, message = BAD_INPUTS[case]
+        argv = make_argv(tmp_path)
+        out = tmp_path / "r.csv"
+        if argv[0] == "run":
+            argv += ["--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert message in line
+        assert captured.out in ("", "1 diagnostics\n")
+
+    def test_relative_weather_csv_resolves_against_the_working_directory(self, tmp_path):
+        # The scenario lives elsewhere, so resolving against its directory fails.
+        trace = _trace(tmp_path)
+        proc = run_module("run", CASE1, "--weather-csv", "wx.csv", "--out", "r.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        text = (tmp_path / "r.csv").read_text()
+        expected = tmp_path / "expected.csv"
+        assert cli_main(["run", CASE1, "--weather-csv", trace, "--out", str(expected)]) == 0
+        # The trace is echoed as given; the results are those of its absolute path.
+        as_given = f"# weather_csv = {trace}\n", "# weather_csv = wx.csv\n"
+        assert text == expected.read_text().replace(*as_given)
 
 
 class TestRunProperty:

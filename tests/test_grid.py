@@ -91,6 +91,20 @@ class TestPerUnitBase:
         with pytest.raises(ValueError, match="^per-unit bases must be positive and finite$"):
             PerUnitBase(s_base, v_base)
 
+    @pytest.mark.parametrize(
+        "s_base, v_base, z_base",
+        [
+            (10_000.0, 1e200, "inf"),  # v_base**2 overflows
+            (1e-100, 1e150, "inf"),  # the division overflows
+            (1e308, 1e-150, "0.0"),  # the division underflows
+        ],
+    )
+    def test_impedance_base_must_be_positive_and_finite(self, s_base, v_base, z_base):
+        with pytest.raises(
+            ValueError, match=rf"^impedance base v_base\*\*2 / s_base is {z_base}, not positive"
+        ):
+            PerUnitBase(s_base, v_base)
+
 
 class TestBuildAdmittance:
     def test_unit_impedance_two_bus(self):

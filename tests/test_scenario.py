@@ -258,6 +258,67 @@ class TestParseErrors:
             assert any(token in _line_containing(text, e.line) for e in errs), token
 
 
+CONFIG = SimulationConfig(steps=4, start_hour=0, solver="acpf", seed=9)
+
+
+class TestSimulationConfigBounds:
+    """Every SimulationConfig, however made, holds values its keys accept."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"steps": 0}, "steps must be >= 1, got 0"),
+            ({"start_hour": -1}, "start_hour must be >= 0, got -1"),
+            ({"start_hour": 24}, "start_hour must be <= 23, got 24"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 2**64}, f"seed must be <= {2**64 - 1}, got {2**64}"),
+            ({"s_base_va": 0.0}, "s_base_va must be > 0, got 0.0"),
+            ({"s_base_va": math.nan}, "s_base_va must be > 0, got nan"),
+            ({"v_base_v": math.nan}, "v_base_v must be > 0, got nan"),
+            ({"s_base_va": math.inf}, "s_base_va must be finite, got inf"),
+            ({"v_base_v": math.inf}, "v_base_v must be finite, got inf"),
+            (
+                {"v_base_v": 1e200},
+                "v_base_v = 1e+200 with s_base_va = 10000: impedance base",
+            ),
+            (
+                {"s_base_va": 1e308, "v_base_v": 1e-150},
+                "v_base_v = 1e-150 with s_base_va = 1e+308: impedance base",
+            ),
+        ],
+    )
+    def test_out_of_bounds_value_names_its_key(self, changes, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SimulationConfig(**{**dataclasses.asdict(CONFIG), **changes})
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            dataclasses.replace(CONFIG, **changes)
+
+    @pytest.mark.parametrize(
+        "entries, located_at",
+        [
+            ("v_base_v = 1e200", "1e200"),
+            ("s_base_va = 1e308\nv_base_v = 1e-150", "1e-150"),
+        ],
+    )
+    def test_bad_base_pair_is_a_located_error(self, entries, located_at):
+        text = MINIMAL.replace("seed = 9", "seed = 9\n" + entries)
+        (err,) = errors_of(text)
+        assert err.kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert "impedance base" in err.message
+        line = _line_containing(text, err.line)
+        assert line.startswith("v_base_v = ")
+        assert line[err.column - 1 :] == located_at
+
+    def test_defaulted_base_is_located_at_the_first_bus_voltage(self):
+        text = MINIMAL.replace("nominal_voltage_v = 230", "nominal_voltage_v = 1e200")
+        (err,) = errors_of(text)
+        assert err.kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert err.message.startswith("v_base_v = 1e+200 with s_base_va = 10000: ")
+        # The first of the two buses, whose voltage v_base_v takes.
+        assert err.line == text.splitlines().index("nominal_voltage_v = 1e200") + 1
+        assert err.column == len("nominal_voltage_v = ") + 1
+
+
 class TestEmission:
     def test_bundled_round_trip_exact(self):
         for name in ("case1", "case2", "case2_pv"):
@@ -525,10 +586,14 @@ def bounded_scenarios(draw):
         winds.append(WindTurbine("w", "s0", value("wind", "peak_power"), **speeds))
     grid = GridConnection("g", "s0") if draw(st.booleans()) else None
     bases = optional("simulation", "s_base_va", "v_base_v")
+    try:
+        config = SimulationConfig(steps=1, start_hour=0, solver="acpf", seed=0, **bases)
+    except ValueError:  # bases in bounds whose impedance base overflows or underflows
+        assume(False)
     weather = optional("weather", *(k.attr for k in _SCHEMA["weather"].keys))
     return Scenario(
         Network(tuple(buses), tuple(lines), tuple(loads), tuple(pvs), tuple(winds), grid),
-        SimulationConfig(steps=1, start_hour=0, solver="acpf", seed=0, **bases),
+        config,
         WeatherParams(**weather),
     )
 

@@ -1,6 +1,7 @@
 """Weather synthesis: SplitMix64 determinism, Weibull sampling, cloud walk, CSV."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,7 +220,8 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         lines[row + 1] = make_row(row, samples[row].hour_of_day)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(WeatherTraceError, match=f"^row {row + 1}: ") as exc:
+        anchor = f"^{re.escape(str(path))}: row {row + 1}: "
+        with pytest.raises(WeatherTraceError, match=anchor) as exc:
             load_weather_csv(path)
         assert exc.value.row == row + 1
         assert words in str(exc.value)
@@ -240,6 +242,15 @@ class TestTraceCsv:
         path.write_bytes(body.encode())
         loaded = load_weather_csv(path)
         assert loaded == [WeatherSample(0, 0, 0.5, 4.0, 12.0)]
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_weather_csv(weather_series(WeatherParams(), 2), path)
+        path.write_bytes(path.read_bytes().replace(b"step", b"st\xffp", 1))
+        with pytest.raises(WeatherTraceError) as exc:
+            load_weather_csv(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+        assert exc.value.row is None
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "trace.csv"
