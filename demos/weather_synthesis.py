@@ -6,6 +6,7 @@ cosine.  Everything is driven by one 64-bit seed, so the same seed gives
 the same trace on any machine.
 """
 
+import tempfile
 from pathlib import Path
 
 from microgridsim import WeatherParams, load_weather_csv, weather_series, write_weather_csv
@@ -32,9 +33,10 @@ print(f"... ({len(trace)} samples total)")
 again = weather_series(params, n_steps=48, start_hour=0)
 print("\nsame seed reproduces the trace exactly:", trace == again)
 
-# Traces round-trip through the CSV interchange format.
-out = Path("weather_trace.csv")
-write_weather_csv(trace, out)
-loaded = load_weather_csv(out)
-print(f"wrote {out} and read back {len(loaded)} samples")
-out.unlink()
+# Traces round-trip through the CSV interchange format; the file lives in a
+# temporary directory, so no file of the caller's is touched.
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "weather_trace.csv"
+    write_weather_csv(trace, out)
+    loaded = load_weather_csv(out)
+print(f"wrote {out.name} and read back {len(loaded)} samples")

@@ -1,16 +1,16 @@
 """Hourly simulation loop, results tables, CSV output, and summaries.
 
-A run goes through its steps in stacks of _BLOCK_ROWS balance steps, or of
-as many AC steps as NR_STACK_BYTES of Newton-Raphson matrices hold.  A
-stack's generators are evaluated step by step up to the first that raises,
-the steps before it are solved into a (steps x K) block of values, weather
-first, and the block is scanned for its first non-finite row: the run
-raises its first failure in step order, a step's weather before its other
-errors.  The blocks are the value column of the ResultTable; iterating it
-yields ResultRecords.  The CSV form sorts rows by (step, object, quantity)
-and renders values at up to 9 significant digits.  Rendering, reading back
-and iterating a table go one fixed-size block of rows at a time, so that
-the per-row Python objects of only one block are alive at once.
+A run reads its weather into columns once and runs the steps before the
+first bad sample: their generation is one array per device, then the
+lossless balance is one stack, and AC steps go in stacks of as many as
+NR_STACK_BYTES of Newton-Raphson matrices hold.  Each stack writes a
+(steps x K) block of values, scanned for its first non-finite row: the
+run raises its first failure in step order.  The blocks are the value
+column of the ResultTable; iterating it yields ResultRecords.  The CSV
+form sorts rows by (step, object, quantity) and renders values at up to
+9 significant digits.  Rendering, reading back and iterating a table go
+one fixed-size block of rows at a time, so that the per-row Python
+objects of only one block are alive at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import partial
 from importlib import resources
 from itertools import chain, islice
 from math import isfinite
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,8 +56,8 @@ QUANTITY_UNITS = {
 
 _WEATHER = ("cloud_factor", "wind_speed", "temperature")
 
-# Rows per block of a table being rendered, read back or iterated, and steps
-# per balance stack, so that only one block's per-row Python objects live.
+# Rows per block of a table being rendered, read back or iterated, so that
+# only one block's per-row Python objects live.
 _BLOCK_ROWS = 4096
 
 # Bytes of augmented Newton-Raphson matrices, 2m x (2m + 1) float64 for m
@@ -215,13 +214,15 @@ def run_simulation(
     An explicit `weather` sequence overrides the scenario's weather
     source; otherwise a scenario trace path (resolved against trace_dir)
     or the synthetic model supplies the samples.  Sample i must be for
-    hour (start_hour + i) % 24, else ValueError names the step.
-    The first failing step, in step order, aborts the run: a NaN or
-    infinite value, its weather checked first, raises ValueError naming
-    step, object and quantity, so a table never holds one; else its
-    generator's error, NonConvergenceError, or SingularMatrixError as
-    'step S: MESSAGE', naming the bus of a Newton-Raphson pivot.  A solver
-    other than acpf, gs or simple is a ValueError.
+    hour (start_hour + i) % 24, else ValueError names the step.  The first
+    failing step, in step order, aborts the run.  Its weather comes first,
+    under the trace reader's rules: a NaN or infinite value, then a cloud
+    factor outside [0, 1], then a negative wind speed, is a ValueError
+    naming step and quantity.  Else a non-finite result is one naming
+    step, object and quantity, so a table never holds one; or the step's
+    NonConvergenceError, or SingularMatrixError as 'step S: MESSAGE',
+    naming the bus of a Newton-Raphson pivot.  A solver other than acpf,
+    gs or simple is a ValueError.
     """
     cfg = scenario.config
     net = scenario.network
@@ -240,13 +241,27 @@ def run_simulation(
         raise ValueError(
             f"weather trace provides {len(samples)} samples, run needs {cfg.steps}"
         )
-    for step in range(cfg.steps):
-        hour = (cfg.start_hour + step) % 24
-        if samples[step].hour_of_day != hour:
-            raise ValueError(
-                f"weather sample for step {step} is for hour {samples[step].hour_of_day}, "
-                f"but a run starting at hour {cfg.start_hour} needs hour {hour}"
-            )
+    samples = samples[: cfg.steps]
+    steps = np.arange(cfg.steps, dtype=np.int64)
+    hour = (cfg.start_hour + steps) % 24
+    # Object dtype compares each sample's hour as Python does, whatever its type.
+    wrong = np.flatnonzero(np.array([s.hour_of_day for s in samples], object) != hour)
+    if wrong.size:
+        step = int(wrong[0])
+        raise ValueError(
+            f"weather sample for step {step} is for hour {samples[step].hour_of_day}, "
+            f"but a run starting at hour {cfg.start_hour} needs hour {hour[step]}"
+        )
+    weather = np.array([(s.cloud_factor, s.wind_speed, s.temperature) for s in samples], float)
+    # The steps before the first bad sample run; its error follows theirs.
+    cloud, wind = weather[:, 0], weather[:, 1]
+    rejected = ~np.isfinite(weather).all(axis=1) | (cloud < 0.0) | (cloud > 1.0) | (wind < 0.0)
+    good = int(np.argmax(rejected)) if rejected.any() else cfg.steps
+    production = np.reshape(
+        [pv_power(pv, hour[:good], cloud[:good]) for pv in net.pvs]
+        + [wind_power(turbine, wind[:good]) for turbine in net.winds],
+        (len(net.pvs) + len(net.winds), good),
+    ).T
 
     grid_object = net.grid.id if net.grid is not None else net.buses[net.slack_index()].id
 
@@ -256,7 +271,7 @@ def run_simulation(
         keys += [(dev.id, "p_out") for dev in (*net.pvs, *net.winds)]
         keys += [(load.id, "p_demand") for load in net.loads]
         keys += [(grid_object, "p_grid")]
-        stack_steps = _BLOCK_ROWS
+        stack_steps = cfg.steps
         solve_stack = partial(_balance_values, [load.active_power for load in net.loads])
     else:
         # solve() rejects a solver name that is neither "simple" nor an AC method.
@@ -265,38 +280,30 @@ def run_simulation(
         stack_steps, solve_stack = _ac_stacks(net, cfg)
 
     values = np.zeros((cfg.steps, len(keys)))
-    for first in range(0, cfg.steps, stack_steps):
-        block = values[first : first + stack_steps]
-        stack = samples[first : first + len(block)]
-        productions, failure = [], None
-        for step, ws in enumerate(stack, first):
-            try:
-                out = [pv_power(pv, ws) for pv in net.pvs]
-                out += [wind_power(w, ws.wind_speed) for w in net.winds]
-            except Exception as exc:
-                failure = step, exc
-                break
-            productions.append(out)
-        block[:, : len(_WEATHER)] = list(map(attrgetter(*_WEATHER), stack))
-        if productions:
-            results = block[: len(productions), len(_WEATHER) :]
-            failure = solve_stack(results, productions, first) or failure
-        # The scan ends at the failing step, whose row holds only its
-        # weather: a bad weather value there comes before the step's error.
-        end = len(block) if failure is None else failure[0] - first + 1
+    values[:, : len(_WEATHER)] = weather
+    for first in range(0, good, stack_steps):
+        block = values[first : min(first + stack_steps, good)]
+        stack = production[first : first + len(block)]
+        failure = solve_stack(block[:, len(_WEATHER) :], stack, first)
+        end = len(block) if failure is None else failure[0] - first
         bad = np.flatnonzero(~np.isfinite(block[:end]).all(axis=1))
         if bad.size:
             _require_finite(f"step {first + int(bad[0])}", map(" ".join, keys), block[bad[0]])
         if failure is not None:
             raise failure[1]
+    if good < cfg.steps:
+        where, names = f"step {good}", [f"{WEATHER_OBJECT} {q}" for q in _WEATHER]
+        _require_finite(where, names, weather[good])
+        if not 0.0 <= cloud[good] <= 1.0:
+            raise ValueError(f"{where}: {names[0]} is {float(cloud[good])}, not in [0, 1]")
+        raise ValueError(f"{where}: {names[1]} is {float(wind[good])}, not >= 0")
 
     object_code, objects = _encode(obj for obj, _ in keys)
     quantity_code, quantities = _encode(q for _, q in keys)
     unit_code, units = _encode(QUANTITY_UNITS[q] for _, q in keys)
-    steps = np.arange(cfg.steps, dtype=np.int64)
     return ResultTable(
         step=np.repeat(steps, len(keys)),
-        hour=np.repeat((cfg.start_hour + steps) % 24, len(keys)),
+        hour=np.repeat(hour, len(keys)),
         object_code=np.tile(object_code, cfg.steps),
         quantity_code=np.tile(quantity_code, cfg.steps),
         unit_code=np.tile(unit_code, cfg.steps),
@@ -305,11 +312,16 @@ def run_simulation(
     )
 
 
-def _balance_values(demands: list, values: np.ndarray, productions: list, first: int) -> None:
-    """Write a stack's lossless-balance values: each producer's and load's power, then p_grid."""
-    values[:, : -1 - len(demands)] = productions
+def _balance_values(demands: list, values: np.ndarray, production: np.ndarray, first: int) -> None:
+    """Write a stack's lossless-balance values: each producer's and load's power, then p_grid.
+
+    p_grid adds the producers' columns left to right, as a step's sum does, and
+    overflows to inf without a warning, as Python floats do: the run reports it.
+    """
+    values[:, : -1 - len(demands)] = production
     values[:, -1 - len(demands) : -1] = demands
-    values[:, -1] = [simple_power_distribution(demands, out) for out in productions]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[:, -1] = simple_power_distribution(demands, production.T)
 
 
 def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
@@ -334,9 +346,9 @@ def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
     producer_buses = np.array([net.bus_index(d.bus) for d in (*net.pvs, *net.winds)], np.intp)
     options = SolverOptions(method=cfg.solver)
 
-    def solve_stack(values: np.ndarray, productions: list[list[float]], first: int):
+    def solve_stack(values: np.ndarray, production: np.ndarray, first: int):
         p_watts = np.tile(p_load, (len(values), 1))
-        np.add.at(p_watts, (slice(None), producer_buses), productions)  # in device order
+        np.add.at(p_watts, (slice(None), producer_buses), production)  # in device order
         q_pu = np.tile(q_load[pq] / cfg.s_base_va, (len(values), 1))
         stack = PowerFlowProblem(admittance, slack, p_watts[:, pq] / cfg.s_base_va, q_pu)
         solutions, failure = [], None

@@ -83,7 +83,8 @@ class WeatherParams:
     weibull_shape/weibull_scale control the hourly wind-speed draw,
     cloud_step is the half-width of the cloud random-walk increment,
     and the temperature trace is
-    temp_mean + temp_amplitude * cos(2*pi*(hour - 15)/24).
+    temp_mean + temp_amplitude * cos(2*pi*(hour - 15)/24).  seed selects
+    the SplitMix64 stream and must lie in [0, 2**64), else ValueError.
     """
 
     weibull_shape: float = 2.0
@@ -93,6 +94,11 @@ class WeatherParams:
     temp_mean: float = 15.0
     temp_amplitude: float = 5.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Out of range, a seed would alias the stream of seed mod 2**64.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
 def weather_series(

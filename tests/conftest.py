@@ -29,6 +29,7 @@ from microgridsim import (
     WindTurbine,
     build_admittance,
     bundled_scenario_text,
+    clear_sky_factor,
     compute_injections,
 )
 from microgridsim import powerflow
@@ -270,6 +271,25 @@ def loop_line_losses(network: Network, base: PerUnitBase, v_mag, v_angle) -> flo
         current = (v[i] - v[k]) / z
         total += (line.resistance / base.z_base) * abs(current) ** 2
     return total
+
+
+def loop_pv_power(panel: SolarPanel, hour_of_day: int, cloud_factor: float) -> float:
+    """Scalar reference for pv_power: the PV curve as first written, one value at a time."""
+    sky = clear_sky_factor(hour_of_day)
+    return panel.peak_power * sky * (1.0 - panel.cloud_attenuation * cloud_factor)
+
+
+def loop_wind_power(turbine: WindTurbine, wind_speed: float) -> float:
+    """Scalar reference for wind_power: the turbine curve as first written, with branches."""
+    if wind_speed < 0.0:
+        raise ValueError(f"wind speed must be >= 0, got {wind_speed!r}")
+    v = wind_speed
+    if v < turbine.cut_in or v >= turbine.cut_out:
+        return 0.0
+    if v >= turbine.rated:
+        return turbine.peak_power
+    frac = (v - turbine.cut_in) / (turbine.rated - turbine.cut_in)
+    return turbine.peak_power * frac**3
 
 
 def loop_render_csv(table, config_comments=None) -> str:

@@ -124,7 +124,7 @@ def _step_problems(scenario):
             p[net.bus_index(load.bus)] -= load.active_power
             q[net.bus_index(load.bus)] -= load.reactive_power
         for pv in net.pvs:
-            p[net.bus_index(pv.bus)] += mg.pv_power(pv, ws)
+            p[net.bus_index(pv.bus)] += mg.pv_power(pv, ws.hour_of_day, ws.cloud_factor)
         for wt in net.winds:
             p[net.bus_index(wt.bus)] += mg.wind_power(wt, ws.wind_speed)
         yield mg.PowerFlowProblem(admittance, slack, p[pq] / cfg.s_base_va, q[pq] / cfg.s_base_va)
@@ -172,10 +172,7 @@ def test_c05_conservation(case2, case2_pv):
                 assert losses_pu >= 0.0
                 cloud = value_at(table, step, "cloud_factor")
                 hour = next(r.hour for r in table if r.step == step)
-                pv_w = sum(
-                    mg.pv_power(pv, mg.WeatherSample(step, hour, cloud, 0.0, 0.0))
-                    for pv in net.pvs
-                )
+                pv_w = sum(mg.pv_power(pv, hour, cloud) for pv in net.pvs)
                 slack_pu = value_at(table, step, "p_grid") / cfg.s_base_va
                 net_load_pu = (load_w - pv_w) / cfg.s_base_va
                 assert abs(slack_pu - net_load_pu - losses_pu) <= 1e-8
@@ -242,7 +239,7 @@ def test_c09_pv_voltage_lift(case2, case2_pv):
             assert v_pv >= v_base
             cloud = value_at(pv_table, step, "cloud_factor")
             hour = next(r.hour for r in pv_table if r.step == step)
-            output = mg.pv_power(panel, mg.WeatherSample(step, hour, cloud, 0.0, 0.0))
+            output = mg.pv_power(panel, hour, cloud)
             if output > 0.0:
                 assert v_pv > v_base
 

@@ -38,9 +38,11 @@ from microgridsim import (
 )
 from microgridsim import engine
 from conftest import (
+    loop_pv_power,
     loop_read_results_csv,
     loop_render_csv,
     loop_summarize,
+    loop_wind_power,
     make_random_scenario,
     overheated_case1_text,
     problem_for,
@@ -271,20 +273,63 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("steps", STACK_STEPS)
     def test_first_failing_balance_step_is_reported_whatever_the_stacks(self, case1, steps):
-        # wind_power rejects step 5's negative speed, but step 3's NaN
-        # temperature comes first, in whichever stack either falls.
+        # Step 5's negative wind speed is rejected at its step, but step 3's
+        # NaN temperature comes first, whatever the size of a block of rows.
         samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
         backwards = list(samples)
         backwards[5] = replace(samples[5], wind_speed=-1.0)
         both = list(backwards)
         both[3] = replace(samples[3], temperature=float("nan"))
         with block_rows(steps):
-            with pytest.raises(ValueError, match=r"^wind speed must be >= 0, got -1\.0$"):
+            with pytest.raises(
+                ValueError, match=r"^step 5: weather wind_speed is -1\.0, not >= 0$"
+            ):
                 run_simulation(case1, weather=backwards)
             with pytest.raises(
                 ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
             ):
                 run_simulation(case1, weather=both)
+
+    @pytest.mark.parametrize("case", ["case1", "case2", "case2_pv"])
+    @pytest.mark.parametrize(
+        "step, change, message",
+        [
+            (12, {"cloud_factor": 5.0}, "step 12: weather cloud_factor is 5.0, not in [0, 1]"),
+            (0, {"cloud_factor": -0.5}, "step 0: weather cloud_factor is -0.5, not in [0, 1]"),
+            (5, {"wind_speed": -1.0}, "step 5: weather wind_speed is -1.0, not >= 0"),
+            (
+                5,
+                {"cloud_factor": 5.0, "wind_speed": -1.0},
+                "step 5: weather cloud_factor is 5.0, not in [0, 1]",
+            ),
+            (
+                47,
+                {"cloud_factor": 5.0, "temperature": float("nan")},
+                "step 47: weather temperature is nan, not a finite number",
+            ),
+        ],
+        ids=["cloud-high", "cloud-low", "wind", "cloud-and-wind", "cloud-and-nan"],
+    )
+    def test_bad_weather_is_rejected_at_its_step(self, case, step, change, message):
+        # The trace reader's rules hold for given weather too, whether or
+        # not the network has a device that uses the value: case2 has no
+        # producers, case2_pv a panel, case1 panels and a turbine.  A step's
+        # non-finite values come before its out-of-range ones.
+        scenario = parse_scenario(bundled_scenario_text(case))
+        cfg = scenario.config
+        samples = weather_series(scenario.weather, cfg.steps, cfg.start_hour)
+        samples[step] = replace(samples[step], **change)
+        with pytest.raises(ValueError) as exc:
+            run_simulation(scenario, weather=samples)
+        assert str(exc.value) == message
+
+    def test_weather_at_the_bounds_is_accepted(self, case1):
+        # Cloud 0 and 1, and a calm of -0.0 m/s, are valid weather.
+        samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
+        samples[3] = replace(samples[3], cloud_factor=0.0, wind_speed=-0.0)
+        samples[4] = replace(samples[4], cloud_factor=1.0, wind_speed=0.0)
+        table = run_simulation(case1, weather=samples)
+        assert np.isfinite(table.value).all()
 
     @pytest.fixture(scope="class")
     def bright_case2_pv(self):
@@ -467,21 +512,27 @@ class TestStackedRuns:
                     outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
 
-    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 60), data=st.data())
+    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(1, 60))
     @settings(max_examples=25)
-    def test_balance_run_does_not_depend_on_the_stacks(self, seed, steps, data):
-        # A drawn balance run in one stack, in stacks of one step and in
-        # stacks of a drawn size gives the same values, bit for bit.
+    def test_balance_run_equals_the_per_step_oracle(self, seed, steps):
+        # A drawn balance run, one array expression per column, has the
+        # bits of a step-by-step run: the scalar curves, and each step's
+        # p_grid as sum(demands) - sum(out).
         scenario = make_random_scenario(random.Random(seed))
         scenario = Scenario(
             network=scenario.network,
-            config=replace(scenario.config, solver="simple", steps=steps),
+            config=replace(scenario.config, solver="simple", steps=steps, seed=seed),
             weather=WeatherParams(seed=seed),
         )
-        values = run_simulation(scenario).value.tobytes()
-        for size in (1, data.draw(st.integers(2, steps))):
-            with block_rows(size):
-                assert run_simulation(scenario).value.tobytes() == values
+        net = scenario.network
+        demands = [load.active_power for load in net.loads]
+        expected = []
+        for ws in weather_series(scenario.weather, steps, scenario.config.start_hour):
+            out = [loop_pv_power(pv, ws.hour_of_day, ws.cloud_factor) for pv in net.pvs]
+            out += [loop_wind_power(turbine, ws.wind_speed) for turbine in net.winds]
+            expected += [ws.cloud_factor, ws.wind_speed, ws.temperature, *out, *demands]
+            expected.append(sum(demands) - sum(out))
+        assert run_simulation(scenario).value.tobytes() == np.array(expected).tobytes()
 
     @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 4), data=st.data())
     @settings(max_examples=8, deadline=None)

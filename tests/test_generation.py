@@ -2,23 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microgridsim import (
     SolarPanel,
-    WeatherSample,
     WindTurbine,
     clear_sky_factor,
     pv_power,
     wind_power,
 )
+from conftest import loop_pv_power, loop_wind_power
 
 PANEL = SolarPanel("pv", "b1", 500.0)
 TURBINE = WindTurbine("wt", "b1", 1500.0)  # cut-in 3, rated 12, cut-out 25
-
-
-def sample(hour, cloud):
-    return WeatherSample(0, hour, cloud, 0.0, 15.0)
 
 
 class TestClearSky:
@@ -46,25 +45,25 @@ class TestClearSky:
 
 class TestPvPower:
     def test_clear_noon_is_peak(self):
-        assert pv_power(PANEL, sample(12, 0.0)) == 500.0
+        assert pv_power(PANEL, 12, 0.0) == 500.0
 
     def test_night_is_zero_any_cloud(self):
         for cloud in (0.0, 0.5, 1.0):
-            assert pv_power(PANEL, sample(0, cloud)) == 0.0
-            assert pv_power(PANEL, sample(18, cloud)) == 0.0
+            assert pv_power(PANEL, 0, cloud) == 0.0
+            assert pv_power(PANEL, 18, cloud) == 0.0
 
     def test_full_overcast_noon(self):
-        assert pv_power(PANEL, sample(12, 1.0)) == pytest.approx(125.0)
+        assert pv_power(PANEL, 12, 1.0) == pytest.approx(125.0)
 
     def test_non_increasing_in_cloud(self):
         for hour in range(7, 18):
-            outputs = [pv_power(PANEL, sample(hour, c / 20)) for c in range(21)]
+            outputs = [pv_power(PANEL, hour, c / 20) for c in range(21)]
             assert all(b <= a for a, b in zip(outputs, outputs[1:]))
 
     def test_bounded_by_peak(self):
         for hour in range(24):
             for c in (0.0, 0.3, 1.0):
-                assert 0.0 <= pv_power(PANEL, sample(hour, c)) <= PANEL.peak_power
+                assert 0.0 <= pv_power(PANEL, hour, c) <= PANEL.peak_power
 
 
 class TestWindPower:
@@ -100,3 +99,61 @@ class TestWindPower:
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             wind_power(TURBINE, -0.1)
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of a value or an array, for bitwise comparison."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def turbines_and_speeds(draw):
+    """A turbine with cut_in < rated < cut_out, and speeds at and between its edges."""
+    cut_in = draw(st.floats(0.0, 10.0))
+    rated = cut_in + draw(st.floats(0.1, 20.0))
+    cut_out = rated + draw(st.floats(0.1, 30.0))
+    turbine = WindTurbine("wt", "b1", draw(st.floats(1.0, 1e6)), cut_in, rated, cut_out)
+    edges = st.sampled_from([0.0, cut_in, rated, cut_out, 1e300, math.nan])
+    speeds = st.one_of(edges, st.floats(0.0, 2.0 * cut_out))
+    return turbine, draw(st.lists(speeds, min_size=1, max_size=48))
+
+
+class TestArrayForms:
+    """The array forms have the bits of the scalar curves at every entry."""
+
+    @given(
+        peak=st.floats(1.0, 1e6),
+        attenuation=st.floats(0.0, 1.0),
+        weather=st.lists(
+            st.tuples(st.integers(0, 23), st.floats(0.0, 1.0)), min_size=1, max_size=48
+        ),
+    )
+    @settings(max_examples=50)
+    def test_pv_equals_the_scalar_oracle(self, peak, attenuation, weather):
+        panel = SolarPanel("pv", "b1", peak, attenuation)
+        expected = [loop_pv_power(panel, hour, cloud) for hour, cloud in weather]
+        hours, clouds = map(np.array, zip(*weather))
+        assert bits(pv_power(panel, hours, clouds)) == bits(expected)
+        for (hour, cloud), oracle in zip(weather, expected):
+            value = pv_power(panel, hour, cloud)
+            assert type(value) is float and bits(value) == bits(oracle)
+
+    @given(turbines_and_speeds())
+    @settings(max_examples=50)
+    def test_wind_equals_the_scalar_oracle(self, drawn):
+        turbine, speeds = drawn
+        expected = [loop_wind_power(turbine, v) for v in speeds]
+        assert bits(wind_power(turbine, np.array(speeds))) == bits(expected)
+        for v, oracle in zip(speeds, expected):
+            value = wind_power(turbine, v)
+            assert type(value) is float and bits(value) == bits(oracle)
+
+    def test_negative_speed_in_an_array_is_named(self):
+        with pytest.raises(ValueError, match=r"^wind speed must be >= 0, got -2\.0$"):
+            wind_power(TURBINE, np.array([1.0, -2.0, -3.0]))
+
+    @pytest.mark.parametrize("hour", [-1, 24, 6.5, np.array([3, -1]), np.array([12.0])])
+    def test_hour_outside_the_table_is_rejected(self, hour):
+        # Indexing the table with -1 would silently read hour 23.
+        with pytest.raises(ValueError, match=r"^hour_of_day must be an int in 0\.\.23"):
+            pv_power(PANEL, hour, 0.0)

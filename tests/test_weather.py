@@ -182,6 +182,12 @@ class TestWeatherSeries:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             weather_series(WeatherParams(**{field: value}), 10)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64])
+    def test_seed_outside_the_stream_range_is_rejected(self, seed):
+        # Taken mod 2**64, seed -5 would silently give the trace of 2**64 - 5.
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            WeatherParams(seed=seed)
+
 
 class TestTraceCsv:
     def test_round_trip_to_nine_digits(self, tmp_path):
