@@ -3,7 +3,8 @@
 A run reads its weather into columns once and runs the steps before the
 first bad sample: their generation is one array per device, then the
 lossless balance is one stack, and AC steps go in stacks of as many as
-NR_STACK_BYTES of Newton-Raphson matrices hold.  Each stack writes a
+STACK_BYTES of the solver's per-step state hold: a Newton-Raphson
+matrix, or a Gauss-Seidel voltage row.  Each stack writes a
 (steps x K) block of values, scanned for its first non-finite row: the
 run raises its first failure in step order.  The blocks are the value
 column of the ResultTable; iterating it yields ResultRecords.  The CSV
@@ -29,6 +30,7 @@ import numpy as np
 from .generation import pv_power, wind_power
 from .grid import Network, PerUnitBase, build_admittance
 from .powerflow import (
+    METHOD_GAUSS_SEIDEL,
     PowerFlowProblem,
     PowerFlowSolution,
     SingularMatrixError,
@@ -60,11 +62,13 @@ _WEATHER = ("cloud_factor", "wind_speed", "temperature")
 # only one block's per-row Python objects live.
 _BLOCK_ROWS = 4096
 
-# Bytes of augmented Newton-Raphson matrices, 2m x (2m + 1) float64 for m
-# PQ buses, that one stack of AC steps may hold: 31 steps of a 17-bus
-# street, 1 step of a 160-bus feeder.  A larger stack saves little per
-# pivot and costs memory in proportion.
-NR_STACK_BYTES = 256 * 1024
+# Bytes of per-step solver state that one stack of AC steps may hold.
+# Newton-Raphson counts its augmented 2m x (2m + 1) float64 matrix for m PQ
+# buses: 31 steps of a 17-bus street, 1 step of a 160-bus feeder; a larger
+# stack saves little per pivot and costs memory in proportion.
+# Gauss-Seidel counts its complex voltage row, 16 bytes a bus: 963 steps
+# of the street, whose sweeps then cost per bus, not per step.
+STACK_BYTES = 256 * 1024
 
 
 class ResultRecord(NamedTuple):
@@ -325,7 +329,7 @@ def _balance_values(demands: list, values: np.ndarray, production: np.ndarray, f
 
 
 def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
-    """The steps per stack of an AC run, as many as NR_STACK_BYTES of matrices hold, and its solver.
+    """The steps per stack of an AC run, as many as STACK_BYTES of solver state hold, and its solver.
 
     The solver solves a stack by solve(stack, options, step) in step order,
     writes the values of the steps before the first that fails, and returns
@@ -377,8 +381,8 @@ def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
             rows[:, -1] = total_line_losses(net, base, v_mag, v_angle) * cfg.s_base_va
         return failure
 
-    matrix_bytes = 8 * 2 * m * (2 * m + 1)
-    return (max(1, NR_STACK_BYTES // matrix_bytes) if matrix_bytes else 1), solve_stack
+    step_bytes = 16 * n if cfg.solver == METHOD_GAUSS_SEIDEL else 8 * 2 * m * (2 * m + 1)
+    return (max(1, STACK_BYTES // step_bytes) if step_bytes else 1), solve_stack
 
 
 def _require_finite(where: str, names: Iterable[str], values: Iterable[float]) -> None:

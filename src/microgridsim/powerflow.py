@@ -349,7 +349,10 @@ def solve_steps(
     together, applies the stop rule to all of them as one boolean mask,
     builds a solution for each step that stops, and updates the others;
     the method picks only the cap, the state, how it reads as |V| and
-    theta, and the update.  A step that stops unconverged gets its worst
+    theta, and the update.  Either update serves the going steps at once:
+    Newton-Raphson eliminates their Jacobians as one stack, and a
+    Gauss-Seidel sweep updates each bus in all of them with one set of
+    array operations.  A step that stops unconverged gets its worst
     bus (_worst_bus) from the mismatch that stopped it.  Each step's
     solution is bit for bit the one it gets alone.  A step whose Jacobian
     is singular gets its SingularMatrixError in place of a solution, and
@@ -373,8 +376,10 @@ def solve_steps(
         cap = GS_MAX_ITERATIONS
         # Complex V, and S* at the PQ buses.
         state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec))
+        # np.arctan2 gives the bits of np.angle with less overhead.
         polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
-        update = partial(_gauss_seidel_sweeps, [(i, y[i].dot, y[i, i]) for i in pq.tolist()])
+        buses = [(i, y[i : i + 1], y[i, i], y[i, i].real, y[i, i].imag) for i in pq.tolist()]
+        update = partial(_gauss_seidel_sweeps, buses)
     else:
         raise ValueError(f"unknown solver method {method!r}")
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
@@ -452,24 +457,38 @@ def _newton_step(
 def _gauss_seidel_sweeps(
     buses: list[tuple], state: tuple, mismatch: np.ndarray, injections: tuple
 ) -> tuple[()]:
-    """One Gauss-Seidel sweep of each (V, S*) state of a stack in turn, in place.
+    """One Gauss-Seidel sweep of every (V, S*) state of a stack at once, in place.
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
-    buses holds each PQ bus's index, the bound dot of its row of Y
-    (ndarray.dot is np.dot without the dispatch wrapper) and Y_ii, looked
-    up once per solve: a sweep costs per-call overhead, not arithmetic.
-    The row sum is a dense BLAS dot minus Y_ii V_i, and the divisions are
-    numpy scalar divisions: summing only the nonzeros would regroup the
-    dot's SIMD accumulation, and Python complex division rounds
-    differently, so either would move printed digits.  complex.conjugate
-    here, and np.arctan2 in solve_steps, give the bits of np.conj and
-    np.angle with less overhead.  The mismatch and injections are unused.
+    Bus i is updated in every step of the stack by one set of array
+    operations, so a sweep costs per bus, not per bus and step.  buses
+    holds each PQ bus's index, its row of Y as a (1, n) view, and Y_ii
+    with its real and imaginary parts, looked up once per solve.  Each
+    step gets the bits of the scalar update
+    ``(s / conj(v_i) - (y[i].dot(v) - y_ii * v_i)) / y_ii``:
+
+    - the row sum is each step's own dense BLAS dot, taken by matmul of
+      the row by the step's column, as ``y[i].dot(v)`` takes it; summing
+      only the nonzeros would regroup the dot's SIMD accumulation;
+    - Y_ii V_i is written in real arithmetic, in the order of numpy's
+      scalar complex product, because numpy's array complex multiply
+      rounds differently from it.  Its parts go straight into a complex
+      array: ``re + 1j * im`` would add 0 * im to the real part, which
+      turns a -0.0 into 0.0 and, for an infinite im, makes a NaN;
+    - array complex division and subtraction round as the scalar ones do
+      (Python complex division would not).
+
+    The mismatch and injections are unused.
     """
-    conj = complex.conjugate
-    for v, s_conj in zip(*state):
-        for (i, row_dot, y_ii), s in zip(buses, s_conj):
-            v_i = v[i]
-            v[i] = (s / conj(v_i) - (row_dot(v) - y_ii * v_i)) / y_ii
+    v, s_conj = state
+    y_v = np.empty(len(v), dtype=complex)
+    for k, (i, row, y_ii, y_re, y_im) in enumerate(buses):
+        v_i = v[:, i]
+        v_re, v_im = v_i.real, v_i.imag
+        np.subtract(y_re * v_re, y_im * v_im, out=y_v.real)
+        np.add(y_re * v_im, y_im * v_re, out=y_v.imag)
+        row_dot = np.matmul(row, v[:, :, None])[:, 0, 0]
+        v[:, i] = (s_conj[:, k] / np.conj(v_i) - (row_dot - y_v)) / y_ii
     return ()
 
 

@@ -192,7 +192,8 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     and conjugates S_i anew, the angle comes from np.angle and the PQ
     buses are indexed with a list.  solve_gauss_seidel must reproduce
     every field of its solution bit for bit.  The tolerance and the cap
-    are the package's, read at each call.
+    are the package's, read at each call, and a mismatch that is not
+    finite stops the solve, as the package's stop rule says.
     """
     max_iter = powerflow.GS_MAX_ITERATIONS
     y = problem.admittance.y
@@ -212,7 +213,7 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
         )
         max_mismatch = float(np.max(np.abs(mismatch))) if len(pq) else 0.0
         converged = max_mismatch <= powerflow.TOLERANCE
-        if converged or it >= max_iter:
+        if converged or it >= max_iter or not math.isfinite(max_mismatch):
             solution = PowerFlowSolution(
                 v_mag=v_mag,
                 v_angle=v_angle,

@@ -36,7 +36,7 @@ from microgridsim import (
     write_csv,
     write_weather_csv,
 )
-from microgridsim import engine
+from microgridsim import engine, powerflow
 from conftest import (
     loop_pv_power,
     loop_read_results_csv,
@@ -78,10 +78,16 @@ def block_rows(n):
     return mock.patch.object(engine, "_BLOCK_ROWS", n)
 
 
-def stacks_of(network, steps):
-    """Context in which an acpf run on network solves stacks of `steps` steps."""
-    m = len(network.buses) - 1
-    return mock.patch.object(engine, "NR_STACK_BYTES", steps * 8 * 2 * m * (2 * m + 1))
+def stacks_of(scenario, steps):
+    """Context in which an AC run of scenario, by its solver, solves stacks of `steps` steps.
+
+    Newton-Raphson counts a 2m x (2m + 1) float64 matrix per step against
+    engine.STACK_BYTES, and Gauss-Seidel a complex voltage per bus.
+    """
+    n = len(scenario.network.buses)
+    m = n - 1
+    step_bytes = 16 * n if scenario.config.solver == "gs" else 8 * 2 * m * (2 * m + 1)
+    return mock.patch.object(engine, "STACK_BYTES", steps * step_bytes)
 
 
 # The stack sizes error order is checked at: 1 solves step by step.
@@ -260,35 +266,30 @@ class TestRunSimulation:
         ):
             run_simulation(scenario)
 
-    @pytest.mark.parametrize("steps", STACK_STEPS)
-    def test_non_finite_balance_value_names_its_object(self, steps):
+    def test_non_finite_balance_value_names_its_object(self):
         # Two 1e308 W loads are finite, but the grid's share of them is not.
         text = bundled_scenario_text("case1")
         assert text.count("p_w = 800\n") == 3
         scenario = parse_scenario(text.replace("p_w = 800\n", "p_w = 1e308\n", 2))
-        with block_rows(steps), pytest.raises(
+        with pytest.raises(
             ValueError, match=r"^step 0: utility p_grid is inf, not a finite number$"
         ):
             run_simulation(scenario)
 
-    @pytest.mark.parametrize("steps", STACK_STEPS)
-    def test_first_failing_balance_step_is_reported_whatever_the_stacks(self, case1, steps):
+    def test_first_failing_balance_step_is_reported_whatever_the_stacks(self, case1):
         # Step 5's negative wind speed is rejected at its step, but step 3's
-        # NaN temperature comes first, whatever the size of a block of rows.
+        # NaN temperature comes first.
         samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
         backwards = list(samples)
         backwards[5] = replace(samples[5], wind_speed=-1.0)
         both = list(backwards)
         both[3] = replace(samples[3], temperature=float("nan"))
-        with block_rows(steps):
-            with pytest.raises(
-                ValueError, match=r"^step 5: weather wind_speed is -1\.0, not >= 0$"
-            ):
-                run_simulation(case1, weather=backwards)
-            with pytest.raises(
-                ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
-            ):
-                run_simulation(case1, weather=both)
+        with pytest.raises(ValueError, match=r"^step 5: weather wind_speed is -1\.0, not >= 0$"):
+            run_simulation(case1, weather=backwards)
+        with pytest.raises(
+            ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
+        ):
+            run_simulation(case1, weather=both)
 
     @pytest.mark.parametrize("case", ["case1", "case2", "case2_pv"])
     @pytest.mark.parametrize(
@@ -388,7 +389,7 @@ class TestRunSimulation:
             (hot, None, ValueError, not_finite.format(13, "temperature", "inf")),
         ]
         for case, weather, error, message in cases:
-            with stacks_of(case.network, steps), pytest.raises(error) as exc:
+            with stacks_of(case, steps), pytest.raises(error) as exc:
                 run_simulation(case, weather=weather)
             assert str(exc.value) == message
 
@@ -425,7 +426,7 @@ class TestRunSimulation:
         backwards = list(sunny)
         backwards[5] = replace(calm[5], wind_speed=-1.0)
         # 1e308 + 1e308 overflows to inf, as the turbines are meant to.
-        with stacks_of(network, steps), np.errstate(over="ignore"):
+        with stacks_of(scenario, steps), np.errstate(over="ignore"):
             # Three weather values, |V| and angle of three buses, p_grid, losses.
             assert len(run_simulation(scenario, weather=calm)) == 6 * 11
             singular = r"^step 4: pivot 0 below 1e-12 \(angle of bus 'far'\)$"
@@ -505,7 +506,7 @@ class TestStackedRuns:
         )
         outcomes = []
         for size in (1, data.draw(st.integers(2, steps))):
-            with stacks_of(scenario.network, size):
+            with stacks_of(scenario, size):
                 try:
                     outcomes.append(run_simulation(scenario).value.tobytes())
                 except (NonConvergenceError, SingularMatrixError) as exc:
@@ -546,7 +547,7 @@ class TestStackedRuns:
         )
         outcomes = []
         for size in (1, data.draw(st.integers(2, steps))):
-            with stacks_of(scenario.network, size):
+            with stacks_of(scenario, size):
                 try:
                     outcomes.append(run_simulation(scenario).value.tobytes())
                 except (NonConvergenceError, SingularMatrixError) as exc:
@@ -559,13 +560,23 @@ class TestStackedRuns:
         # called once a step, in step order, with the run's solver.
         scenario = parse_scenario(bundled_scenario_text("case2_pv"))
         scenario = replace(scenario, config=replace(scenario.config, solver=solver, steps=7))
-        with stacks_of(scenario.network, 3), mock.patch.object(
+        with stacks_of(scenario, 3), mock.patch.object(
             engine, "solve", wraps=engine.solve
         ) as spy:
             run_simulation(scenario)
         calls = spy.call_args_list
         assert [call.args[2] for call in calls] == [0, 1, 2] * 2 + [0]
         assert {call.args[1].method for call in calls} == {solver}
+
+    def test_gauss_seidel_run_of_the_street_is_one_stack(self):
+        # STACK_BYTES holds 963 steps of the street's complex voltage rows,
+        # so its 48 steps are swept as one stack.
+        scenario = parse_scenario(bundled_scenario_text("case2_pv"))
+        scenario = replace(scenario, config=replace(scenario.config, solver="gs"))
+        assert scenario.config.steps == 48
+        with mock.patch.object(powerflow, "solve_steps", wraps=powerflow.solve_steps) as spy:
+            run_simulation(scenario)
+        assert [(len(call.args[0]), call.args[1]) for call in spy.call_args_list] == [(48, "gs")]
 
 
 class TestCsv:

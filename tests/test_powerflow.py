@@ -614,6 +614,34 @@ class TestStacks:
         # One call per stack and method, then the lone steps' own.
         assert calls == [(3, "acpf"), (3, "gs")] + [(1, "gs")] * 3
 
+    @pytest.mark.parametrize("n_buses", [50, 120, 200])
+    def test_gauss_seidel_stacks_on_large_feeders(self, monkeypatch, n_buses):
+        # Row dots longer than the street's 17 buses take other BLAS
+        # chunkings.  Five steps of a drawn feeder: no load, which starts
+        # converged, drawn load scales, which stop at the cap of 30 sweeps,
+        # an infinite injection, which stops at once, and a 1e308 var load,
+        # whose mismatch overflows after a sweep.  They are solved in
+        # chunks split at drawn cuts, and each step must equal the per-bus
+        # loop alone.
+        monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 30)
+        rng = random.Random(n_buses)
+        base = problem_for(random_reactive_network(rng, n_buses))
+        scales = [0.0, rng.uniform(0.1, 1.0), 1.0, rng.uniform(1.0, 3.0), 1.0]
+        p = np.outer(scales, base.p_injection)
+        q = np.outer(scales, base.q_injection)
+        p[2, rng.randrange(n_buses - 1)] = np.inf
+        q[4, rng.randrange(n_buses - 1)] = -1e308 / BASE.s_base
+        order = rng.sample(range(5), 5)
+        cuts = sorted(rng.sample(range(1, 5), 2))
+        gs = SolverOptions(method="gs")
+        for chunk in np.split(np.array(order), cuts):
+            stack = PowerFlowProblem(base.admittance, base.slack_index, p[chunk], q[chunk])
+            for s, i in enumerate(chunk.tolist()):
+                alone = replace(base, p_injection=p[i], q_injection=q[i])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = loop_gauss_seidel(alone)
+                assert_same_bits(solve(stack, gs, s), expected)
+
     def test_problem_and_stack_shapes(self):
         y = AdmittanceMatrix(np.eye(3, dtype=complex))
         stack = PowerFlowProblem(y, 0, np.zeros((4, 2)), np.ones((4, 2)))
