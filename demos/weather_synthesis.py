@@ -3,7 +3,9 @@
 The weather model draws wind speed from a Weibull distribution and walks
 the cloud factor randomly inside [0, 1]; temperature follows a daily
 cosine.  Everything is driven by one 64-bit seed, so the same seed gives
-the same trace on any machine.
+the same trace on any machine.  A trace is a WeatherSeries: one read-only
+column per quantity (hour, cloud_factor, wind_speed, temperature), one
+entry per hourly step.
 """
 
 import tempfile
@@ -23,11 +25,13 @@ params = WeatherParams(
 
 trace = weather_series(params, n_steps=48, start_hour=0)
 
+day = trace[:24]
+rows = zip(day.hour.tolist(), day.cloud_factor.tolist(), day.wind_speed.tolist(), day.temperature.tolist())
 print("step hour  cloud  wind m/s  temp C")
-for s in trace[:24]:
-    bar = "#" * int(s.wind_speed)
-    print(f"{s.step:4d} {s.hour_of_day:4d}  {s.cloud_factor:5.2f}  {s.wind_speed:8.2f}  {s.temperature:6.1f}  {bar}")
-print(f"... ({len(trace)} samples total)")
+for step, (hour, cloud, wind, temp) in enumerate(rows):
+    bar = "#" * int(wind)
+    print(f"{step:4d} {hour:4d}  {cloud:5.2f}  {wind:8.2f}  {temp:6.1f}  {bar}")
+print(f"... ({len(trace)} steps total)")
 
 # Determinism: regenerating with the same seed gives the identical trace.
 again = weather_series(params, n_steps=48, start_hour=0)
@@ -39,4 +43,4 @@ with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "weather_trace.csv"
     write_weather_csv(trace, out)
     loaded = load_weather_csv(out)
-print(f"wrote {out.name} and read back {len(loaded)} samples")
+print(f"wrote {out.name} and read back {len(loaded)} steps")

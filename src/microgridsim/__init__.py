@@ -64,7 +64,7 @@ from .scenario import (
 )
 from .weather import (
     WeatherParams,
-    WeatherSample,
+    WeatherSeries,
     WeatherTraceError,
     load_weather_csv,
     sample_wind,

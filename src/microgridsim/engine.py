@@ -1,10 +1,11 @@
 """Hourly simulation loop, results tables, CSV output, and summaries.
 
-A run reads its weather into columns once and runs the steps before the
-first bad sample: their generation is one array per device, then the
-lossless balance is one stack, and AC steps go in stacks of as many as
-STACK_BYTES of the solver's per-step state hold: a Newton-Raphson
-matrix, or a Gauss-Seidel voltage row.  Each stack writes a
+A run takes its weather, from any source, as one WeatherSeries of
+columns and runs the steps before the first invalid one: their
+generation is one array per device, then the lossless balance is one
+stack, and AC steps go in stacks of as many as STACK_BYTES of the
+solver's per-step state hold: a Newton-Raphson matrix, or a Gauss-Seidel
+voltage row.  Each stack writes a
 (steps x K) block of values, scanned for its first non-finite row: the
 run raises its first failure in step order.  The blocks are the value
 column of the ResultTable; iterating it yields ResultRecords.  The CSV
@@ -40,7 +41,7 @@ from .powerflow import (
     total_line_losses,
 )
 from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig, format_number
-from .weather import WeatherSample, load_weather_csv, weather_series
+from .weather import WeatherSeries, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
 
@@ -210,19 +211,19 @@ class NonConvergenceError(RuntimeError):
 
 def run_simulation(
     scenario: Scenario,
-    weather: Sequence[WeatherSample] | None = None,
+    weather: WeatherSeries | None = None,
     trace_dir: str | Path = ".",
 ) -> ResultTable:
     """Run the configured number of hourly steps and return the result table.
 
-    An explicit `weather` sequence overrides the scenario's weather
+    An explicit `weather` series overrides the scenario's weather
     source; otherwise a scenario trace path (resolved against trace_dir)
-    or the synthetic model supplies the samples.  Sample i must be for
-    hour (start_hour + i) % 24, else ValueError names the step.  The first
+    or the synthetic model supplies it.  Its step i must be for hour
+    (start_hour + i) % 24, else ValueError names the step.  The first
     failing step, in step order, aborts the run.  Its weather comes first,
-    under the trace reader's rules: a NaN or infinite value, then a cloud
-    factor outside [0, 1], then a negative wind speed, is a ValueError
-    naming step and quantity.  Else a non-finite result is one naming
+    under the trace reader's rules (WeatherSeries.first_invalid): a NaN or
+    infinite value, then a cloud factor outside [0, 1], then a negative
+    wind speed, is a ValueError naming step and quantity.  Else a non-finite result is one naming
     step, object and quantity, so a table never holds one; or the step's
     NonConvergenceError, or SingularMatrixError as 'step S: MESSAGE',
     naming the bus of a Newton-Raphson pivot.  A solver other than acpf,
@@ -231,39 +232,31 @@ def run_simulation(
     cfg = scenario.config
     net = scenario.network
 
-    if weather is not None:
-        samples = list(weather)
-    elif scenario.weather_trace is not None:
-        trace = Path(scenario.weather_trace)
-        if not trace.is_absolute():
-            trace = Path(trace_dir) / trace
-        samples = load_weather_csv(trace)
-    else:
-        params = replace(scenario.weather, seed=cfg.seed)
-        samples = weather_series(params, cfg.steps, cfg.start_hour)
-    if len(samples) < cfg.steps:
+    if weather is None and scenario.weather_trace is not None:
+        # An absolute trace path replaces trace_dir.
+        weather = load_weather_csv(Path(trace_dir) / scenario.weather_trace)
+    elif weather is None:
+        weather = weather_series(replace(scenario.weather, seed=cfg.seed), cfg.steps, cfg.start_hour)
+    if len(weather) < cfg.steps:
         raise ValueError(
-            f"weather trace provides {len(samples)} samples, run needs {cfg.steps}"
+            f"weather trace provides {len(weather)} samples, run needs {cfg.steps}"
         )
-    samples = samples[: cfg.steps]
+    weather = weather[: cfg.steps]
     steps = np.arange(cfg.steps, dtype=np.int64)
     hour = (cfg.start_hour + steps) % 24
-    # Object dtype compares each sample's hour as Python does, whatever its type.
-    wrong = np.flatnonzero(np.array([s.hour_of_day for s in samples], object) != hour)
+    wrong = np.flatnonzero(weather.hour != hour)
     if wrong.size:
         step = int(wrong[0])
         raise ValueError(
-            f"weather sample for step {step} is for hour {samples[step].hour_of_day}, "
+            f"weather sample for step {step} is for hour {weather.hour[step]}, "
             f"but a run starting at hour {cfg.start_hour} needs hour {hour[step]}"
         )
-    weather = np.array([(s.cloud_factor, s.wind_speed, s.temperature) for s in samples], float)
-    # The steps before the first bad sample run; its error follows theirs.
-    cloud, wind = weather[:, 0], weather[:, 1]
-    rejected = ~np.isfinite(weather).all(axis=1) | (cloud < 0.0) | (cloud > 1.0) | (wind < 0.0)
-    good = int(np.argmax(rejected)) if rejected.any() else cfg.steps
+    # The steps before the first invalid one run; its error follows theirs.
+    invalid = weather.first_invalid()
+    good = cfg.steps if invalid is None else invalid[0]
     production = np.reshape(
-        [pv_power(pv, hour[:good], cloud[:good]) for pv in net.pvs]
-        + [wind_power(turbine, wind[:good]) for turbine in net.winds],
+        [pv_power(pv, hour[:good], weather.cloud_factor[:good]) for pv in net.pvs]
+        + [wind_power(turbine, weather.wind_speed[:good]) for turbine in net.winds],
         (len(net.pvs) + len(net.winds), good),
     ).T
 
@@ -284,7 +277,7 @@ def run_simulation(
         stack_steps, solve_stack = _ac_stacks(net, cfg)
 
     values = np.zeros((cfg.steps, len(keys)))
-    values[:, : len(_WEATHER)] = weather
+    values[:, : len(_WEATHER)] = np.column_stack([getattr(weather, q) for q in _WEATHER])
     for first in range(0, good, stack_steps):
         block = values[first : min(first + stack_steps, good)]
         stack = production[first : first + len(block)]
@@ -295,12 +288,8 @@ def run_simulation(
             _require_finite(f"step {first + int(bad[0])}", map(" ".join, keys), block[bad[0]])
         if failure is not None:
             raise failure[1]
-    if good < cfg.steps:
-        where, names = f"step {good}", [f"{WEATHER_OBJECT} {q}" for q in _WEATHER]
-        _require_finite(where, names, weather[good])
-        if not 0.0 <= cloud[good] <= 1.0:
-            raise ValueError(f"{where}: {names[0]} is {float(cloud[good])}, not in [0, 1]")
-        raise ValueError(f"{where}: {names[1]} is {float(wind[good])}, not >= 0")
+    if invalid is not None:
+        raise ValueError(f"step {good}: {WEATHER_OBJECT} {invalid[1]}")
 
     object_code, objects = _encode(obj for obj, _ in keys)
     quantity_code, quantities = _encode(q for _, q in keys)

@@ -1,19 +1,22 @@
 """Deterministic stochastic weather synthesis and weather-trace CSV I/O.
 
-Wind speed is drawn per hour from a Weibull distribution via inverse-CDF
+Weather is one form from source to engine: a :class:`WeatherSeries`, a
+read-only column per quantity with one entry per hourly step.  Wind
+speed is drawn per hour from a Weibull distribution via inverse-CDF
 sampling, cloud cover evolves as a bounded random walk on [0, 1], and
 temperature follows a fixed daily cosine profile.  All randomness comes
 from one SplitMix64 stream (:func:`uniform_stream`), so a (seed, params,
-n_steps) triple fully determines the generated trace on every platform.
+n_steps) triple fully determines the generated series on every platform.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +26,8 @@ _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
 TRACE_COLUMNS = ("step", "hour", "cloud_factor", "wind_speed_mps", "temperature_c")
+# The float columns of a WeatherSeries, in order.
+_VALUES = ("cloud_factor", "wind_speed", "temperature")
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
@@ -41,39 +46,100 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def sample_wind(u: float, shape: float, scale: float) -> float:
+def sample_wind(u: float | np.ndarray, shape: float, scale: float) -> float | np.ndarray:
     """Weibull inverse-CDF sample: scale * (-ln(1 - u)) ** (1 / shape).
 
-    u = 0 maps to calm (0 m/s); u = 1 would be infinite and is rejected,
-    and so is a NaN shape or scale.
+    A value gives a float, an array an array with the value form's bits at
+    each entry.  u = 0 maps to calm (+0.0 m/s); u = 1 would be infinite
+    and is rejected, and so is a NaN or infinite shape or scale.
     """
-    if not shape > 0.0:
-        raise ValueError(f"weibull_shape must be > 0, got {shape!r}")
-    if not scale > 0.0:
-        raise ValueError(f"weibull_scale must be > 0, got {scale!r}")
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform draw must lie in [0, 1), got {u!r}")
-    if u == 0.0:
-        return 0.0
-    return scale * (-math.log1p(-u)) ** (1.0 / shape)
+    named = (("weibull_shape", shape), ("weibull_scale", scale))
+    for name, value in named:
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+    draws = np.asarray(u, dtype=float)
+    outside = draws[~((0.0 <= draws) & (draws < 1.0))]
+    if outside.size:
+        raise ValueError(f"uniform draw must lie in [0, 1), got {float(outside[0])!r}")
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    # math.log1p per draw, as numpy's rounds some draws differently; float_power has the bits of **.
+    log = np.fromiter(map(math.log1p, (-draws).ravel().tolist()), float, draws.size)
+    out = scale * np.float_power(-log.reshape(draws.shape), 1.0 / shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def step_cloud(prev: float, u: float, sigma: float) -> float:
     """One random-walk step of the cloud factor, clamped to [0, 1]; sigma is cloud_step."""
     if not sigma >= 0.0:
         raise ValueError(f"cloud_step must be >= 0, got {sigma!r}")
+    if sigma == math.inf:
+        raise ValueError(f"cloud_step must be finite, got {sigma!r}")
     return min(1.0, max(0.0, prev + sigma * (2.0 * u - 1.0)))
 
 
-@dataclass(frozen=True)
-class WeatherSample:
-    """Weather at one simulation step: cloud cover, wind speed, temperature."""
+@dataclass(frozen=True, eq=False)
+class WeatherSeries:
+    """Weather of consecutive hourly steps as equal-length, read-only 1-D columns.
 
-    step: int
-    hour_of_day: int
-    cloud_factor: float
-    wind_speed: float
-    temperature: float
+    Entry i of each column is step i's hour of day (ints in 0..23, else
+    ValueError), cloud factor, wind speed in m/s or temperature in degC.
+    The values are not checked here: see first_invalid.  len() is the
+    number of steps, a slice is the series of those steps, and series
+    with equal columns are equal.
+    """
+
+    hour: np.ndarray
+    cloud_factor: np.ndarray
+    wind_speed: np.ndarray
+    temperature: np.ndarray
+
+    def __post_init__(self) -> None:
+        hour = np.array(self.hour)
+        if hour.size and (hour.dtype.kind not in "iu" or ((hour < 0) | (hour > 23)).any()):
+            raise ValueError("hour must hold ints in 0..23")
+        columns = [hour.astype(np.int64)] + [np.array(getattr(self, q), float) for q in _VALUES]
+        if {c.ndim for c in columns} != {1} or len({len(c) for c in columns}) != 1:
+            raise ValueError("weather columns must be 1-D and of one length")
+        for name, column in zip(("hour", *_VALUES), columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    def __getitem__(self, steps: slice) -> WeatherSeries:
+        return WeatherSeries(*(column[steps] for column in self._columns()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeatherSeries):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+    def first_invalid(self) -> tuple[int, str] | None:
+        """(step, why) for the first step with a value no trace may hold, else None.
+
+        A trace's values are finite, its cloud factors in [0, 1] and its wind
+        speeds >= 0.  why reads 'COLUMN is VALUE, not ...'; a step's
+        non-finite values, in column order, come before its others.
+        """
+        cloud, wind = self.cloud_factor, self.wind_speed
+        finite = np.isfinite(cloud) & np.isfinite(wind) & np.isfinite(self.temperature)
+        bad = np.flatnonzero(~finite | (cloud < 0.0) | (cloud > 1.0) | (wind < 0.0))
+        if not bad.size:
+            return None
+        step = int(bad[0])
+        values = {name: float(getattr(self, name)[step]) for name in _VALUES}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                return step, f"{name} is {value}, not a finite number"
+        if not 0.0 <= values["cloud_factor"] <= 1.0:
+            return step, f"cloud_factor is {values['cloud_factor']}, not in [0, 1]"
+        return step, f"wind_speed is {values['wind_speed']}, not >= 0"
 
 
 @dataclass(frozen=True)
@@ -101,34 +167,31 @@ class WeatherParams:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
-def weather_series(
-    params: WeatherParams, n_steps: int, start_hour: int = 0
-) -> list[WeatherSample]:
-    """Generate n_steps hourly weather samples.
+def weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0) -> WeatherSeries:
+    """Generate n_steps hourly weather steps.
 
     Step i takes uniforms 2i (wind) and 2i + 1 (cloud) of the seed's
     stream, so traces stay reproducible even if a future model change
-    stops using one of the draws.  Parameters out of range, NaN included,
-    raise ValueError naming the field.
+    stops using one of the draws.  Parameters out of range or not
+    finite, NaN included, raise ValueError naming the field.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not 0 <= start_hour <= 23:
         raise ValueError("start_hour must be in 0..23")
-    u = uniform_stream(params.seed, 2 * n_steps).tolist()
-    cloud = params.cloud_initial
-    if not 0.0 <= cloud <= 1.0:
-        raise ValueError(f"cloud_initial must be in [0, 1], got {cloud!r}")
-    samples = []
-    for step in range(n_steps):
-        hour = (start_hour + step) % 24
-        wind = sample_wind(u[2 * step], params.weibull_shape, params.weibull_scale)
-        cloud = step_cloud(cloud, u[2 * step + 1], params.cloud_step)
-        temp = params.temp_mean + params.temp_amplitude * math.cos(
-            2.0 * math.pi * (hour - 15) / 24.0
-        )
-        samples.append(WeatherSample(step, hour, cloud, wind, temp))
-    return samples
+    if not 0.0 <= params.cloud_initial <= 1.0:
+        raise ValueError(f"cloud_initial must be in [0, 1], got {params.cloud_initial!r}")
+    u = uniform_stream(params.seed, 2 * n_steps)
+    wind = sample_wind(u[0::2], params.weibull_shape, params.weibull_scale)
+    walk = partial(step_cloud, sigma=params.cloud_step)
+    cloud = list(accumulate(u[1::2].tolist(), walk, initial=params.cloud_initial))[1:]
+    for name in ("temp_mean", "temp_amplitude"):
+        if not math.isfinite(value := getattr(params, name)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    angles = [2.0 * math.pi * (h - 15) / 24.0 for h in range(24)]
+    day = [params.temp_mean + params.temp_amplitude * math.cos(a) for a in angles]
+    hour = (start_hour + np.arange(n_steps)) % 24
+    return WeatherSeries(hour, cloud, wind, np.array(day)[hour])
 
 
 class WeatherTraceError(ValueError):
@@ -144,26 +207,23 @@ class WeatherTraceError(ValueError):
         self.row = row
 
 
-def load_weather_csv(path: str | Path) -> list[WeatherSample]:
+def load_weather_csv(path: str | Path) -> WeatherSeries:
     """Read a weather trace written by :func:`write_weather_csv`.
 
     Expects the exact column set step, hour, cloud_factor, wind_speed_mps,
-    temperature_c; accepts LF or CRLF line endings.  The i-th sample must
+    temperature_c; accepts LF or CRLF line endings.  The i-th row must
     carry step i (counting from 0), so duplicate, missing and out-of-order
     steps are rejected with the row that breaks the sequence.  A file that
     is not UTF-8 is a WeatherTraceError too; an unreadable one is OSError.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            samples = _read_trace(path, csv.reader(fh))
+            return _read_trace(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise WeatherTraceError(path, f"not UTF-8 text ({exc.reason})") from None
-    if not samples:
-        raise WeatherTraceError(path, "no samples")
-    return samples
 
 
-def _read_trace(path: str | Path, reader) -> list[WeatherSample]:
+def _read_trace(path: str | Path, reader) -> WeatherSeries:
     try:
         header = next(reader)
     except StopIteration:
@@ -176,7 +236,7 @@ def _read_trace(path: str | Path, reader) -> list[WeatherSample]:
         raise WeatherTraceError(path, f"unknown column(s): {', '.join(extra)}")
     col = {name: header.index(name) for name in TRACE_COLUMNS}
 
-    samples = []
+    rows = []
     for row_no, cells in enumerate(reader, start=1):
         if not cells or (len(cells) == 1 and cells[0].strip() == ""):
             continue
@@ -201,18 +261,24 @@ def _read_trace(path: str | Path, reader) -> list[WeatherSample]:
                 raise WeatherTraceError(path, f"{name} must be finite, got {value}", row_no)
         if wind < 0.0:
             raise WeatherTraceError(path, f"negative wind speed: {wind}", row_no)
-        if step != len(samples):
-            raise WeatherTraceError(path, f"step must be {len(samples)}, got {step}", row_no)
-        samples.append(WeatherSample(step, hour, cloud, wind, temp))
-    return samples
+        if step != len(rows):
+            raise WeatherTraceError(path, f"step must be {len(rows)}, got {step}", row_no)
+        rows.append((hour, cloud, wind, temp))
+    if not rows:
+        raise WeatherTraceError(path, "no samples")
+    return WeatherSeries(*zip(*rows))
 
 
-def write_weather_csv(samples: Sequence[WeatherSample], path: str | Path) -> None:
-    """Write a weather trace as UTF-8 CSV with LF line endings."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for s in samples:
-        lines.append(
-            f"{s.step},{s.hour_of_day},{s.cloud_factor:.9g},"
-            f"{s.wind_speed:.9g},{s.temperature:.9g}"
-        )
+def write_weather_csv(series: WeatherSeries, path: str | Path) -> None:
+    """Write a weather trace as UTF-8 CSV with LF line endings.
+
+    A series that load_weather_csv could not read back, by its
+    first_invalid step, is a ValueError 'step S: COLUMN is VALUE, not ...',
+    and no file is written.
+    """
+    invalid = series.first_invalid()
+    if invalid is not None:
+        raise ValueError("step {}: {}".format(*invalid))
+    rows = zip(range(len(series)), *(column.tolist() for column in series._columns()))
+    lines = [",".join(TRACE_COLUMNS)] + ["%d,%d,%.9g,%.9g,%.9g" % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

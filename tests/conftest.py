@@ -26,11 +26,15 @@ from microgridsim import (
     SolarPanel,
     SummaryRow,
     WeatherParams,
+    WeatherSeries,
     WindTurbine,
     build_admittance,
     bundled_scenario_text,
     clear_sky_factor,
     compute_injections,
+    sample_wind,
+    step_cloud,
+    uniform_stream,
 )
 from microgridsim import powerflow
 from microgridsim.engine import RESULT_COLUMNS
@@ -291,6 +295,37 @@ def loop_wind_power(turbine: WindTurbine, wind_speed: float) -> float:
         return turbine.peak_power
     frac = (v - turbine.cut_in) / (turbine.rated - turbine.cut_in)
     return turbine.peak_power * frac**3
+
+
+def loop_weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0) -> WeatherSeries:
+    """Step-by-step reference for weather_series: the per-step loop as first written.
+
+    Each step draws its wind with a scalar sample_wind call, walks the
+    cloud with one step_cloud call, and evaluates the temperature cosine.
+    """
+    u = uniform_stream(params.seed, 2 * n_steps).tolist()
+    cloud = params.cloud_initial
+    hours, clouds, winds, temps = [], [], [], []
+    for step in range(n_steps):
+        hour = (start_hour + step) % 24
+        wind = sample_wind(u[2 * step], params.weibull_shape, params.weibull_scale)
+        cloud = step_cloud(cloud, u[2 * step + 1], params.cloud_step)
+        temp = params.temp_mean + params.temp_amplitude * math.cos(
+            2.0 * math.pi * (hour - 15) / 24.0
+        )
+        hours.append(hour)
+        clouds.append(cloud)
+        winds.append(wind)
+        temps.append(temp)
+    return WeatherSeries(hours, clouds, winds, temps)
+
+
+def changed_weather(series: WeatherSeries, step: int, **values) -> WeatherSeries:
+    """The series with the named columns' entries at step set to the given values."""
+    columns = {name: getattr(series, name).copy() for name in values}
+    for name, value in values.items():
+        columns[name][step] = value
+    return replace(series, **columns)
 
 
 def loop_render_csv(table, config_comments=None) -> str:

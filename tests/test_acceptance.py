@@ -108,35 +108,41 @@ def test_c03_jacobian_vs_finite_differences():
             )
 
 
-def _step_problems(scenario):
-    """One power-flow problem per simulation step of an acpf scenario."""
+def _step_stack(scenario):
+    """One power-flow problem whose steps are those of an acpf scenario's run."""
     cfg = scenario.config
     net = scenario.network
-    samples = mg.weather_series(replace(scenario.weather, seed=cfg.seed), cfg.steps, cfg.start_hour)
+    weather = mg.weather_series(replace(scenario.weather, seed=cfg.seed), cfg.steps, cfg.start_hour)
     base = mg.PerUnitBase(cfg.s_base_va, cfg.v_base_v)
     admittance = mg.build_admittance(net, base)
     slack = net.slack_index()
     pq = [i for i in range(len(net.buses)) if i != slack]
-    for ws in samples:
+    p_steps, q_steps = [], []
+    for hour, cloud, wind in zip(
+        weather.hour.tolist(), weather.cloud_factor.tolist(), weather.wind_speed.tolist()
+    ):
         p = np.zeros(len(net.buses))
         q = np.zeros(len(net.buses))
         for load in net.loads:
             p[net.bus_index(load.bus)] -= load.active_power
             q[net.bus_index(load.bus)] -= load.reactive_power
         for pv in net.pvs:
-            p[net.bus_index(pv.bus)] += mg.pv_power(pv, ws.hour_of_day, ws.cloud_factor)
+            p[net.bus_index(pv.bus)] += mg.pv_power(pv, hour, cloud)
         for wt in net.winds:
-            p[net.bus_index(wt.bus)] += mg.wind_power(wt, ws.wind_speed)
-        yield mg.PowerFlowProblem(admittance, slack, p[pq] / cfg.s_base_va, q[pq] / cfg.s_base_va)
+            p[net.bus_index(wt.bus)] += mg.wind_power(wt, wind)
+        p_steps.append(p[pq] / cfg.s_base_va)
+        q_steps.append(q[pq] / cfg.s_base_va)
+    return mg.PowerFlowProblem(admittance, slack, p_steps, q_steps)
 
 
 def test_c04_solver_cross_agreement(case2, case2_pv):
     with criterion(4, "NR/GS |V| within 1e-6 pu; NR <= 10 iterations on case studies"):
         assert mg.powerflow.TOLERANCE == 1e-8
         for scenario in (case2, case2_pv):
-            for problem in _step_problems(scenario):
-                nr = mg.solve_newton_raphson(problem)
-                gs = mg.solve_gauss_seidel(problem)
+            stack = _step_stack(scenario)
+            for step in range(len(stack)):
+                nr = mg.solve_newton_raphson(stack, step)
+                gs = mg.solve_gauss_seidel(stack, step)
                 assert nr.converged and gs.converged
                 assert nr.iterations <= 10
                 assert np.max(np.abs(nr.v_mag - gs.v_mag)) <= 1e-6
@@ -271,7 +277,7 @@ def test_c11_weibull_sampler():
     with criterion(11, "1e6 Weibull draws match the Gamma-mean and CDF oracles"):
         shape, scale = 2.0, 6.0
         u = mg.uniform_stream(1106, 1_000_000)
-        draws = np.array([mg.sample_wind(x, shape, scale) for x in u])
+        draws = mg.sample_wind(u, shape, scale)
         mean_oracle = scale * math.gamma(1.0 + 1.0 / shape)
         assert mean_oracle == pytest.approx(5.3174, abs=5e-5)
         assert abs(float(draws.mean()) / mean_oracle - 1.0) <= 0.01

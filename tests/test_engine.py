@@ -38,6 +38,7 @@ from microgridsim import (
 )
 from microgridsim import engine, powerflow
 from conftest import (
+    changed_weather,
     loop_pv_power,
     loop_read_results_csv,
     loop_render_csv,
@@ -111,9 +112,9 @@ class TestRunSimulation:
         samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
         clouds = {r.step: r.value for r in by_quantity(table, "cloud_factor")}
         winds = {r.step: r.value for r in by_quantity(table, "wind_speed")}
-        for s in samples:
-            assert clouds[s.step] == s.cloud_factor
-            assert winds[s.step] == s.wind_speed
+        for step in range(len(samples)):
+            assert clouds[step] == samples.cloud_factor[step]
+            assert winds[step] == samples.wind_speed[step]
 
     def test_simple_run_shape_and_night_pv(self, case1):
         table = run_simulation(case1)
@@ -156,7 +157,7 @@ class TestRunSimulation:
         samples = weather_series(replace(case1.weather, seed=5), 48)
         table = run_simulation(case1, weather=samples)
         clouds = {r.step: r.value for r in by_quantity(table, "cloud_factor")}
-        assert clouds[0] == samples[0].cloud_factor
+        assert clouds[0] == samples.cloud_factor[0]
 
     def test_scenario_trace_resolved_against_trace_dir(self, case1, tmp_path):
         samples = weather_series(case1.weather, 48)
@@ -174,8 +175,7 @@ class TestRunSimulation:
         samples = weather_series(case1.weather, 48, start_hour=5)
         with pytest.raises(ValueError, match="step 0 is for hour 5"):
             run_simulation(case1, weather=samples)
-        samples = weather_series(case1.weather, 48)
-        samples[7] = replace(samples[7], hour_of_day=3)
+        samples = changed_weather(weather_series(case1.weather, 48), 7, hour=3)
         with pytest.raises(ValueError, match="step 7 is for hour 3, .* needs hour 7"):
             run_simulation(case1, weather=samples)
 
@@ -280,10 +280,8 @@ class TestRunSimulation:
         # Step 5's negative wind speed is rejected at its step, but step 3's
         # NaN temperature comes first.
         samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
-        backwards = list(samples)
-        backwards[5] = replace(samples[5], wind_speed=-1.0)
-        both = list(backwards)
-        both[3] = replace(samples[3], temperature=float("nan"))
+        backwards = changed_weather(samples, 5, wind_speed=-1.0)
+        both = changed_weather(backwards, 3, temperature=float("nan"))
         with pytest.raises(ValueError, match=r"^step 5: weather wind_speed is -1\.0, not >= 0$"):
             run_simulation(case1, weather=backwards)
         with pytest.raises(
@@ -319,7 +317,7 @@ class TestRunSimulation:
         scenario = parse_scenario(bundled_scenario_text(case))
         cfg = scenario.config
         samples = weather_series(scenario.weather, cfg.steps, cfg.start_hour)
-        samples[step] = replace(samples[step], **change)
+        samples = changed_weather(samples, step, **change)
         with pytest.raises(ValueError) as exc:
             run_simulation(scenario, weather=samples)
         assert str(exc.value) == message
@@ -327,8 +325,8 @@ class TestRunSimulation:
     def test_weather_at_the_bounds_is_accepted(self, case1):
         # Cloud 0 and 1, and a calm of -0.0 m/s, are valid weather.
         samples = weather_series(case1.weather, case1.config.steps, case1.config.start_hour)
-        samples[3] = replace(samples[3], cloud_factor=0.0, wind_speed=-0.0)
-        samples[4] = replace(samples[4], cloud_factor=1.0, wind_speed=0.0)
+        samples = changed_weather(samples, 3, cloud_factor=0.0, wind_speed=-0.0)
+        samples = changed_weather(samples, 4, cloud_factor=1.0, wind_speed=0.0)
         table = run_simulation(case1, weather=samples)
         assert np.isfinite(table.value).all()
 
@@ -372,12 +370,9 @@ class TestRunSimulation:
         # solved; a bad weather value before it, or at it, comes first.
         scenario, samples = bright_case2_pv
         scenario = replace(scenario, config=replace(scenario.config, solver=solver))
-        nan_temperature = list(samples)
-        nan_temperature[3] = replace(samples[3], temperature=float("nan"))
-        inf_cloud = list(samples)
-        inf_cloud[7] = replace(samples[7], cloud_factor=-float("inf"))
-        inf_wind = list(samples)
-        inf_wind[7] = replace(samples[7], wind_speed=-float("inf"))
+        nan_temperature = changed_weather(samples, 3, temperature=float("nan"))
+        inf_cloud = changed_weather(samples, 7, cloud_factor=-float("inf"))
+        inf_wind = changed_weather(samples, 7, wind_speed=-float("inf"))
         hot = parse_scenario(overheated_case1_text())
         hot = replace(hot, config=replace(hot.config, solver=solver))
         not_finite = "step {}: weather {} is {}, not a finite number"
@@ -414,17 +409,13 @@ class TestRunSimulation:
             steps=6, start_hour=8, solver="acpf", seed=1, s_base_va=10_000.0, v_base_v=230.0
         )
         scenario = Scenario(network=network, config=config, weather=WeatherParams(seed=1))
-        calm = [
-            replace(sample, cloud_factor=1.0, wind_speed=0.0)
-            for sample in weather_series(WeatherParams(seed=1), 6, 8)
-        ]
-        windy = list(calm)
-        windy[5] = replace(calm[5], wind_speed=15.0)
-        sunny = list(windy)
-        sunny[4] = replace(calm[4], cloud_factor=0.0)
+        calm = replace(
+            weather_series(WeatherParams(seed=1), 6, 8), cloud_factor=np.ones(6), wind_speed=np.zeros(6)
+        )
+        windy = changed_weather(calm, 5, wind_speed=15.0)
+        sunny = changed_weather(windy, 4, cloud_factor=0.0)
         # wind_power raises for a negative speed: at step 5, after step 4.
-        backwards = list(sunny)
-        backwards[5] = replace(calm[5], wind_speed=-1.0)
+        backwards = changed_weather(sunny, 5, wind_speed=-1.0)
         # 1e308 + 1e308 overflows to inf, as the turbines are meant to.
         with stacks_of(scenario, steps), np.errstate(over="ignore"):
             # Three weather values, |V| and angle of three buses, p_grid, losses.
@@ -442,8 +433,7 @@ class TestRunSimulation:
 
     def test_non_finite_value_before_a_non_converging_step(self, bright_case2_pv):
         scenario, samples = bright_case2_pv
-        samples = list(samples)
-        samples[3] = replace(samples[3], temperature=float("nan"))
+        samples = changed_weather(samples, 3, temperature=float("nan"))
         with pytest.raises(
             ValueError, match=r"^step 3: weather temperature is nan, not a finite number$"
         ):
@@ -454,14 +444,16 @@ class TestRunSimulation:
         # The weather values of a step come before its solve, so they are
         # the error even when that solve fails or the generators reject them.
         scenario, samples = bright_case2_pv
-        samples = list(samples)
-        samples[7] = replace(samples[7], **{field: -float("inf")})
+        samples = changed_weather(samples, 7, **{field: -float("inf")})
         with pytest.raises(
             ValueError, match=rf"^step 7: weather {field} is -inf, not a finite number$"
         ):
             run_simulation(scenario, weather=samples)
 
-    @pytest.mark.parametrize("field", ["cloud_step", "cloud_initial"])
+    @pytest.mark.parametrize(
+        "field",
+        ["cloud_step", "cloud_initial", "weibull_shape", "weibull_scale", "temp_mean", "temp_amplitude"],
+    )
     def test_nan_weather_params_abort_the_run(self, case1, field):
         scenario = replace(case1, weather=replace(case1.weather, **{field: float("nan")}))
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -528,10 +520,12 @@ class TestStackedRuns:
         net = scenario.network
         demands = [load.active_power for load in net.loads]
         expected = []
-        for ws in weather_series(scenario.weather, steps, scenario.config.start_hour):
-            out = [loop_pv_power(pv, ws.hour_of_day, ws.cloud_factor) for pv in net.pvs]
-            out += [loop_wind_power(turbine, ws.wind_speed) for turbine in net.winds]
-            expected += [ws.cloud_factor, ws.wind_speed, ws.temperature, *out, *demands]
+        weather = weather_series(scenario.weather, steps, scenario.config.start_hour)
+        columns = (weather.hour, weather.cloud_factor, weather.wind_speed, weather.temperature)
+        for hour, cloud, wind, temperature in zip(*(column.tolist() for column in columns)):
+            out = [loop_pv_power(pv, hour, cloud) for pv in net.pvs]
+            out += [loop_wind_power(turbine, wind) for turbine in net.winds]
+            expected += [cloud, wind, temperature, *out, *demands]
             expected.append(sum(demands) - sum(out))
         assert run_simulation(scenario).value.tobytes() == np.array(expected).tobytes()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from microgridsim import (
     WeatherParams,
-    WeatherSample,
+    WeatherSeries,
     WeatherTraceError,
     load_weather_csv,
     sample_wind,
@@ -19,9 +19,9 @@ from microgridsim import (
     weather_series,
     write_weather_csv,
 )
-from conftest import splitmix64_uniforms
+from conftest import changed_weather, loop_weather_series, splitmix64_uniforms
 
-# (hour, cloud_factor, wind_speed, temperature) of trace samples in range.
+# (hour, cloud_factor, wind_speed, temperature) of trace steps in range.
 sample_fields = st.tuples(
     st.integers(0, 23),
     st.floats(0.0, 1.0),
@@ -29,8 +29,26 @@ sample_fields = st.tuples(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 traces = st.lists(sample_fields, min_size=1, max_size=20).map(
-    lambda rows: [WeatherSample(i, *row) for i, row in enumerate(rows)]
+    lambda rows: WeatherSeries(*zip(*rows))
 )
+# Weather parameters inside the scenario bounds, of every magnitude a
+# scenario is likely to give.
+weather_params = st.builds(
+    WeatherParams,
+    weibull_shape=st.floats(0.05, 50.0),
+    weibull_scale=st.floats(1e-3, 1e3),
+    cloud_step=st.floats(0.0, 2.0),
+    cloud_initial=st.floats(0.0, 1.0),
+    temp_mean=st.floats(-1e3, 1e3),
+    temp_amplitude=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def assert_same_bits(a: WeatherSeries, b: WeatherSeries) -> None:
+    for name in ("hour", "cloud_factor", "wind_speed", "temperature"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 # A data row that load_weather_csv must reject, as a function of its step
 # and hour, and the words its error must contain.
 MALFORMED_ROWS = [
@@ -96,8 +114,41 @@ class TestSampleWind:
     def test_mean_against_gamma_oracle(self):
         # E[v] = scale * Gamma(1 + 1/k); 1e5 draws keep this unit test quick.
         u = uniform_stream(99, 100_000)
-        mean = float(np.mean([sample_wind(x, 2.0, 6.0) for x in u]))
+        mean = float(np.mean(sample_wind(u, 2.0, 6.0)))
         assert mean == pytest.approx(6.0 * math.gamma(1.5), rel=0.02)
+
+    def test_calm_draw_of_an_array_is_plus_zero(self):
+        wind = sample_wind(np.array([0.0, 0.5, 0.0]), 2.0, 6.0)
+        assert wind.tolist() == [0.0, sample_wind(0.5, 2.0, 6.0), 0.0]
+        assert math.copysign(1.0, wind[0]) == 1.0
+        assert math.copysign(1.0, sample_wind(0.0, 0.7, 3.3)) == 1.0
+
+    def test_array_keeps_its_shape_and_rejects_its_first_bad_draw(self):
+        u = uniform_stream(4, 6).reshape(2, 3)
+        assert sample_wind(u, 2.0, 6.0).shape == (2, 3)
+        assert isinstance(sample_wind(0.25, 2.0, 6.0), float)
+        with pytest.raises(ValueError, match=r"^uniform draw must lie in \[0, 1\), got 1\.5$"):
+            sample_wind(np.array([0.1, 1.5, -0.5]), 2.0, 6.0)
+        with pytest.raises(ValueError, match=r"got nan$"):
+            sample_wind(np.array([0.1, math.nan]), 2.0, 6.0)
+
+    @pytest.mark.parametrize(
+        "shape, scale, field", [(math.inf, 6.0, "weibull_shape"), (2.0, math.inf, "weibull_scale")]
+    )
+    def test_infinite_parameter_rejected(self, shape, scale, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            sample_wind(0.5, shape, scale)
+
+    @settings(max_examples=50)
+    @given(
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+        shape=st.floats(0.05, 50.0),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_array_has_the_bits_of_the_python_formula(self, u, shape, scale):
+        # math.log1p and ** per draw, as the per-step loop computed them.
+        expected = [scale * (-math.log1p(-x)) ** (1.0 / shape) for x in u]
+        assert sample_wind(np.array(u), shape, scale).tobytes() == np.array(expected).tobytes()
 
 
 class TestStepCloud:
@@ -115,6 +166,8 @@ class TestStepCloud:
             step_cloud(0.5, 0.5, -0.1)
         with pytest.raises(ValueError, match="^cloud_step must be >= 0, got nan$"):
             step_cloud(0.5, 0.5, math.nan)
+        with pytest.raises(ValueError, match="^cloud_step must be finite, got inf$"):
+            step_cloud(0.5, 0.5, math.inf)
 
 
 class TestWeatherSeries:
@@ -124,28 +177,27 @@ class TestWeatherSeries:
         b = weather_series(params, 48)
         assert len(a) == 48
         assert a == b
-        assert [s.step for s in a] == list(range(48))
-        assert [s.hour_of_day for s in a] == [i % 24 for i in range(48)]
+        assert a.hour.tolist() == [i % 24 for i in range(48)]
 
     def test_two_uniforms_per_step_wind_first(self):
         params = WeatherParams(seed=11)
         series = weather_series(params, 10)
         u = uniform_stream(11, 20)
         cloud = params.cloud_initial
-        for i, s in enumerate(series):
-            assert s.wind_speed == sample_wind(
+        for i in range(len(series)):
+            assert series.wind_speed[i] == sample_wind(
                 u[2 * i], params.weibull_shape, params.weibull_scale
             )
             cloud = step_cloud(cloud, u[2 * i + 1], params.cloud_step)
-            assert s.cloud_factor == cloud
+            assert series.cloud_factor[i] == cloud
 
     def test_constant_temperature_when_amplitude_zero(self):
         series = weather_series(WeatherParams(temp_amplitude=0.0, temp_mean=9.5), 30)
-        assert {s.temperature for s in series} == {9.5}
+        assert set(series.temperature.tolist()) == {9.5}
 
     def test_temperature_profile_peaks_mid_afternoon(self):
         series = weather_series(WeatherParams(seed=5), 24)
-        by_hour = {s.hour_of_day: s.temperature for s in series}
+        by_hour = dict(zip(series.hour.tolist(), series.temperature.tolist()))
         assert by_hour[15] == max(by_hour.values())
         assert by_hour[15] == pytest.approx(20.0)
         assert by_hour[3] == pytest.approx(10.0)
@@ -153,12 +205,40 @@ class TestWeatherSeries:
     def test_constant_cloud_when_sigma_zero(self):
         for initial in (0.42, 0.0, 1.0):  # the bounds of cloud_initial are kept
             series = weather_series(WeatherParams(cloud_step=0.0, cloud_initial=initial), 50)
-            assert {s.cloud_factor for s in series} == {initial}
+            assert set(series.cloud_factor.tolist()) == {initial}
 
     def test_bounds_hold_over_long_sweep(self):
         series = weather_series(WeatherParams(seed=8, cloud_step=0.3), 100_000)
-        assert all(0.0 <= s.cloud_factor <= 1.0 for s in series)
-        assert all(s.wind_speed >= 0.0 for s in series)
+        assert ((0.0 <= series.cloud_factor) & (series.cloud_factor <= 1.0)).all()
+        assert (series.wind_speed >= 0.0).all()
+
+    def test_columns_are_read_only_and_sliced_by_step(self):
+        series = weather_series(WeatherParams(seed=2), 30, start_hour=20)
+        for name in ("hour", "cloud_factor", "wind_speed", "temperature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(series, name)[0] = 1
+        part = series[22:25]
+        assert len(part) == 3
+        assert part.hour.tolist() == [18, 19, 20]
+        assert part.wind_speed.tolist() == series.wind_speed[22:25].tolist()
+        assert part != series and series[:] == series
+
+    @pytest.mark.parametrize("hour", [[24], [-1], [1.0], [True]])
+    def test_hour_must_be_ints_in_range(self, hour):
+        with pytest.raises(ValueError, match=r"^hour must hold ints in 0\.\.23$"):
+            WeatherSeries(hour, [0.5], [4.0], [12.0])
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0, 1], [0.5], [4.0, 4.0], [12.0, 12.0]),
+            (0, 0.5, 4.0, 12.0),
+            ([[0]], [[0.5]], [[4.0]], [[12.0]]),
+        ],
+    )
+    def test_columns_must_be_1d_and_of_one_length(self, columns):
+        with pytest.raises(ValueError, match="^weather columns must be 1-D and of one length$"):
+            WeatherSeries(*columns)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -182,6 +262,35 @@ class TestWeatherSeries:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             weather_series(WeatherParams(**{field: value}), 10)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weibull_shape", math.inf),
+            ("weibull_scale", math.inf),
+            ("cloud_step", math.inf),
+            ("temp_mean", math.nan),
+            ("temp_mean", math.inf),
+            ("temp_amplitude", -math.inf),
+            ("temp_amplitude", math.nan),
+        ],
+    )
+    def test_non_finite_parameter_raises_naming_field(self, field, value):
+        # Within its other bounds, a non-finite parameter would give
+        # infinite wind or temperatures, or a cloud stuck at 0 or 1.
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            weather_series(WeatherParams(**{field: value}), 3)
+
+    @settings(max_examples=40)
+    @given(params=weather_params, n_steps=st.integers(1, 300), start_hour=st.integers(0, 23))
+    def test_columns_have_the_bits_of_the_per_step_loop(self, params, n_steps, start_hour):
+        expected = loop_weather_series(params, n_steps, start_hour)
+        assert_same_bits(weather_series(params, n_steps, start_hour), expected)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_stream_ends_match_the_per_step_loop(self, seed):
+        params = WeatherParams(weibull_shape=1.7, cloud_step=0.3, seed=seed)
+        assert_same_bits(weather_series(params, 8760, 9), loop_weather_series(params, 8760, 9))
+
     @pytest.mark.parametrize("seed", [-1, -5, 2**64])
     def test_seed_outside_the_stream_range_is_rejected(self, seed):
         # Taken mod 2**64, seed -5 would silently give the trace of 2**64 - 5.
@@ -196,24 +305,23 @@ class TestTraceCsv:
         write_weather_csv(series, path)
         loaded = load_weather_csv(path)
         assert len(loaded) == 48
-        for a, b in zip(series, loaded):
-            assert (a.step, a.hour_of_day) == (b.step, b.hour_of_day)
-            for field in ("cloud_factor", "wind_speed", "temperature"):
-                assert format(getattr(a, field), ".9g") == format(getattr(b, field), ".9g")
+        assert loaded.hour.tolist() == series.hour.tolist()
+        for field in ("cloud_factor", "wind_speed", "temperature"):
+            for a, b in zip(getattr(series, field), getattr(loaded, field)):
+                assert format(a, ".9g") == format(b, ".9g")
 
     @settings(max_examples=50)
     @given(samples=traces)
     def test_round_trip_property(self, samples, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
         write_weather_csv(samples, path)
-        nine_digits = [
-            WeatherSample(
-                s.step,
-                s.hour_of_day,
-                *(float(format(v, ".9g")) for v in (s.cloud_factor, s.wind_speed, s.temperature)),
-            )
-            for s in samples
-        ]
+        nine_digits = WeatherSeries(
+            samples.hour,
+            *(
+                [float(format(v, ".9g")) for v in getattr(samples, field).tolist()]
+                for field in ("cloud_factor", "wind_speed", "temperature")
+            ),
+        )
         assert load_weather_csv(path) == nine_digits
 
     @settings(max_examples=50)
@@ -224,13 +332,32 @@ class TestTraceCsv:
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
         write_weather_csv(samples, path)
         lines = path.read_text().splitlines()
-        lines[row + 1] = make_row(row, samples[row].hour_of_day)
+        lines[row + 1] = make_row(row, samples.hour[row])
         path.write_text("\n".join(lines) + "\n")
         anchor = f"^{re.escape(str(path))}: row {row + 1}: "
         with pytest.raises(WeatherTraceError, match=anchor) as exc:
             load_weather_csv(path)
         assert exc.value.row == row + 1
         assert words in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "step, change, message",
+        [
+            (1, {"wind_speed": math.inf}, "step 1: wind_speed is inf, not a finite number"),
+            (0, {"temperature": -math.inf}, "step 0: temperature is -inf, not a finite number"),
+            (2, {"cloud_factor": math.nan}, "step 2: cloud_factor is nan, not a finite number"),
+            (2, {"cloud_factor": 1.5}, "step 2: cloud_factor is 1.5, not in [0, 1]"),
+            (1, {"wind_speed": -1.0}, "step 1: wind_speed is -1.0, not >= 0"),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, step, change, message):
+        # Written, each of these would be a trace that load_weather_csv rejects.
+        series = changed_weather(weather_series(WeatherParams(), 3), step, **change)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError) as exc:
+            write_weather_csv(series, path)
+        assert str(exc.value) == message
+        assert not path.exists()
 
     def test_lf_endings_and_header(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -247,7 +374,7 @@ class TestTraceCsv:
         )
         path.write_bytes(body.encode())
         loaded = load_weather_csv(path)
-        assert loaded == [WeatherSample(0, 0, 0.5, 4.0, 12.0)]
+        assert loaded == WeatherSeries([0], [0.5], [4.0], [12.0])
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "trace.csv"
