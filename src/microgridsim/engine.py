@@ -10,9 +10,14 @@ voltage row.  Each stack writes a
 run raises its first failure in step order.  The blocks are the value
 column of the ResultTable; iterating it yields ResultRecords.  The CSV
 form sorts rows by (step, object, quantity) and renders values at up to
-9 significant digits.  Rendering, reading back and iterating a table go
-one fixed-size block of rows at a time, so that the per-row Python
-objects of only one block are alive at once.
+9 significant digits.  Rendering and iterating a table go one
+fixed-size block of rows at a time, and reading one back one block of
+lines at a time, so that the per-row Python objects of only one block
+are alive at once.  A rendered block is one % operation on the joined
+templates of its rows, one template per (object, quantity, unit).  A
+block read back is parsed by numpy's C reader, unless the csv module,
+int() or float() could read it otherwise: then they read it, and their
+answer, a table or a located error, is the reader's.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .powerflow import (
     solve,
     total_line_losses,
 )
-from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig, format_number
-from .weather import WeatherSeries, load_weather_csv, weather_series
+from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig
+from .weather import WeatherSeries, _csv_columns, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
 
@@ -59,9 +64,16 @@ QUANTITY_UNITS = {
 
 _WEATHER = ("cloud_factor", "wind_speed", "temperature")
 
-# Rows per block of a table being rendered, read back or iterated, so that
-# only one block's per-row Python objects live.
+# Rows per block of a table being rendered or iterated, and lines per block
+# of a file being read back, so that only one block's per-row Python
+# objects live.
 _BLOCK_ROWS = 4096
+
+# A results row as numpy's C reader parses it; names stay strings until coded.
+_RESULT_DTYPE = np.dtype(
+    [("step", np.int64), ("hour", np.int64), ("object", object), ("quantity", object),
+     ("value", np.float64), ("unit", object)]
+)
 
 # Bytes of per-step solver state that one stack of AC steps may hold.
 # Newton-Raphson counts its augmented 2m x (2m + 1) float64 matrix for m PQ
@@ -406,7 +418,13 @@ def write_csv(
 def _csv_blocks(
     table: ResultTable, config_comments: Sequence[tuple[str, str]] | None
 ) -> Iterator[str]:
-    """The CSV text: the comments and header, then one piece per block of rows."""
+    """The CSV text: the comments and header, then one piece per block of rows.
+
+    Each distinct (object, quantity, unit) of the table has one %-template
+    of its row, its names escaped; a block is the join of its rows'
+    templates, formatted once with their interleaved (step, hour, value).
+    '%.9g' % value is scenario.format_number(value).
+    """
     comments = [f"# {key} = {value}\n" for key, value in config_comments or ()]
     yield "".join(comments) + ",".join(RESULT_COLUMNS) + "\n"
     order = np.lexsort(
@@ -416,13 +434,23 @@ def _csv_blocks(
             table.step,
         )
     )
+    # Codes combined two at a time, so that no product of name counts overflows.
+    pair = table.object_code * len(table.quantities) + table.quantity_code
+    pair = np.unique(pair, return_inverse=True)[1]
+    _, first, combo = np.unique(
+        pair * len(table.units) + table.unit_code, return_index=True, return_inverse=True
+    )
+    templates = [
+        "%d,%d,{},{},%.9g,{}\n".format(*(name.replace("%", "%%") for name in (obj, quantity, unit)))
+        for _, _, obj, quantity, _, unit in table._rows(first)
+    ]
     for rows in _blocks(len(order)):
-        yield "".join(
-            [
-                f"{step},{hour},{obj},{quantity},{format_number(value)},{unit}\n"
-                for step, hour, obj, quantity, value, unit in table._rows(order[rows])
-            ]
-        )
+        index = order[rows]
+        fields = [None] * (3 * len(index))
+        fields[0::3] = table.step[index].tolist()
+        fields[1::3] = table.hour[index].tolist()
+        fields[2::3] = table.value[index].tolist()
+        yield "".join(map(templates.__getitem__, combo[index].tolist())) % tuple(fields)
 
 
 def _ranks(names: Sequence[str]) -> np.ndarray:
@@ -440,7 +468,9 @@ def read_results_csv(path: str | Path) -> ResultTable:
     a ValueError that names the first such row by its number among the
     non-comment rows, the header being row 1.  A file that is not UTF-8
     is a ValueError that names the file.  The file is read one block of
-    rows at a time.
+    lines at a time: numpy's C reader parses a block, and Python's csv
+    module, int and float read it instead wherever their answer could
+    differ (_loadtxt_block), so what is accepted, and how, is theirs.
     """
     objects, quantities, units = _Coder(), _Coder(), _Coder()
     chunks = []
@@ -455,12 +485,19 @@ def read_results_csv(path: str | Path) -> ResultTable:
                     f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
                 )
             row_no = 2
-            while block := list(islice(rows, _BLOCK_ROWS)):
-                step, hour, obj, quantity, value, unit = _parse_block(path, block, row_no)
+            while chunk := list(islice(fh, _BLOCK_ROWS)):
+                lines = [line for line in chunk if not line.startswith("#")]
+                n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
+                if not n_rows:
+                    continue
+                columns = _loadtxt_block(lines, n_rows)
+                if columns is None:
+                    columns = _parse_block(path, _csv_rows(lines, fh), row_no)
+                step, hour, obj, quantity, value, unit = columns
                 chunks.append(
                     (step, hour, objects.codes(obj), quantities.codes(quantity), units.codes(unit), value)
                 )
-                row_no += len(block)
+                row_no += len(step)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not chunks:
@@ -471,6 +508,39 @@ def read_results_csv(path: str | Path) -> ResultTable:
         quantities=tuple(quantities),
         units=tuple(units),
     )
+
+
+def _loadtxt_block(lines: list[str], n_rows: int) -> tuple | None:
+    """Columns of a block of n_rows non-empty lines by numpy's C reader, or None.
+
+    None where Python could read the block otherwise (see _csv_columns),
+    where numpy does not give one row per non-empty line, or where a value
+    is not finite.
+    """
+    table = _csv_columns(lines, _RESULT_DTYPE)
+    if table is None or len(table) != n_rows or not np.isfinite(table["value"]).all():
+        return None
+    # Copies, so that the block's record array and its names can be freed.
+    return (
+        table["step"].copy(),
+        table["hour"].copy(),
+        table["object"].tolist(),
+        table["quantity"].tolist(),
+        table["value"].copy(),
+        table["unit"].tolist(),
+    )
+
+
+def _csv_rows(lines: list[str], fh: Iterator[str]) -> list[list[str]]:
+    """The non-empty csv rows of lines.
+
+    A quoted cell left open at their end reads on in fh's non-comment lines.
+    """
+    reader = csv.reader(chain(lines, (line for line in fh if not line.startswith("#"))))
+    rows = []
+    while reader.line_num < len(lines):
+        rows.append(next(reader))
+    return list(filter(None, rows))
 
 
 def _parse_block(path: str | Path, block: list[list[str]], first_row_no: int) -> tuple:

@@ -51,7 +51,8 @@ def sample_wind(u: float | np.ndarray, shape: float, scale: float) -> float | np
 
     A value gives a float, an array an array with the value form's bits at
     each entry.  u = 0 maps to calm (+0.0 m/s); u = 1 would be infinite
-    and is rejected, and so is a NaN or infinite shape or scale.
+    and is rejected, and so is a NaN or infinite shape or scale.  A speed
+    that overflows is inf, without a warning.
     """
     named = (("weibull_shape", shape), ("weibull_scale", scale))
     for name, value in named:
@@ -66,7 +67,8 @@ def sample_wind(u: float | np.ndarray, shape: float, scale: float) -> float | np
             raise ValueError(f"{name} must be finite, got {value!r}")
     # math.log1p per draw, as numpy's rounds some draws differently; float_power has the bits of **.
     log = np.fromiter(map(math.log1p, (-draws).ravel().tolist()), float, draws.size)
-    out = scale * np.float_power(-log.reshape(draws.shape), 1.0 / shape)
+    with np.errstate(over="ignore"):  # an infinite speed is the caller's to reject
+        out = scale * np.float_power(-log.reshape(draws.shape), 1.0 / shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -173,7 +175,10 @@ def weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0) -> 
     Step i takes uniforms 2i (wind) and 2i + 1 (cloud) of the seed's
     stream, so traces stay reproducible even if a future model change
     stops using one of the draws.  Parameters out of range or not
-    finite, NaN included, raise ValueError naming the field.
+    finite, NaN included, raise ValueError naming the field; finite ones
+    whose wind speed or temperature overflows to infinity, one naming
+    the pair, 'weibull_shape = 1e-320 with weibull_scale = 6.0 gives an
+    infinite wind speed'.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -191,7 +196,18 @@ def weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0) -> 
     angles = [2.0 * math.pi * (h - 15) / 24.0 for h in range(24)]
     day = [params.temp_mean + params.temp_amplitude * math.cos(a) for a in angles]
     hour = (start_hour + np.arange(n_steps)) % 24
-    return WeatherSeries(hour, cloud, wind, np.array(day)[hour])
+    temperature = np.array(day)[hour]
+    if not np.isfinite(wind).all():
+        raise ValueError(
+            f"weibull_shape = {params.weibull_shape!r} with "
+            f"weibull_scale = {params.weibull_scale!r} gives an infinite wind speed"
+        )
+    if not np.isfinite(temperature).all():
+        raise ValueError(
+            f"temp_mean = {params.temp_mean!r} with "
+            f"temp_amplitude = {params.temp_amplitude!r} gives an infinite temperature"
+        )
+    return WeatherSeries(hour, cloud, wind, temperature)
 
 
 class WeatherTraceError(ValueError):
@@ -215,12 +231,67 @@ def load_weather_csv(path: str | Path) -> WeatherSeries:
     carry step i (counting from 0), so duplicate, missing and out-of-order
     steps are rejected with the row that breaks the sequence.  A file that
     is not UTF-8 is a WeatherTraceError too; an unreadable one is OSError.
+    numpy's C reader parses the data rows; where its reading could differ
+    from the csv module's, int's and float's, or any rule fails, the file
+    is read again row by row, which gives their answer or the row's error.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _read_trace(path, csv.reader(fh))
+            series = _loadtxt_trace(fh)
+        if series is None:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                series = _read_trace(path, csv.reader(fh))
+        return series
     except UnicodeDecodeError as exc:
         raise WeatherTraceError(path, f"not UTF-8 text ({exc.reason})") from None
+
+
+def _loadtxt_trace(fh) -> WeatherSeries | None:
+    """The trace of a file by numpy's C reader, or None unless _read_trace would accept it as is."""
+    try:
+        header = next(csv.reader(fh), [])
+        lines = fh.readlines()
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
+    if sorted(header) != sorted(TRACE_COLUMNS) or not n_rows:
+        return None
+    dtype = np.dtype([(name, np.int64 if name in ("step", "hour") else float) for name in header])
+    table = _csv_columns(lines, dtype)
+    if table is None or len(table) != n_rows:
+        return None
+    step, hour, cloud, wind, temperature = (table[name] for name in TRACE_COLUMNS)
+    valid = (0 <= hour) & (hour <= 23) & (0.0 <= cloud) & (cloud <= 1.0) & (wind >= 0.0)
+    valid &= np.isfinite(wind) & np.isfinite(temperature) & (step == np.arange(len(step)))
+    return WeatherSeries(hour, cloud, wind, temperature) if valid.all() else None
+
+
+# Characters that send lines to Python's reading.  numpy's C reader and the
+# csv module can split quoted text apart: numpy takes a quote left open at
+# the end of its input as a cell.  And numpy strips the ASCII information
+# separators around a number, as str.isspace() counts them, but int() and
+# float() reject them.
+_PYTHON_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _csv_columns(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """Comma-separated lines as a 1-D record array of dtype, by numpy's C reader.
+
+    None where Python would read a cell of the lines otherwise: they hold
+    a character of _PYTHON_ONLY, a line is longer than the csv module's
+    field limit (at which csv raises), or numpy raises.  The caller checks
+    that numpy gave one row per non-empty line; where it did, the rows are
+    those of csv.reader, their numbers as int() and float() read them.
+    """
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = "".join(lines)
+    if any(map(text.__contains__, _PYTHON_ONLY)):
+        return None
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _read_trace(path: str | Path, reader) -> WeatherSeries:
@@ -279,6 +350,9 @@ def write_weather_csv(series: WeatherSeries, path: str | Path) -> None:
     invalid = series.first_invalid()
     if invalid is not None:
         raise ValueError("step {}: {}".format(*invalid))
-    rows = zip(range(len(series)), *(column.tolist() for column in series._columns()))
-    lines = [",".join(TRACE_COLUMNS)] + ["%d,%d,%.9g,%.9g,%.9g" % row for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    fields = [None] * (len(TRACE_COLUMNS) * len(series))
+    fields[0 :: len(TRACE_COLUMNS)] = range(len(series))
+    for i, column in enumerate(series._columns(), start=1):
+        fields[i :: len(TRACE_COLUMNS)] = column.tolist()
+    rows = "%d,%d,%.9g,%.9g,%.9g\n" * len(series) % tuple(fields)
+    Path(path).write_text(",".join(TRACE_COLUMNS) + "\n" + rows, encoding="utf-8", newline="\n")

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from microgridsim import (
     Bus,
@@ -27,6 +28,7 @@ from microgridsim import (
     SummaryRow,
     WeatherParams,
     WeatherSeries,
+    WeatherTraceError,
     WindTurbine,
     build_admittance,
     bundled_scenario_text,
@@ -40,6 +42,7 @@ from microgridsim import powerflow
 from microgridsim.engine import RESULT_COLUMNS
 from microgridsim.powerflow import PowerFlowSolution
 from microgridsim.scenario import format_number
+from microgridsim.weather import TRACE_COLUMNS
 
 BASE = PerUnitBase(s_base=10_000.0, v_base=230.0)
 
@@ -320,12 +323,139 @@ def loop_weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0
     return WeatherSeries(hours, clouds, winds, temps)
 
 
+def overheated_weather(scenario: Scenario) -> WeatherSeries:
+    """The scenario's weather with temp_mean = temp_amplitude = 1e308, built step by step.
+
+    Its afternoon temperatures overflow to inf: in a run that starts at
+    hour 0, steps 13-17 of every day.  weather_series rejects these
+    parameters; the step-by-step loop does not, so a run can be given the
+    non-finite weather they make.
+    """
+    cfg = scenario.config
+    params = replace(scenario.weather, seed=cfg.seed, temp_mean=1e308, temp_amplitude=1e308)
+    return loop_weather_series(params, cfg.steps, cfg.start_hour)
+
+
 def changed_weather(series: WeatherSeries, step: int, **values) -> WeatherSeries:
     """The series with the named columns' entries at step set to the given values."""
     columns = {name: getattr(series, name).copy() for name in values}
     for name, value in values.items():
         columns[name][step] = value
     return replace(series, **columns)
+
+
+def loop_load_weather_csv(path) -> WeatherSeries:
+    """Row-by-row reference for load_weather_csv: the csv.reader loop as first written.
+
+    Each row's cells go through int() and float() and the trace rules in
+    turn, and the first row that breaks one is named in a WeatherTraceError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise WeatherTraceError(path, "empty file, expected header") from None
+            missing = [c for c in TRACE_COLUMNS if c not in header]
+            if missing:
+                raise WeatherTraceError(path, f"missing column(s): {', '.join(missing)}")
+            extra = [c for c in header if c not in TRACE_COLUMNS]
+            if extra:
+                raise WeatherTraceError(path, f"unknown column(s): {', '.join(extra)}")
+            col = {name: header.index(name) for name in TRACE_COLUMNS}
+            rows = []
+            for row_no, cells in enumerate(reader, start=1):
+                if not cells or (len(cells) == 1 and cells[0].strip() == ""):
+                    continue
+                if len(cells) != len(TRACE_COLUMNS):
+                    raise WeatherTraceError(
+                        path, f"expected {len(TRACE_COLUMNS)} cells, got {len(cells)}", row_no
+                    )
+                try:
+                    step = int(cells[col["step"]])
+                    hour = int(cells[col["hour"]])
+                    cloud = float(cells[col["cloud_factor"]])
+                    wind = float(cells[col["wind_speed_mps"]])
+                    temp = float(cells[col["temperature_c"]])
+                except ValueError:
+                    raise WeatherTraceError(path, "non-numeric cell", row_no) from None
+                if not 0 <= hour <= 23:
+                    raise WeatherTraceError(path, f"hour must be in 0..23, got {hour}", row_no)
+                if not 0.0 <= cloud <= 1.0:
+                    raise WeatherTraceError(path, f"cloud_factor outside [0, 1]: {cloud}", row_no)
+                for name, value in (("wind_speed_mps", wind), ("temperature_c", temp)):
+                    if not math.isfinite(value):
+                        raise WeatherTraceError(path, f"{name} must be finite, got {value}", row_no)
+                if wind < 0.0:
+                    raise WeatherTraceError(path, f"negative wind speed: {wind}", row_no)
+                if step != len(rows):
+                    raise WeatherTraceError(path, f"step must be {len(rows)}, got {step}", row_no)
+                rows.append((hour, cloud, wind, temp))
+    except UnicodeDecodeError as exc:
+        raise WeatherTraceError(path, f"not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise WeatherTraceError(path, "no samples")
+    return WeatherSeries(*zip(*rows))
+
+
+def loop_write_weather_csv(series: WeatherSeries, path) -> None:
+    """Row-by-row reference for write_weather_csv: one % format per row, joined with LF."""
+    rows = zip(range(len(series)), series.hour.tolist(), series.cloud_factor.tolist(),
+               series.wind_speed.tolist(), series.temperature.tolist())
+    lines = [",".join(TRACE_COLUMNS)] + ["%d,%d,%.9g,%.9g,%.9g" % row for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# Number cells that int(), float() and numpy's C reader may read apart, or
+# that break a rule: not finite, not an int, out of range, not a number.
+NUMBER_FORMS = (
+    "nan", "inf", "-inf", "1e999", " 1", "1 ", "+1", "1.0", "1_0", "\u0661", "\uff11.5",
+    "\x1c1", "7", "-1", "25", "x", "",
+)
+# Lines a CSV file may hold between its rows: blank, whitespace-only, '#'.
+LOOSE_LINES = ("", " ", "\t", "#", "# note")
+
+
+@st.composite
+def mutated_csv(
+    draw, rows: list[list[str]], first_data_row: int, numbers: tuple[int, ...]
+) -> bytes:
+    """The UTF-8 text of rows, one a line, after drawn edits.
+
+    Up to four edits of data rows (from first_data_row on): a cell in a
+    column of numbers replaced by one of NUMBER_FORMS, a cell quoted, or
+    quoted around a line break (the line after it may start with '#'), a
+    cell added, or the last one dropped.  Then up to three LOOSE_LINES go
+    in anywhere, lines end in LF or CRLF, and a byte that is not UTF-8 may
+    go in anywhere.
+    """
+    rows = [list(row) for row in rows]
+    data = range(first_data_row, len(rows))
+    for _ in range(draw(st.integers(0, 4)) if data else 0):
+        cells = rows[draw(st.sampled_from(data))]
+        edit = draw(st.sampled_from(("number", "quote", "line break", "extra", "missing")))
+        column = draw(st.integers(0, len(cells) - 1))
+        if edit == "number":
+            cells[draw(st.sampled_from(numbers)) % len(cells)] = draw(st.sampled_from(NUMBER_FORMS))
+        elif edit == "quote":
+            cells[column] = '"' + cells[column].replace('"', '""') + '"'
+        elif edit == "line break":
+            tail = draw(st.sampled_from(("", "x", "#x", " ")))
+            cells[column] = '"' + cells[column].replace('"', '""') + "\n" + tail + '"'
+        elif edit == "extra":
+            cells.append("0")
+        elif len(cells) > 1:
+            cells.pop()
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(LOOSE_LINES))])
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    raw = (ending.join(",".join(cells) for cells in rows) + ending).encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
 
 
 def loop_render_csv(table, config_comments=None) -> str:
@@ -439,15 +569,6 @@ def splitmix64_uniforms(seed: int, n: int) -> list[float]:
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0**-53)
     return out
-
-
-def overheated_case1_text() -> str:
-    """case1 with a temperature curve whose afternoon peak overflows to inf."""
-    text = bundled_scenario_text("case1")
-    assert "temp_mean_c = 15\n" in text and "temp_amplitude_c = 5\n" in text
-    return text.replace("temp_mean_c = 15\n", "temp_mean_c = 1e308\n").replace(
-        "temp_amplitude_c = 5\n", "temp_amplitude_c = 1e308\n"
-    )
 
 
 def make_random_scenario(rng: random.Random) -> Scenario:

@@ -23,7 +23,7 @@ from microgridsim import (
     write_weather_csv,
 )
 from microgridsim.cli import cli_main
-from conftest import loop_read_results_csv, make_random_scenario, overheated_case1_text
+from conftest import loop_read_results_csv, make_random_scenario
 
 CASE1 = str(bundled_scenario_path("case1"))
 CASE2 = str(bundled_scenario_path("case2"))
@@ -169,8 +169,11 @@ class TestRun:
         assert "bad.mgs:" in err and "'s_base_va' must be finite" in err
 
     def test_non_finite_result_exits_1(self, tmp_path, capsys):
+        # Two 1e308 W loads are finite, but the grid's share of them is not.
         hot = tmp_path / "hot.mgs"
-        hot.write_text(overheated_case1_text())
+        text = bundled_scenario_text("case1")
+        assert text.count("p_w = 800\n") == 3
+        hot.write_text(text.replace("p_w = 800\n", "p_w = 1e308\n", 2))
         out = tmp_path / "r.csv"
         assert cli_main(["run", str(hot), "--steps", "24", "--out", str(out)]) == 1
         assert not out.exists()
@@ -178,7 +181,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert "step 13: weather temperature is inf, not a finite number" in captured.err
+        assert "step 0: utility p_grid is inf, not a finite number" in captured.err
 
     def test_non_convergent_run_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mgs"
@@ -242,6 +245,16 @@ def _case2_with(tmp: Path, *changes: tuple[str, str]) -> str:
         assert old in text
         text = text.replace(old, new)
     path = tmp / "bases.mgs"
+    path.write_text(text)
+    return str(path)
+
+
+def _case1_with(tmp: Path, *changes: tuple[str, str]) -> str:
+    text = bundled_scenario_text("case1")
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp / "weather.mgs"
     path.write_text(text)
     return str(path)
 
@@ -329,6 +342,15 @@ BAD_INPUTS = {
     "validate overflowing impedance base": (
         lambda tmp: ["validate", _case2_with(tmp, _HUGE_V)],
         "semantic_conflict: v_base_v = 1e+200 with s_base_va = 10000: impedance base",
+    ),
+    "run overflowing wind": (
+        lambda tmp: ["run", _case1_with(tmp, ("weibull_shape = 2\n", "weibull_shape = 1e-320\n"))],
+        "weather.mgs: weibull_shape = 1e-320 with weibull_scale = 9.0 gives an infinite wind speed",
+    ),
+    "run overflowing temperature": (
+        lambda tmp: ["run", _case1_with(tmp, ("temp_mean_c = 15\n", "temp_mean_c = 1e308\n"),
+                                        ("temp_amplitude_c = 5\n", "temp_amplitude_c = 1e308\n"))],
+        "weather.mgs: temp_mean = 1e+308 with temp_amplitude = 1e+308 gives an infinite temperature",
     ),
     "run underflowing impedance base": (
         lambda tmp: ["run", _case2_with(tmp, *_TINY_Z), "--solver", "simple"],

@@ -45,7 +45,8 @@ from conftest import (
     loop_summarize,
     loop_wind_power,
     make_random_scenario,
-    overheated_case1_text,
+    mutated_csv,
+    overheated_weather,
     problem_for,
 )
 
@@ -249,22 +250,41 @@ class TestRunSimulation:
         assert exc.value.worst_bus == worst_bus
         assert str(exc.value) == message
 
-    def test_non_finite_result_names_step_object_and_quantity(self):
-        scenario = parse_scenario(overheated_case1_text())
-        scenario = replace(scenario, config=replace(scenario.config, steps=24))
+    def test_non_finite_result_names_step_object_and_quantity(self, case1):
+        scenario = replace(case1, config=replace(case1.config, steps=24))
         with pytest.raises(
             ValueError, match=r"^step 13: weather temperature is inf, not a finite number$"
         ):
-            run_simulation(scenario)
+            run_simulation(scenario, weather=overheated_weather(scenario))
 
-    def test_non_finite_result_reported_for_the_whole_run(self):
+    def test_non_finite_result_reported_for_the_whole_run(self, case1):
         # The check runs step by step, so the first bad step is named even
         # when later steps are bad too.
-        scenario = parse_scenario(overheated_case1_text())
         with pytest.raises(
             ValueError, match=r"^step 13: weather temperature is inf, not a finite number$"
         ):
+            run_simulation(case1, weather=overheated_weather(case1))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"weibull_shape": 1e-320},
+                "weibull_shape = 1e-320 with weibull_scale = 9.0 gives an infinite wind speed",
+            ),
+            (
+                {"temp_mean": 1e308, "temp_amplitude": 1e308},
+                "temp_mean = 1e+308 with temp_amplitude = 1e+308 gives an infinite temperature",
+            ),
+        ],
+    )
+    def test_overflowing_weather_params_abort_the_run(self, case1, changes, message):
+        # Each parameter is finite, but the weather it makes is not: the run
+        # fails before its first step, naming the parameters.
+        scenario = replace(case1, weather=replace(case1.weather, **changes))
+        with pytest.raises(ValueError) as exc:
             run_simulation(scenario)
+        assert str(exc.value) == message
 
     def test_non_finite_balance_value_names_its_object(self):
         # Two 1e308 W loads are finite, but the grid's share of them is not.
@@ -373,7 +393,7 @@ class TestRunSimulation:
         nan_temperature = changed_weather(samples, 3, temperature=float("nan"))
         inf_cloud = changed_weather(samples, 7, cloud_factor=-float("inf"))
         inf_wind = changed_weather(samples, 7, wind_speed=-float("inf"))
-        hot = parse_scenario(overheated_case1_text())
+        hot = parse_scenario(bundled_scenario_text("case1"))
         hot = replace(hot, config=replace(hot.config, solver=solver))
         not_finite = "step {}: weather {} is {}, not a finite number"
         cases = [
@@ -381,7 +401,7 @@ class TestRunSimulation:
             (scenario, nan_temperature, ValueError, not_finite.format(3, "temperature", "nan")),
             (scenario, inf_cloud, ValueError, not_finite.format(7, "cloud_factor", "-inf")),
             (scenario, inf_wind, ValueError, not_finite.format(7, "wind_speed", "-inf")),
-            (hot, None, ValueError, not_finite.format(13, "temperature", "inf")),
+            (hot, overheated_weather(hot), ValueError, not_finite.format(13, "temperature", "inf")),
         ]
         for case, weather, error, message in cases:
             with stacks_of(case, steps), pytest.raises(error) as exc:
@@ -697,6 +717,47 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{path}: row 2: "):
             read_results_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            # int() and float() read these forms, and numpy's C reader does not.
+            ("1_0,0,a,p_out,1.5,W", ResultRecord(10, 0, "a", "p_out", 1.5, "W")),
+            ("0,\u0661,a,p_out,1.5,W", ResultRecord(0, 1, "a", "p_out", 1.5, "W")),
+            ("0,0,a,p_out,\uff11.5,W", ResultRecord(0, 0, "a", "p_out", 1.5, "W")),
+            ("0,0,a,p_out,2_5.5,W", ResultRecord(0, 0, "a", "p_out", 25.5, "W")),
+            # A quoted cell across a line break, with a '#' line inside it
+            # dropped as a comment line.
+            ('0,0,"a\n#x\nb",p_out,1,W', ResultRecord(0, 0, "a\nb", "p_out", 1.0, "W")),
+            # numpy strips an ASCII information separator around a number;
+            # int() and float() reject it.
+            ("\x1c1,0,a,p_out,1,W", "invalid literal for int() with base 10: '\\x1c1'"),
+            ("0,0,a,p_out,1\x1f,W", "could not convert string to float: '1\\x1f'"),
+            # Both read these alike: a 1.0 step is not an int, and ' 1' is.
+            ("1.0,0,a,p_out,1,W", "invalid literal for int() with base 10: '1.0'"),
+            (" 1,0,a,p_out, 2 ,W", ResultRecord(1, 0, "a", "p_out", 2.0, "W")),
+        ],
+    )
+    def test_python_reading_wins_where_numpy_differs(self, tmp_path, body, expected):
+        path = tmp_path / "forms.csv"
+        path.write_text("step,hour,object,quantity,value,unit\n" + body + "\n")
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                if isinstance(expected, ResultRecord):
+                    assert list(read_results_csv(path)) == [expected]
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        read_results_csv(path)
+                    assert str(exc.value) == f"{path}: row 2: {expected}"
+
+def read_outcome(read, path) -> str:
+    """repr of the records that read gives for path, or the text of its ValueError."""
+    try:
+        return repr(list(read(path)))
+    except UnicodeDecodeError as exc:  # the row-by-row reader does not name the file
+        return f"{path}: not UTF-8 text ({exc.reason})"
+    except ValueError as exc:
+        return str(exc)
+
 
 OBJECTS = ("pv", "b10", "b2", "Grid", "weather", "a_b", "ab")
 QUANTITIES = ("v_mag", "p_out", "losses", "cloud_factor")
@@ -766,6 +827,20 @@ class TestColumnsMatchRecordOracles:
                 assert repr(list(table)) == repr(expected)
                 assert table.quantities == tuple(dict.fromkeys(r.quantity for r in expected))
                 assert self.summaries(summarize, table) == expected_summaries
+
+    @settings(max_examples=40)
+    @given(records=records_st, data=st.data())
+    def test_mutated_files_read_as_the_row_loop_reads_them(self, records, data, tmp_path_factory):
+        # Quoted cells (across block boundaries too), CRLF, loose lines,
+        # number forms, extra or missing cells and a non-UTF-8 byte: the
+        # table, or the error text, is the row-by-row reader's.
+        rows = [line.split(",") for line in loop_render_csv(records, [("seed", "1")]).splitlines()]
+        path = tmp_path_factory.mktemp("mutated") / "results.csv"
+        path.write_bytes(data.draw(mutated_csv(rows, 2, (0, 1, 4))))
+        expected = read_outcome(loop_read_results_csv, path)
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                assert read_outcome(read_results_csv, path) == expected
 
     def test_run_tables(self, case1, case2_table, tmp_path):
         # Long per-object groups, where an unstable grouping sort would

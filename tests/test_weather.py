@@ -19,7 +19,15 @@ from microgridsim import (
     weather_series,
     write_weather_csv,
 )
-from conftest import changed_weather, loop_weather_series, splitmix64_uniforms
+from conftest import (
+    changed_weather,
+    loop_load_weather_csv,
+    loop_weather_series,
+    loop_write_weather_csv,
+    mutated_csv,
+    splitmix64_uniforms,
+)
+from microgridsim.weather import TRACE_COLUMNS
 
 # (hour, cloud_factor, wind_speed, temperature) of trace steps in range.
 sample_fields = st.tuples(
@@ -49,6 +57,18 @@ def assert_same_bits(a: WeatherSeries, b: WeatherSeries) -> None:
     for name in ("hour", "cloud_factor", "wind_speed", "temperature"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def trace_outcome(load, path) -> tuple:
+    """The bytes of the columns that load reads from path, or its error's text and row."""
+    try:
+        series = load(path)
+    except WeatherTraceError as exc:
+        return str(exc), exc.row
+    columns = ("hour", "cloud_factor", "wind_speed", "temperature")
+    return tuple(getattr(series, name).tobytes() for name in columns)
+
+
 # A data row that load_weather_csv must reject, as a function of its step
 # and hour, and the words its error must contain.
 MALFORMED_ROWS = [
@@ -291,6 +311,38 @@ class TestWeatherSeries:
         params = WeatherParams(weibull_shape=1.7, cloud_step=0.3, seed=seed)
         assert_same_bits(weather_series(params, 8760, 9), loop_weather_series(params, 8760, 9))
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"weibull_shape": 1e-320},
+                "weibull_shape = 1e-320 with weibull_scale = 6.0 gives an infinite wind speed",
+            ),
+            (
+                {"weibull_shape": 0.5, "weibull_scale": 1e308},
+                "weibull_shape = 0.5 with weibull_scale = 1e+308 gives an infinite wind speed",
+            ),
+            (
+                {"temp_mean": 1e308, "temp_amplitude": 1e308},
+                "temp_mean = 1e+308 with temp_amplitude = 1e+308 gives an infinite temperature",
+            ),
+            (
+                {"temp_mean": -1e308, "temp_amplitude": 1e308},
+                "temp_mean = -1e+308 with temp_amplitude = 1e+308 gives an infinite temperature",
+            ),
+        ],
+    )
+    def test_finite_parameters_that_overflow_raise_naming_them(self, changes, message):
+        # Each parameter is finite, but 1 / shape, scale * x ** (1 / shape)
+        # or mean + amplitude * cos overflows at some step of the day.
+        params = WeatherParams(**changes)
+        with pytest.raises(ValueError) as exc:
+            weather_series(params, 24)
+        assert str(exc.value) == message
+        # The step-by-step loop makes the infinite values that are rejected.
+        expected = loop_weather_series(params, 24)
+        assert not all(np.isfinite(c).all() for c in (expected.wind_speed, expected.temperature))
+
     @pytest.mark.parametrize("seed", [-1, -5, 2**64])
     def test_seed_outside_the_stream_range_is_rejected(self, seed):
         # Taken mod 2**64, seed -5 would silently give the trace of 2**64 - 5.
@@ -358,6 +410,56 @@ class TestTraceCsv:
             write_weather_csv(series, path)
         assert str(exc.value) == message
         assert not path.exists()
+
+    def test_writer_has_the_bytes_of_the_per_row_format(self, tmp_path):
+        series = weather_series(WeatherParams(seed=5), 8760, start_hour=7)
+        for step, change in enumerate(
+            [{"cloud_factor": -0.0}, {"wind_speed": 5e-324}, {"temperature": -1e308},
+             {"wind_speed": 1.7976931348623157e308, "temperature": -0.0}]
+        ):
+            series = changed_weather(series, step, **change)
+        write_weather_csv(series, tmp_path / "trace.csv")
+        loop_write_weather_csv(series, tmp_path / "expected.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            # float() reads these forms, and numpy's C reader does not.
+            ("0,0,0.5,1_0,12", 10.0),
+            ("0,0,0.5,\uff14,12", 4.0),
+            # numpy strips an ASCII information separator around a number;
+            # float() rejects it.
+            ("0,0,0.5,4\x1d,12", "row 1: non-numeric cell"),
+            # A quoted cell around a line break is read by the csv module.
+            ('0,0,0.5,"4\n",12', 4.0),
+            ("0,1.0,0.5,4,12", "row 1: non-numeric cell"),
+        ],
+    )
+    def test_python_reading_wins_where_numpy_differs(self, tmp_path, cells, expected):
+        path = tmp_path / "trace.csv"
+        path.write_text("step,hour,cloud_factor,wind_speed_mps,temperature_c\n" + cells + "\n")
+        if isinstance(expected, float):
+            assert load_weather_csv(path) == WeatherSeries([0], [0.5], [expected], [12.0])
+        else:
+            with pytest.raises(WeatherTraceError) as exc:
+                load_weather_csv(path)
+            assert str(exc.value) == f"{path}: {expected}"
+
+    @settings(max_examples=40)
+    @given(samples=traces, data=st.data())
+    def test_mutated_traces_read_as_the_row_loop_reads_them(self, samples, data, tmp_path_factory):
+        # Mutated as results files are, after the header alone, or every
+        # row, has its columns reordered: the series, or the error text and
+        # row, are those of the row-by-row reader.
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_weather_csv(samples, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        order = data.draw(st.permutations(range(len(TRACE_COLUMNS))))
+        for row in rows[: None if data.draw(st.booleans()) else 1]:
+            row[:] = [row[i] for i in order]
+        path.write_bytes(data.draw(mutated_csv(rows, 1, tuple(range(len(TRACE_COLUMNS))))))
+        assert trace_outcome(load_weather_csv, path) == trace_outcome(loop_load_weather_csv, path)
 
     def test_lf_endings_and_header(self, tmp_path):
         path = tmp_path / "trace.csv"
