@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvtext import loadtxt_columns
 from .generation import pv_power, wind_power
 from .grid import Network, PerUnitBase, build_admittance
 from .powerflow import (
@@ -46,7 +47,7 @@ from .powerflow import (
     total_line_losses,
 )
 from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig
-from .weather import WeatherSeries, _csv_columns, load_weather_csv, weather_series
+from .weather import WeatherSeries, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
 
@@ -487,13 +488,12 @@ def read_results_csv(path: str | Path) -> ResultTable:
             row_no = 2
             while chunk := list(islice(fh, _BLOCK_ROWS)):
                 lines = [line for line in chunk if not line.startswith("#")]
-                n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
-                if not n_rows:
-                    continue
-                columns = _loadtxt_block(lines, n_rows)
+                columns = _loadtxt_block(lines)
                 if columns is None:
                     columns = _parse_block(path, _csv_rows(lines, fh), row_no)
                 step, hour, obj, quantity, value, unit = columns
+                if not len(step):
+                    continue
                 chunks.append(
                     (step, hour, objects.codes(obj), quantities.codes(quantity), units.codes(unit), value)
                 )
@@ -510,15 +510,14 @@ def read_results_csv(path: str | Path) -> ResultTable:
     )
 
 
-def _loadtxt_block(lines: list[str], n_rows: int) -> tuple | None:
-    """Columns of a block of n_rows non-empty lines by numpy's C reader, or None.
+def _loadtxt_block(lines: list[str]) -> tuple | None:
+    """Columns of a block of lines by numpy's C reader, or None.
 
-    None where Python could read the block otherwise (see _csv_columns),
-    where numpy does not give one row per non-empty line, or where a value
-    is not finite.
+    None where Python could read the block otherwise (see loadtxt_columns)
+    or where a value is not finite.
     """
-    table = _csv_columns(lines, _RESULT_DTYPE)
-    if table is None or len(table) != n_rows or not np.isfinite(table["value"]).all():
+    table = loadtxt_columns(lines, _RESULT_DTYPE)
+    if table is None or not np.isfinite(table["value"]).all():
         return None
     # Copies, so that the block's record array and its names can be freed.
     return (

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvtext import loadtxt_columns
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
@@ -232,69 +234,29 @@ def load_weather_csv(path: str | Path) -> WeatherSeries:
     steps are rejected with the row that breaks the sequence.  A file that
     is not UTF-8 is a WeatherTraceError too; an unreadable one is OSError.
     numpy's C reader parses the data rows; where its reading could differ
-    from the csv module's, int's and float's, or any rule fails, the file
-    is read again row by row, which gives their answer or the row's error.
+    from the csv module's, int's and float's, or any rule fails, the rows
+    are read one by one, which gives their answer or the row's error.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            series = _loadtxt_trace(fh)
-        if series is None:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                series = _read_trace(path, csv.reader(fh))
-        return series
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError:
+                # Row by row, as far as the text decodes: a row before the
+                # bytes that do not decode may be the one to name.
+                fh.seek(0)
+                reader = csv.reader(fh)
+                return _read_trace(path, _read_header(path, reader), reader)
     except UnicodeDecodeError as exc:
         raise WeatherTraceError(path, f"not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(lines)
+    header = _read_header(path, reader)
+    series = _loadtxt_trace(header, lines[reader.line_num :])
+    return _read_trace(path, header, reader) if series is None else series
 
 
-def _loadtxt_trace(fh) -> WeatherSeries | None:
-    """The trace of a file by numpy's C reader, or None unless _read_trace would accept it as is."""
-    try:
-        header = next(csv.reader(fh), [])
-        lines = fh.readlines()
-    except (UnicodeDecodeError, csv.Error):
-        return None
-    n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
-    if sorted(header) != sorted(TRACE_COLUMNS) or not n_rows:
-        return None
-    dtype = np.dtype([(name, np.int64 if name in ("step", "hour") else float) for name in header])
-    table = _csv_columns(lines, dtype)
-    if table is None or len(table) != n_rows:
-        return None
-    step, hour, cloud, wind, temperature = (table[name] for name in TRACE_COLUMNS)
-    valid = (0 <= hour) & (hour <= 23) & (0.0 <= cloud) & (cloud <= 1.0) & (wind >= 0.0)
-    valid &= np.isfinite(wind) & np.isfinite(temperature) & (step == np.arange(len(step)))
-    return WeatherSeries(hour, cloud, wind, temperature) if valid.all() else None
-
-
-# Characters that send lines to Python's reading.  numpy's C reader and the
-# csv module can split quoted text apart: numpy takes a quote left open at
-# the end of its input as a cell.  And numpy strips the ASCII information
-# separators around a number, as str.isspace() counts them, but int() and
-# float() reject them.
-_PYTHON_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _csv_columns(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
-    """Comma-separated lines as a 1-D record array of dtype, by numpy's C reader.
-
-    None where Python would read a cell of the lines otherwise: they hold
-    a character of _PYTHON_ONLY, a line is longer than the csv module's
-    field limit (at which csv raises), or numpy raises.  The caller checks
-    that numpy gave one row per non-empty line; where it did, the rows are
-    those of csv.reader, their numbers as int() and float() read them.
-    """
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    text = "".join(lines)
-    if any(map(text.__contains__, _PYTHON_ONLY)):
-        return None
-    try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-
-
-def _read_trace(path: str | Path, reader) -> WeatherSeries:
+def _read_header(path: str | Path, reader) -> list[str]:
+    """The header row of a trace's csv reader, which must name each of TRACE_COLUMNS."""
     try:
         header = next(reader)
     except StopIteration:
@@ -305,6 +267,28 @@ def _read_trace(path: str | Path, reader) -> WeatherSeries:
     extra = [c for c in header if c not in TRACE_COLUMNS]
     if extra:
         raise WeatherTraceError(path, f"unknown column(s): {', '.join(extra)}")
+    return header
+
+
+def _loadtxt_trace(header: list[str], lines: list[str]) -> WeatherSeries | None:
+    """The trace of a header's data lines by numpy's C reader, or None unless _read_trace would accept it as is."""
+    if len(header) != len(TRACE_COLUMNS):
+        return None
+    dtype = np.dtype([(name, np.int64 if name in ("step", "hour") else float) for name in header])
+    table = loadtxt_columns(lines, dtype)
+    if table is None or not len(table):
+        return None
+    try:
+        series = WeatherSeries(*(table[name] for name in TRACE_COLUMNS[1:]))
+    except ValueError:  # an hour outside 0..23
+        return None
+    if series.first_invalid() is not None or (table["step"] != np.arange(len(table))).any():
+        return None
+    return series
+
+
+def _read_trace(path: str | Path, header: list[str], reader) -> WeatherSeries:
+    """The trace of the data rows left in a csv reader, read row by row."""
     col = {name: header.index(name) for name in TRACE_COLUMNS}
 
     rows = []

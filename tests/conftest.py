@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -416,6 +418,29 @@ NUMBER_FORMS = (
 )
 # Lines a CSV file may hold between its rows: blank, whitespace-only, '#'.
 LOOSE_LINES = ("", " ", "\t", "#", "# note")
+
+
+@pytest.fixture
+def loadtxt_reading_ints_via_float(monkeypatch):
+    """np.loadtxt as numpy releases before the int-via-float deprecation expired read.
+
+    An int cell that does not parse as an int, such as '1.0', '2.5' or
+    '1e3', is read as a float and truncated, with a DeprecationWarning in
+    place of the ValueError that int() raises.
+    """
+    loadtxt = np.loadtxt
+
+    def read(lines, dtype, **kwargs):
+        dtype = np.dtype(dtype)
+        try:
+            return loadtxt(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            as_float = [(name, float if dtype[name].kind == "i" else dtype[name]) for name in dtype.names]
+            table = loadtxt(lines, dtype=as_float, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return table.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", read)
 
 
 @st.composite

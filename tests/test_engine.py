@@ -749,6 +749,24 @@ class TestCsv:
                         read_results_csv(path)
                     assert str(exc.value) == f"{path}: row 2: {expected}"
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("cell", ["1.0", "2.5", "1e3"])
+    def test_float_form_in_an_int_column_is_an_error_where_numpy_only_warns(
+        self, tmp_path, loadtxt_reading_ints_via_float, column, cell
+    ):
+        row = ["0", "0", "a", "p_out", "1", "W"]
+        row[column] = cell
+        with pytest.warns(DeprecationWarning):  # such a numpy truncates the cell
+            read = np.loadtxt([",".join(row)], dtype=[("c", int)], usecols=column, delimiter=",")
+        assert read["c"] == int(float(cell))
+        path = tmp_path / "forms.csv"
+        path.write_text("step,hour,object,quantity,value,unit\n" + ",".join(row) + "\n")
+        for n in BLOCK_SIZES:
+            with block_rows(n), pytest.raises(ValueError) as exc:
+                read_results_csv(path)
+            assert str(exc.value) == f"{path}: row 2: invalid literal for int() with base 10: '{cell}'"
+
+
 def read_outcome(read, path) -> str:
     """repr of the records that read gives for path, or the text of its ValueError."""
     try:

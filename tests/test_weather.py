@@ -446,6 +446,16 @@ class TestTraceCsv:
                 load_weather_csv(path)
             assert str(exc.value) == f"{path}: {expected}"
 
+    @pytest.mark.parametrize("cells", ["1.0,0,0.5,4,12", "0,2.5,0.5,4,12", "0,1e1,0.5,4,12"])
+    def test_float_form_in_an_int_column_is_an_error_where_numpy_only_warns(
+        self, tmp_path, loadtxt_reading_ints_via_float, cells
+    ):
+        path = tmp_path / "trace.csv"
+        path.write_text("step,hour,cloud_factor,wind_speed_mps,temperature_c\n" + cells + "\n")
+        with pytest.raises(WeatherTraceError) as exc:
+            load_weather_csv(path)
+        assert str(exc.value) == f"{path}: row 1: non-numeric cell"
+
     @settings(max_examples=40)
     @given(samples=traces, data=st.data())
     def test_mutated_traces_read_as_the_row_loop_reads_them(self, samples, data, tmp_path_factory):
@@ -486,6 +496,21 @@ class TestTraceCsv:
             load_weather_csv(path)
         assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
         assert exc.value.row is None
+
+    @pytest.mark.parametrize("step", [b"1", b"9"])
+    def test_non_utf8_byte_late_in_a_long_trace(self, tmp_path, step):
+        # The text is decoded a chunk at a time, so a row that breaks a rule
+        # well before the byte that does not decode is named, as the row
+        # loop names it; otherwise the file is not UTF-8.
+        path = tmp_path / "trace.csv"
+        write_weather_csv(weather_series(WeatherParams(), 2000), path)
+        path.write_bytes(path.read_bytes().replace(b"\n1,", b"\n" + step + b",", 1) + b"\xff\n")
+        outcome = trace_outcome(load_weather_csv, path)
+        assert outcome == trace_outcome(loop_load_weather_csv, path)
+        if step == b"9":
+            assert outcome == (f"{path}: row 2: step must be 1, got 9", 2)
+        else:
+            assert outcome == (f"{path}: not UTF-8 text (invalid start byte)", None)
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "trace.csv"
