@@ -26,7 +26,7 @@ import csv
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -113,11 +113,6 @@ def _encode(labels: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return coder.codes(labels), tuple(coder)
 
 
-# A ResultRecord from a row tuple, built in C: NamedTuple's own __new__ and
-# _make run Python code for every row.
-_make_record = partial(tuple.__new__, ResultRecord)
-
-
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     """A results table held as columns, one entry per observation.
@@ -163,23 +158,33 @@ class ResultTable:
         return len(self.value)
 
     def __iter__(self) -> Iterator[ResultRecord]:
-        return map(_make_record, chain.from_iterable(map(self._rows, _blocks(len(self)))))
+        # Each record is built in C, by tuple.__new__ from its row tuple:
+        # NamedTuple's own __new__ and _make run Python code for every row.
+        return chain.from_iterable(
+            map(tuple.__new__, repeat(ResultRecord), self._rows(rows))
+            for rows in _blocks(len(self))
+        )
 
     def _rows(self, index: slice | np.ndarray) -> Iterator[tuple]:
         """(step, hour, object, quantity, value, unit) tuples of the indexed rows."""
         return zip(
             self.step[index].tolist(),
             self.hour[index].tolist(),
-            map(self.objects.__getitem__, self.object_code[index].tolist()),
-            map(self.quantities.__getitem__, self.quantity_code[index].tolist()),
+            _lookup(self.objects, self.object_code[index]),
+            _lookup(self.quantities, self.quantity_code[index]),
             self.value[index].tolist(),
-            map(self.units.__getitem__, self.unit_code[index].tolist()),
+            _lookup(self.units, self.unit_code[index]),
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultTable):
             return NotImplemented
         return list(self) == list(other)
+
+
+def _lookup(names: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    """The name of each code, looked up in C."""
+    return np.array(names, dtype=object).take(codes).tolist()
 
 
 def _blocks(n: int) -> Iterator[slice]:
@@ -467,18 +472,22 @@ def read_results_csv(path: str | Path) -> ResultTable:
     A row with the wrong number of cells, a step or hour that does not
     parse as int64, or a value that does not parse as a finite float, is
     a ValueError that names the first such row by its number among the
-    non-comment rows, the header being row 1.  A file that is not UTF-8
-    is a ValueError that names the file.  The file is read one block of
-    lines at a time: numpy's C reader parses a block, and Python's csv
-    module, int and float read it instead wherever their answer could
-    differ (_loadtxt_block), so what is accepted, and how, is theirs.
+    non-comment rows, the header being row 1, and so is a row the csv
+    module rejects.  A file that is not UTF-8 is a ValueError that names
+    the file.  The file is read one block of lines at a time: numpy's C
+    reader parses a block, and Python's csv module, int and float read it
+    instead wherever their answer could differ (_loadtxt_block), so what
+    is accepted, and how, is theirs.
     """
     objects, quantities, units = _Coder(), _Coder(), _Coder()
     chunks = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = filter(None, csv.reader(line for line in fh if not line.startswith("#")))
-            header = tuple(next(rows, ()))
+            try:
+                header = tuple(next(rows, ()))
+            except csv.Error as exc:
+                raise ValueError(f"{path}: row 1: {exc}") from None
             if not header:
                 raise ValueError(f"{path}: empty results file")
             if header != RESULT_COLUMNS:
@@ -490,7 +499,7 @@ def read_results_csv(path: str | Path) -> ResultTable:
                 lines = [line for line in chunk if not line.startswith("#")]
                 columns = _loadtxt_block(lines)
                 if columns is None:
-                    columns = _parse_block(path, _csv_rows(lines, fh), row_no)
+                    columns = _parse_block(path, _csv_rows(path, lines, fh, row_no), row_no)
                 step, hour, obj, quantity, value, unit = columns
                 if not len(step):
                     continue
@@ -530,15 +539,22 @@ def _loadtxt_block(lines: list[str]) -> tuple | None:
     )
 
 
-def _csv_rows(lines: list[str], fh: Iterator[str]) -> list[list[str]]:
-    """The non-empty csv rows of lines.
+def _csv_rows(
+    path: str | Path, lines: list[str], fh: Iterator[str], first_row_no: int
+) -> list[list[str]]:
+    """The non-empty csv rows of lines, the first of them row first_row_no.
 
     A quoted cell left open at their end reads on in fh's non-comment lines.
+    A row the csv module rejects (a cell over csv.field_size_limit()) is a
+    ValueError that names it.
     """
     reader = csv.reader(chain(lines, (line for line in fh if not line.startswith("#"))))
     rows = []
-    while reader.line_num < len(lines):
-        rows.append(next(reader))
+    try:
+        while reader.line_num < len(lines):
+            rows.append(next(reader))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {first_row_no + sum(map(bool, rows))}: {exc}") from None
     return list(filter(None, rows))
 
 

@@ -370,7 +370,8 @@ def solve_steps(
         update = partial(_newton_step, admittance, pq)
     elif method == METHOD_GAUSS_SEIDEL:
         y = admittance.y
-        if zero := [i for i in pq.tolist() if y[i, i] == 0]:
+        diagonal = y[pq, pq]
+        if zero := pq[diagonal == 0].tolist():
             message = f"zero admittance diagonal at bus index {zero[0]}"
             return [SingularMatrixError(message) for _ in range(len(problem))]
         cap = GS_MAX_ITERATIONS
@@ -378,8 +379,14 @@ def solve_steps(
         state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec))
         # np.arctan2 gives the bits of np.angle with less overhead.
         polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
-        buses = [(i, y[i : i + 1], y[i, i], y[i, i].real, y[i, i].imag) for i in pq.tolist()]
-        update = partial(_gauss_seidel_sweeps, buses)
+        buses = list(zip(pq.tolist(), [y[i : i + 1] for i in pq.tolist()], diagonal))
+        # The sweeps' buffers, allocated once for the whole stack: fresh
+        # ones each sweep would be page-faulted anew on a long stack.
+        size = pq.size * len(problem)
+        work = np.empty((2, size), dtype=complex), np.empty(size)
+        update = partial(
+            _gauss_seidel_sweeps, pq, buses, diagonal.real[:, None], diagonal.imag[:, None], work
+        )
     else:
         raise ValueError(f"unknown solver method {method!r}")
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
@@ -455,16 +462,22 @@ def _newton_step(
 
 
 def _gauss_seidel_sweeps(
-    buses: list[tuple], state: tuple, mismatch: np.ndarray, injections: tuple
+    pq: np.ndarray, buses: list[tuple], y_re: np.ndarray, y_im: np.ndarray,
+    work: tuple[np.ndarray, ...], state: tuple, mismatch: np.ndarray, injections: tuple,
 ) -> tuple[()]:
     """One Gauss-Seidel sweep of every (V, S*) state of a stack at once, in place.
 
     Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
-    Bus i is updated in every step of the stack by one set of array
-    operations, so a sweep costs per bus, not per bus and step.  buses
-    holds each PQ bus's index, its row of Y as a (1, n) view, and Y_ii
-    with its real and imaginary parts, looked up once per solve.  Each
-    step gets the bits of the scalar update
+    The invariant: V_i changes only at bus i's own update, so at bus i's
+    turn Y_ii V_i and S_i*/V_i* are what they were at the sweep's start.
+    They are taken there, for every PQ bus of every step, into bus-major
+    (m, S) arrays whose row k serves the k-th PQ bus; the bus loop then
+    makes only bus i's row dot, two subtractions and the division by
+    Y_ii, written straight into V_i.  buses holds each PQ bus's index,
+    its row of Y as a (1, n) view, and Y_ii; y_re and y_im are Y_ii's
+    parts as (m, 1) columns.  work holds the buffers, sized for the whole
+    stack; a sweep of the S steps still going uses their first m * S
+    elements.  Each step gets the bits of the scalar update
     ``(s / conj(v_i) - (y[i].dot(v) - y_ii * v_i)) / y_ii``:
 
     - the row sum is each step's own dense BLAS dot, taken by matmul of
@@ -481,14 +494,25 @@ def _gauss_seidel_sweeps(
     The mismatch and injections are unused.
     """
     v, s_conj = state
-    y_v = np.empty(len(v), dtype=complex)
-    for k, (i, row, y_ii, y_re, y_im) in enumerate(buses):
-        v_i = v[:, i]
-        v_re, v_im = v_i.real, v_i.imag
-        np.subtract(y_re * v_re, y_im * v_im, out=y_v.real)
-        np.add(y_re * v_im, y_im * v_re, out=y_v.imag)
-        row_dot = np.matmul(row, v[:, :, None])[:, 0, 0]
-        v[:, i] = (s_conj[:, k] / np.conj(v_i) - (row_dot - y_v)) / y_ii
+    steps = len(v)
+    y_v, s_v = (buf[: pq.size * steps].reshape(pq.size, steps) for buf in work[0])
+    product = work[1][: y_v.size].reshape(y_v.shape)
+    # V at the PQ buses, then its conjugate, then S*/V*, in one buffer.
+    # (take with mode "raise" would fill a copy of out and then copy it.)
+    np.take(v.T, pq, axis=0, out=s_v, mode="clip")
+    np.multiply(y_re, s_v.real, out=y_v.real)
+    np.multiply(y_im, s_v.imag, out=product)
+    np.subtract(y_v.real, product, out=y_v.real)
+    np.multiply(y_re, s_v.imag, out=y_v.imag)
+    np.multiply(y_im, s_v.real, out=product)
+    np.add(y_v.imag, product, out=y_v.imag)
+    np.conjugate(s_v, out=s_v)
+    np.divide(s_conj.T, s_v, out=s_v)
+    columns = v[:, :, None]
+    for (i, row, y_ii), y_v_i, s_v_i in zip(buses, y_v, s_v):
+        np.subtract(np.matmul(row, columns)[:, 0, 0], y_v_i, out=y_v_i)
+        np.subtract(s_v_i, y_v_i, out=y_v_i)
+        np.divide(y_v_i, y_ii, out=v[:, i])
     return ()
 
 

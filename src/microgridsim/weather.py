@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -232,7 +233,9 @@ def load_weather_csv(path: str | Path) -> WeatherSeries:
     temperature_c; accepts LF or CRLF line endings.  The i-th row must
     carry step i (counting from 0), so duplicate, missing and out-of-order
     steps are rejected with the row that breaks the sequence.  A file that
-    is not UTF-8 is a WeatherTraceError too; an unreadable one is OSError.
+    is not UTF-8, or a row the csv module rejects (a cell over
+    csv.field_size_limit()), is a WeatherTraceError too; an unreadable
+    one is OSError.
     numpy's C reader parses the data rows; where its reading could differ
     from the csv module's, int's and float's, or any rule fails, the rows
     are read one by one, which gives their answer or the row's error.
@@ -261,6 +264,8 @@ def _read_header(path: str | Path, reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise WeatherTraceError(path, "empty file, expected header") from None
+    except csv.Error as exc:
+        raise WeatherTraceError(path, f"header: {exc}") from None
     missing = [c for c in TRACE_COLUMNS if c not in header]
     if missing:
         raise WeatherTraceError(path, f"missing column(s): {', '.join(missing)}")
@@ -292,7 +297,7 @@ def _read_trace(path: str | Path, header: list[str], reader) -> WeatherSeries:
     col = {name: header.index(name) for name in TRACE_COLUMNS}
 
     rows = []
-    for row_no, cells in enumerate(reader, start=1):
+    for row_no, cells in _numbered(path, reader):
         if not cells or (len(cells) == 1 and cells[0].strip() == ""):
             continue
         if len(cells) != len(TRACE_COLUMNS):
@@ -322,6 +327,16 @@ def _read_trace(path: str | Path, header: list[str], reader) -> WeatherSeries:
     if not rows:
         raise WeatherTraceError(path, "no samples")
     return WeatherSeries(*zip(*rows))
+
+
+def _numbered(path: str | Path, reader) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a csv reader, numbered from 1; a row it rejects is a WeatherTraceError."""
+    row_no = 0
+    try:
+        for row_no, cells in enumerate(reader, start=1):
+            yield row_no, cells
+    except csv.Error as exc:
+        raise WeatherTraceError(path, str(exc), row_no + 1) from None
 
 
 def write_weather_csv(series: WeatherSeries, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, stream discipline."""
 
+import csv
 import hashlib
 import os
 import random
@@ -286,6 +287,13 @@ def _bad_row(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _long_cell(data: bytes) -> bytes:
+    """Data row 5's step cell made 140,000 digits long, over csv's field limit."""
+    lines = data.split(b"\n")
+    lines[5] = b"1" * 140_000 + lines[5]
+    return b"\n".join(lines)
+
+
 def _not_utf8_scenario(tmp: Path) -> str:
     path = tmp / "latin1.mgs"
     path.write_bytes(b"# caf\xe9\n" + bundled_scenario_text("case1").encode())
@@ -326,6 +334,10 @@ BAD_INPUTS = {
     "bad row in --weather-csv": (
         lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _bad_row)],
         "wx.csv: row 5: non-numeric cell",
+    ),
+    "--weather-csv cell over the csv field limit": (
+        lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _long_cell)],
+        f"wx.csv: row 5: field larger than field limit ({csv.field_size_limit()})",
     ),
     "non-UTF-8 trace entry": (
         lambda tmp: ["run", _case1_tracing(tmp, _not_utf8)],
@@ -489,6 +501,18 @@ class TestSummarize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{out}: not UTF-8 text")
+
+    def test_cell_over_the_csv_field_limit_exits_1(self, tmp_path, capsys):
+        # numpy could read the long name; the csv module rejects it, so
+        # the file is not accepted.
+        out = tmp_path / "r.csv"
+        name = "a" * 140_000
+        out.write_text(f"step,hour,object,quantity,value,unit\n0,0,a,p_out,1,W\n1,1,{name},p_out,2,W\n")
+        assert cli_main(["summarize", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = csv.field_size_limit()
+        assert captured.err == f"{out}: row 3: field larger than field limit ({limit})\n"
 
     def test_unknown_quantity(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -119,6 +119,26 @@ def radial_feeders(draw):
 
 
 @st.composite
+def interior_slack_feeders(draw):
+    """radial_feeders of 3-12 buses whose slack is a drawn interior bus.
+
+    The slack is neither the first bus nor the last, so the PQ buses
+    before it keep their index and those after it move down one.  Bus 0
+    becomes a PQ bus with a light P+jQ load of its own.
+    """
+    net = draw(radial_feeders().filter(lambda net: len(net.buses) >= 3))
+    slack = draw(st.integers(1, len(net.buses) - 2))
+    buses = tuple(
+        replace(bus, kind=BusKind.SLACK if i == slack else BusKind.PQ)
+        for i, bus in enumerate(net.buses)
+    )
+    p_pu = draw(st.floats(0.0, 0.2))
+    q_pu = draw(st.floats(0.0, 0.1))
+    load = LoadDevice("load0", "bus0", p_pu * BASE.s_base, q_pu * BASE.s_base)
+    return replace(net, buses=buses, loads=net.loads + (load,))
+
+
+@st.composite
 def sparse_systems(draw, n=None):
     """Sparse, diagonally weighted systems with their rows shuffled.
 
@@ -588,6 +608,44 @@ class TestStacks:
                 for s, i in enumerate(chunk.tolist()):
                     alone = replace(base, p_injection=p[i], q_injection=q[i])
                     assert_same_bits(solve(stack, gs, s), loop_gauss_seidel(alone))
+
+    @given(
+        net=interior_slack_feeders(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=25)
+    def test_gauss_seidel_steps_with_an_interior_slack(self, net, scales, data):
+        # The sweep takes Y_ii V_i and S_i*/V_i* of every PQ bus at its
+        # start, in rows ordered as the PQ buses; with the slack inside
+        # the bus order, the k-th row belongs to bus k or k + 1.  Steps
+        # scale the loads; step 0 also has an infinite injection, which
+        # stops it at once, and step 1 a 1e308 var load, whose mismatch
+        # overflows after a sweep.  Drawn orders and cuts make stacks that
+        # shrink as steps stop, and each step must equal the per-bus loop
+        # alone.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(powerflow, "GS_MAX_ITERATIONS", 200)
+            base = problem_for(net)
+            assert 0 < base.slack_index < base.admittance.n - 1
+            p = np.outer(scales, base.p_injection)
+            q = np.outer(scales, base.q_injection)
+            m = p.shape[1]
+            p[0, data.draw(st.integers(0, m - 1))] = np.inf
+            q[1, data.draw(st.integers(0, m - 1))] = -1e308 / BASE.s_base
+            order = data.draw(st.permutations(range(len(scales))))
+            cuts = sorted(data.draw(st.sets(st.integers(1, len(scales) - 1))))
+            gs = SolverOptions(method="gs")
+            for chunk in np.split(np.array(order), cuts):
+                stack = PowerFlowProblem(base.admittance, base.slack_index, p[chunk], q[chunk])
+                for s, i in enumerate(chunk.tolist()):
+                    alone = replace(base, p_injection=p[i], q_injection=q[i])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        expected = loop_gauss_seidel(alone)
+                    assert_same_bits(solve(stack, gs, s), expected)
+                    if i < 2:
+                        assert not math.isfinite(expected.max_mismatch)
+                        assert expected.iterations == i
 
     def test_stack_is_solved_once_and_gauss_seidel_alone(self, monkeypatch):
         net = make_radial_network(random.Random(71), 6)
