@@ -16,8 +16,8 @@ lines at a time, so that the per-row Python objects of only one block
 are alive at once.  A rendered block is one % operation on the joined
 templates of its rows, one template per (object, quantity, unit).  A
 block read back is parsed by numpy's C reader, unless the csv module,
-int() or float() could read it otherwise: then they read it, and their
-answer, a table or a located error, is the reader's.
+int() or float() could read it otherwise: then they read it, row by row,
+and their answer, a table or a located error, is the reader's.
 """
 
 from __future__ import annotations
@@ -475,9 +475,10 @@ def read_results_csv(path: str | Path) -> ResultTable:
     non-comment rows, the header being row 1, and so is a row the csv
     module rejects.  A file that is not UTF-8 is a ValueError that names
     the file.  The file is read one block of lines at a time: numpy's C
-    reader parses a block, and Python's csv module, int and float read it
-    instead wherever their answer could differ (_loadtxt_block), so what
-    is accepted, and how, is theirs.
+    reader parses a block, and wherever the answer of Python's csv module,
+    int and float could differ (_loadtxt_block), one loop over the block's
+    rows reads it with them instead (_read_block), so what is accepted,
+    and how, is theirs.
     """
     objects, quantities, units = _Coder(), _Coder(), _Coder()
     chunks = []
@@ -497,9 +498,7 @@ def read_results_csv(path: str | Path) -> ResultTable:
             row_no = 2
             while chunk := list(islice(fh, _BLOCK_ROWS)):
                 lines = [line for line in chunk if not line.startswith("#")]
-                columns = _loadtxt_block(lines)
-                if columns is None:
-                    columns = _parse_block(path, _csv_rows(path, lines, fh, row_no), row_no)
+                columns = _loadtxt_block(lines) or _read_block(path, lines, fh, row_no)
                 step, hour, obj, quantity, value, unit = columns
                 if not len(step):
                     continue
@@ -539,56 +538,38 @@ def _loadtxt_block(lines: list[str]) -> tuple | None:
     )
 
 
-def _csv_rows(
-    path: str | Path, lines: list[str], fh: Iterator[str], first_row_no: int
-) -> list[list[str]]:
-    """The non-empty csv rows of lines, the first of them row first_row_no.
+def _read_block(path: str | Path, lines: list[str], fh: Iterator[str], first_row_no: int) -> tuple:
+    """Columns of a block of lines read row by row, its first non-empty row first_row_no.
 
-    A quoted cell left open at their end reads on in fh's non-comment lines.
-    A row the csv module rejects (a cell over csv.field_size_limit()) is a
-    ValueError that names it.
+    A quoted cell left open at the block's end reads on in fh's
+    non-comment lines.  The first row that breaks a rule of
+    read_results_csv, in row order, is a ValueError that names it.
     """
     reader = csv.reader(chain(lines, (line for line in fh if not line.startswith("#"))))
     rows = []
-    try:
-        while reader.line_num < len(lines):
-            rows.append(next(reader))
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {first_row_no + sum(map(bool, rows))}: {exc}") from None
-    return list(filter(None, rows))
-
-
-def _parse_block(path: str | Path, block: list[list[str]], first_row_no: int) -> tuple:
-    """Columns of a block of CSV rows: step, hour and value as arrays, names as tuples."""
-    n = len(block)
-    if set(map(len, block)) != {len(RESULT_COLUMNS)}:
-        _raise_bad_row(path, block, first_row_no)
-    step, hour, obj, quantity, value, unit = zip(*block)
-    try:
-        step = np.fromiter(map(int, step), np.int64, n)
-        hour = np.fromiter(map(int, hour), np.int64, n)
-        value = np.fromiter(map(float, value), np.float64, n)
-    except (ValueError, OverflowError):
-        _raise_bad_row(path, block, first_row_no)
-        raise
-    if not np.isfinite(value).all():
-        _raise_bad_row(path, block, first_row_no)
-    return step, hour, obj, quantity, value, unit
-
-
-def _raise_bad_row(path: str | Path, block: Sequence[Sequence[str]], first_row_no: int) -> None:
-    """Raise ValueError naming the first row of a block that is not a valid record."""
-    for row_no, row in enumerate(block, start=first_row_no):
-        if len(row) != len(RESULT_COLUMNS):
-            raise ValueError(f"{path}: row {row_no}: expected {len(RESULT_COLUMNS)} cells")
+    while reader.line_num < len(lines):
+        row_no = first_row_no + len(rows)
         try:
-            np.int64(int(row[0]))
-            np.int64(int(row[1]))
-            value = float(row[4])
-        except (ValueError, OverflowError) as exc:
+            cells = next(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from None
+        if not cells:
+            continue
+        if len(cells) != len(RESULT_COLUMNS):
+            raise ValueError(f"{path}: row {row_no}: expected {len(RESULT_COLUMNS)} cells")
+        step, hour, obj, quantity, value, unit = cells
+        try:
+            step, hour = int(step), int(hour)
+            if not (-(2**63) <= step < 2**63 and -(2**63) <= hour < 2**63):
+                raise ValueError(f"step and hour must fit int64, got {step} and {hour}")
+            value = float(value)
+        except ValueError as exc:
             raise ValueError(f"{path}: row {row_no}: {exc}") from None
         if not isfinite(value):
-            raise ValueError(f"{path}: row {row_no}: value {row[4]} is not a finite number")
+            raise ValueError(f"{path}: row {row_no}: value {cells[4]} is not a finite number")
+        rows.append((step, hour, obj, quantity, value, unit))
+    step, hour, obj, quantity, value, unit = zip(*rows) if rows else ((),) * 6
+    return np.array(step, np.int64), np.array(hour, np.int64), obj, quantity, np.array(value, float), unit
 
 
 def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:

@@ -199,6 +199,16 @@ FIELD_BOUNDS: dict[type, dict[str, Bound]] = {
     },
 }
 
+# The fields of each object type that name a bus; validate() requires
+# each to name one of the network's buses.
+BUS_FIELDS: dict[type, tuple[str, ...]] = {
+    Line: ("from_bus", "to_bus"),
+    LoadDevice: ("bus",),
+    SolarPanel: ("bus",),
+    WindTurbine: ("bus",),
+    GridConnection: ("bus",),
+}
+
 
 def line_resistance(resistivity: float, length: float, cross_section: float) -> float:
     """Conductor resistance in ohms: resistivity * length / cross_section.
@@ -245,13 +255,39 @@ def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
     return AdmittanceMatrix(y)
 
 
-def _connected_component(network: Network, start: int) -> set[int]:
+def _open_lines(network: Network, lines: list[Line]) -> dict[Line, float]:
+    """The lines that are open in floating point, each with its ratio.
+
+    A line's ratio is its |1/z| over the smaller |sum of 1/z| of the lines
+    at its two end buses.  At or below machine epsilon the line cannot
+    change the sum of either bus's row: it connects nothing.  A line that
+    is lost only in one end's sum, beside a near-short there or as the
+    one weak line of a bus, still carries the other end's row and is not
+    open.  The ratio does not depend on the per-unit base, so it is taken
+    in ohms.  lines must connect two distinct buses of the network
+    through a non-zero, finite impedance.
+    """
+    index = {bus.id: i for i, bus in enumerate(network.buses)}
+    ends = np.array([(index[line.from_bus], index[line.to_bus]) for line in lines], np.intp)
+    ends = ends.reshape(-1, 2)
+    # A subnormal impedance's 1/z overflows: its own ratio is NaN, and its
+    # neighbours keep the ratio at their other end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = 1.0 / np.array([complex(line.resistance, line.reactance) for line in lines], complex)
+        total = np.zeros(len(network.buses), complex)
+        np.add.at(total, ends, y[:, None])
+        ratio = np.abs(y) / np.abs(total[ends]).min(axis=1)
+    eps = np.finfo(float).eps
+    return {line: r for line, r in zip(lines, ratio.tolist()) if r <= eps}
+
+
+def _connected_component(network: Network, start: int, open_lines: dict[Line, float]) -> set[int]:
     index = {bus.id: i for i, bus in enumerate(network.buses)}
     adjacency: dict[int, list[int]] = {i: [] for i in range(len(network.buses))}
     for line in network.lines:
         i = index.get(line.from_bus)
         k = index.get(line.to_bus)
-        if i is None or k is None or i == k:
+        if i is None or k is None or i == k or line in open_lines:
             continue
         adjacency[i].append(k)
         adjacency[k].append(i)
@@ -270,9 +306,11 @@ def validate(network: Network) -> list[Diagnostic]:
     """Check network consistency; an empty result means the network is valid.
 
     Reports duplicate identifiers, numeric fields that are non-finite or
-    outside their FIELD_BOUNDS range, dangling bus references,
+    outside their FIELD_BOUNDS range, BUS_FIELDS that name no bus,
     disconnected buses, a slack count other than one, zero-impedance or
-    self-looped lines, and inconsistent wind speeds.
+    self-looped lines, and inconsistent wind speeds.  A line that is open
+    in floating point (see _open_lines) connects nothing: the buses it
+    alone connects are disconnected, and the diagnostic names it.
     """
     diags: list[Diagnostic] = []
     grid = () if network.grid is None else (network.grid,)
@@ -284,6 +322,7 @@ def validate(network: Network) -> list[Diagnostic]:
         ("wind", network.winds),
         ("grid", grid),
     )
+    bus_ids = {b.id for b in network.buses}
     seen_ids: set[str] = set()
     for kind, objects in groups:
         for obj in objects:
@@ -300,6 +339,11 @@ def validate(network: Network) -> list[Diagnostic]:
                 if unmet:
                     message = f"{kind} {obj.id!r} {name} must be {unmet}, got {value!r}"
                     diags.append(Diagnostic("invalid_value", obj.id, message, name))
+            for name in BUS_FIELDS.get(type(obj), ()):
+                bus = getattr(obj, name)
+                if bus not in bus_ids:
+                    message = f"{kind} {obj.id!r} references unknown bus {bus!r}"
+                    diags.append(Diagnostic("dangling_reference", obj.id, message, name))
 
     voltages = {
         b.nominal_voltage for b in network.buses if math.isfinite(b.nominal_voltage)
@@ -328,83 +372,45 @@ def validate(network: Network) -> list[Diagnostic]:
             )
         )
 
-    bus_ids = {b.id for b in network.buses}
-
-    def check_ref(kind: str, obj_id: str, bus: str, field_name: str = "bus") -> None:
-        if bus not in bus_ids:
-            diags.append(
-                Diagnostic(
-                    "dangling_reference",
-                    obj_id,
-                    f"{kind} {obj_id!r} references unknown bus {bus!r}",
-                    field_name,
-                )
-            )
-
     for line in network.lines:
-        check_ref("line", line.id, line.from_bus, "from_bus")
-        check_ref("line", line.id, line.to_bus, "to_bus")
         if line.from_bus == line.to_bus:
-            diags.append(
-                Diagnostic(
-                    "self_loop",
-                    line.id,
-                    f"line {line.id!r} connects a bus to itself",
-                    "to_bus",
-                )
-            )
+            message = f"line {line.id!r} connects a bus to itself"
+            diags.append(Diagnostic("self_loop", line.id, message, "to_bus"))
         if line.resistance == line.reactance == 0.0:
-            diags.append(
-                Diagnostic(
-                    "zero_impedance",
-                    line.id,
-                    f"line {line.id!r} has zero impedance",
-                    "resistance",
-                )
-            )
-
-    for load in network.loads:
-        check_ref("load", load.id, load.bus)
-    for pv in network.pvs:
-        check_ref("pv", pv.id, pv.bus)
+            message = f"line {line.id!r} has zero impedance"
+            diags.append(Diagnostic("zero_impedance", line.id, message, "resistance"))
     for wind in network.winds:
-        check_ref("wind", wind.id, wind.bus)
         speeds = (wind.cut_in, wind.rated, wind.cut_out)
         if all(map(math.isfinite, speeds)) and not wind.cut_in < wind.rated < wind.cut_out:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    wind.id,
-                    f"wind {wind.id!r} needs 0 <= cut_in < rated < cut_out",
-                    "rated",
-                )
-            )
-    if network.grid is not None:
-        check_ref("grid", network.grid.id, network.grid.bus)
-        if network.grid.bus in bus_ids and network.grid.bus not in slack_ids:
-            diags.append(
-                Diagnostic(
-                    "invalid_value",
-                    network.grid.id,
-                    f"grid connection {network.grid.id!r} must sit on the slack bus",
-                    "bus",
-                )
-            )
+            message = f"wind {wind.id!r} needs 0 <= cut_in < rated < cut_out"
+            diags.append(Diagnostic("invalid_value", wind.id, message, "rated"))
+    for tie in grid:
+        if tie.bus in bus_ids and tie.bus not in slack_ids:
+            message = f"grid connection {tie.id!r} must sit on the slack bus"
+            diags.append(Diagnostic("invalid_value", tie.id, message, "bus"))
 
     if network.buses:
+        # Lines with a diagnostic on their ends or impedance keep it and stay
+        # out of the open-line ratio.
+        electrical = ("from_bus", "to_bus", "resistance", "reactance")
+        flagged = {d.object_id for d in diags if d.attribute in electrical}
+        open_lines = _open_lines(network, [line for line in network.lines if line.id not in flagged])
         start = next((i for i, b in enumerate(network.buses) if b.kind is BusKind.SLACK), 0)
-        reachable = _connected_component(network, start)
+        reachable = _connected_component(network, start, open_lines)
         unreachable = [b.id for i, b in enumerate(network.buses) if i not in reachable]
         if unreachable:
-            diags.append(
-                Diagnostic(
-                    "disconnected",
-                    unreachable[0],
-                    "buses unreachable from "
-                    + repr(network.buses[start].id)
-                    + ": "
-                    + ", ".join(repr(u) for u in unreachable),
+            names = ", ".join(map(repr, unreachable))
+            message = f"buses unreachable from {network.buses[start].id!r}: {names}"
+            # The open lines with one end reachable cut the rest off.
+            reached = {network.buses[i].id for i in reachable}
+            cut = [
+                line for line in open_lines if (line.from_bus in reached) != (line.to_bus in reached)
+            ]
+            if cut:
+                message += "; open in floating point: " + ", ".join(
+                    f"line {line.id!r} (|1/z| at most {open_lines[line]:.3g} of each end's sum)"
+                    for line in cut
                 )
-            )
+            diags.append(Diagnostic("disconnected", cut[0].id if cut else unreachable[0], message))
 
     return diags

@@ -229,13 +229,13 @@ class WeatherTraceError(ValueError):
 def load_weather_csv(path: str | Path) -> WeatherSeries:
     """Read a weather trace written by :func:`write_weather_csv`.
 
-    Expects the exact column set step, hour, cloud_factor, wind_speed_mps,
-    temperature_c; accepts LF or CRLF line endings.  The i-th row must
-    carry step i (counting from 0), so duplicate, missing and out-of-order
-    steps are rejected with the row that breaks the sequence.  A file that
-    is not UTF-8, or a row the csv module rejects (a cell over
-    csv.field_size_limit()), is a WeatherTraceError too; an unreadable
-    one is OSError.
+    Expects the columns step, hour, cloud_factor, wind_speed_mps and
+    temperature_c, each once, in any order; accepts LF or CRLF line
+    endings.  The i-th row must carry step i (counting from 0), so
+    duplicate, missing and out-of-order steps are rejected with the row
+    that breaks the sequence.  A file that is not UTF-8, or a row the csv
+    module rejects (a cell over csv.field_size_limit()), is a
+    WeatherTraceError too; an unreadable one is OSError.
     numpy's C reader parses the data rows; where its reading could differ
     from the csv module's, int's and float's, or any rule fails, the rows
     are read one by one, which gives their answer or the row's error.
@@ -259,7 +259,7 @@ def load_weather_csv(path: str | Path) -> WeatherSeries:
 
 
 def _read_header(path: str | Path, reader) -> list[str]:
-    """The header row of a trace's csv reader, which must name each of TRACE_COLUMNS."""
+    """The header row of a trace's csv reader, which must name each of TRACE_COLUMNS once."""
     try:
         header = next(reader)
     except StopIteration:
@@ -272,13 +272,14 @@ def _read_header(path: str | Path, reader) -> list[str]:
     extra = [c for c in header if c not in TRACE_COLUMNS]
     if extra:
         raise WeatherTraceError(path, f"unknown column(s): {', '.join(extra)}")
+    repeated = [c for c in TRACE_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise WeatherTraceError(path, f"duplicate column(s): {', '.join(repeated)}")
     return header
 
 
 def _loadtxt_trace(header: list[str], lines: list[str]) -> WeatherSeries | None:
     """The trace of a header's data lines by numpy's C reader, or None unless _read_trace would accept it as is."""
-    if len(header) != len(TRACE_COLUMNS):
-        return None
     dtype = np.dtype([(name, np.int64 if name in ("step", "hour") else float) for name in header])
     table = loadtxt_columns(lines, dtype)
     if table is None or not len(table):

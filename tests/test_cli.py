@@ -216,13 +216,14 @@ class TestRun:
         ],
     )
     def test_singular_network_is_one_line_exit_2(self, tmp_path, solver, message):
-        # A 1e15 ohm first line all but cuts the street off the slack: the
-        # scenario passes validation, the Newton-Raphson Jacobian is
-        # singular and Gauss-Seidel does not converge.
+        # A 1e10 ohm first line all but cuts the street off the slack: the
+        # line is weak but not open, so the scenario passes validation,
+        # the Newton-Raphson Jacobian is singular and Gauss-Seidel does not
+        # converge.
         text = bundled_scenario_text("case2")
         assert "resistance_ohm = 0.006896\n" in text
         cut = tmp_path / "cut.mgs"
-        cut.write_text(text.replace("resistance_ohm = 0.006896\n", "resistance_ohm = 1e15\n", 1))
+        cut.write_text(text.replace("resistance_ohm = 0.006896\n", "resistance_ohm = 1e10\n", 1))
         assert cli_main(["validate", str(cut)]) == 0
         out = tmp_path / "r.csv"
         proc = run_module("run", str(cut), "--solver", solver, "--out", str(out))
@@ -294,6 +295,10 @@ def _long_cell(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _repeated_hour(data: bytes) -> bytes:
+    return data.replace(b"temperature_c\n", b"temperature_c,hour\n", 1)
+
+
 def _not_utf8_scenario(tmp: Path) -> str:
     path = tmp / "latin1.mgs"
     path.write_bytes(b"# caf\xe9\n" + bundled_scenario_text("case1").encode())
@@ -301,6 +306,13 @@ def _not_utf8_scenario(tmp: Path) -> str:
 
 
 _HUGE_V = ("v_base_v = 230\n", "v_base_v = 1e200\n")
+# case2's first line, seg_a1, at 1e15 ohm is open in floating point.
+_OPEN_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e15\n")
+_OPEN_SEG_A1_ERROR = (
+    "bases.mgs:107:1: semantic_conflict: buses unreachable from 'f': 'a1', 'a2', 'a3', 'a4', "
+    "'ha1', 'ha2', 'ha3', 'ha4'; open in floating point: line 'seg_a1' "
+    "(|1/z| at most 6.9e-18 of each end's sum)"
+)
 _TINY_Z = (
     ("s_base_va = 10000\n", "s_base_va = 1e308\n"),
     ("v_base_v = 230\n", "v_base_v = 1e-150\n"),
@@ -339,6 +351,10 @@ BAD_INPUTS = {
         lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _long_cell)],
         f"wx.csv: row 5: field larger than field limit ({csv.field_size_limit()})",
     ),
+    "--weather-csv with a repeated column": (
+        lambda tmp: ["run", CASE1, "--weather-csv", _trace(tmp, _repeated_hour)],
+        "wx.csv: duplicate column(s): hour",
+    ),
     "non-UTF-8 trace entry": (
         lambda tmp: ["run", _case1_tracing(tmp, _not_utf8)],
         "wx.csv: not UTF-8 text (invalid start byte)",
@@ -368,6 +384,17 @@ BAD_INPUTS = {
         lambda tmp: ["run", _case2_with(tmp, *_TINY_Z), "--solver", "simple"],
         "semantic_conflict: v_base_v = 1e-150 with s_base_va = 1e+308: impedance base",
     ),
+    "validate open line": (
+        lambda tmp: ["validate", _case2_with(tmp, _OPEN_SEG_A1)],
+        _OPEN_SEG_A1_ERROR,
+    ),
+    **{
+        f"run {solver} open line": (
+            lambda tmp, solver=solver: ["run", _case2_with(tmp, _OPEN_SEG_A1), "--solver", solver],
+            _OPEN_SEG_A1_ERROR,
+        )
+        for solver in ("acpf", "gs", "simple")
+    },
     "validate underflowing impedance base": (
         lambda tmp: ["validate", _case2_with(tmp, *_TINY_Z)],
         "semantic_conflict: v_base_v = 1e-150 with s_base_va = 1e+308: impedance base",

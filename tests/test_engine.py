@@ -1,5 +1,6 @@
 """Simulation loop, results CSV, and summaries."""
 
+import csv
 import random
 import tracemalloc
 from dataclasses import replace
@@ -716,6 +717,56 @@ class TestCsv:
         path.write_text("step,hour,object,quantity,value,unit\n" + "9" * 20 + ",0,a,p_out,1,W\n")
         with pytest.raises(ValueError, match=f"^{path}: row 2: "):
             read_results_csv(path)
+
+    @pytest.mark.parametrize(
+        "step, hour, message",
+        [
+            (2**63 - 1, -(2**63), None),
+            (2**63, 0, f"step and hour must fit int64, got {2**63} and 0"),
+            (0, -(2**63) - 1, f"step and hour must fit int64, got 0 and {-(2**63) - 1}"),
+        ],
+        ids=["edges", "step-over", "hour-under"],
+    )
+    def test_int64_edges_on_the_row_by_row_reading(self, tmp_path, step, hour, message):
+        # The quoted cell sends the block to Python's reading.
+        path = tmp_path / "edges.csv"
+        path.write_text(f'step,hour,object,quantity,value,unit\n"{step}",{hour},a,p_out,1,W\n')
+        if message is None:
+            assert list(read_results_csv(path)) == [ResultRecord(step, hour, "a", "p_out", 1.0, "W")]
+        else:
+            with pytest.raises(ValueError) as exc:
+                read_results_csv(path)
+            assert str(exc.value) == f"{path}: row 2: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty results file"),
+            ("# seed = 1\n\n", "empty results file"),
+            (
+                "step,hour,object,quantity,value," + "u" * 140_000 + "\n",
+                f"row 1: field larger than field limit ({csv.field_size_limit()})",
+            ),
+            # The rows of a block are checked in order, a row the csv
+            # module rejects among them.
+            (
+                "step,hour,object,quantity,value,unit\n0,0,a,p_out,x,W\n0,0," + "a" * 140_000 + ",p_out,1,W\n",
+                "row 2: could not convert string to float: 'x'",
+            ),
+            (
+                "step,hour,object,quantity,value,unit\n0,0,a,p_out,1,W\n0,0," + "a" * 140_000 + ",p_out,x,W\n",
+                f"row 3: field larger than field limit ({csv.field_size_limit()})",
+            ),
+        ],
+        ids=["empty", "comments-only", "long-header-cell", "bad-value-then-long-cell", "long-cell-then-bad-value"],
+    )
+    def test_rejected_file_is_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for n in BLOCK_SIZES:
+            with block_rows(n), pytest.raises(ValueError) as exc:
+                read_results_csv(path)
+            assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "body, expected",

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from microgridsim import (
     Bus,
     BusKind,
+    GridConnection,
     Line,
     LoadDevice,
     Network,
@@ -284,3 +286,84 @@ class TestValidate:
             net = make_radial_network(rng, rng.randint(1, 8))
             if validate(net) == []:
                 build_admittance(net, BASE)
+
+    @pytest.mark.parametrize("kind", ["loads", "pvs", "winds", "grid"])
+    def test_every_bus_field_is_checked(self, kind):
+        device = {
+            "loads": (LoadDevice("d", "nowhere", 100.0),),
+            "pvs": (SolarPanel("d", "nowhere", 500.0),),
+            "winds": (WindTurbine("d", "nowhere", 800.0),),
+            "grid": GridConnection("d", "nowhere"),
+        }[kind]
+        diags = validate(replace(two_bus(), **{kind: device}))
+        noun = {"loads": "load", "pvs": "pv", "winds": "wind", "grid": "grid"}[kind]
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in diags] == [
+            ("dangling_reference", "d", "bus", f"{noun} 'd' references unknown bus 'nowhere'")
+        ]
+
+    @pytest.mark.parametrize("rated", [1.0, 3.0, 25.0, 30.0])
+    def test_wind_speeds_out_of_order(self, rated):
+        net = replace(two_bus(), winds=(WindTurbine("wt", "b", 800.0, 3.0, rated, 25.0),))
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in validate(net)] == [
+            ("invalid_value", "wt", "rated", "wind 'wt' needs 0 <= cut_in < rated < cut_out")
+        ]
+
+    def test_grid_connection_off_the_slack_bus(self):
+        net = replace(two_bus(), grid=GridConnection("utility", "b"))
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in validate(net)] == [
+            ("invalid_value", "utility", "bus", "grid connection 'utility' must sit on the slack bus")
+        ]
+        assert validate(replace(net, grid=GridConnection("utility", "a"))) == []
+
+
+def _case2_with_seg_a1(resistance: float) -> Network:
+    network = parse_scenario(bundled_scenario_text("case2")).network
+    assert network.lines[0].id == "seg_a1"
+    lines = (replace(network.lines[0], resistance=resistance),) + network.lines[1:]
+    return replace(network, lines=lines)
+
+
+class TestOpenLines:
+    def test_open_line_is_named_by_the_disconnection(self):
+        # seg_a1's |1/z| is 6.9e-18 of the sum at either end, and every
+        # other line's is at least 0.2 of it.
+        (diag,) = validate(_case2_with_seg_a1(1e15))
+        assert (diag.code, diag.object_id, diag.attribute) == ("disconnected", "seg_a1", None)
+        assert diag.message == (
+            "buses unreachable from 'f': 'a1', 'a2', 'a3', 'a4', 'ha1', 'ha2', 'ha3', 'ha4'; "
+            "open in floating point: line 'seg_a1' (|1/z| at most 6.9e-18 of each end's sum)"
+        )
+
+    def test_weak_line_is_not_open(self):
+        # 1e10 ohm leaves seg_a1 at 6.9e-13 of the sums at its ends: weak,
+        # but it still changes them.
+        assert validate(_case2_with_seg_a1(1e10)) == []
+
+    def test_open_line_beside_a_closed_one_cuts_nothing(self):
+        buses = (Bus("a", BusKind.SLACK, 230.0), Bus("b", BusKind.PQ, 230.0))
+        lines = (Line("l1", "a", "b", 1.0), Line("l2", "b", "a", 1e20))
+        assert validate(Network(buses, lines)) == []
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-235])
+    def test_line_beside_a_near_short_is_not_open(self, tiny):
+        # l1 is lost in b1's sum, but it is all of a's: it still connects.
+        # A subnormal impedance's 1/z overflows without a warning.
+        buses = (
+            Bus("a", BusKind.SLACK, 230.0),
+            Bus("b1", BusKind.PQ, 230.0),
+            Bus("b2", BusKind.PQ, 230.0),
+        )
+        lines = (Line("l1", "a", "b1", 1.0), Line("l2", "b1", "b2", tiny))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(Network(buses, lines)) == []
+
+    def test_lines_with_their_own_diagnostic_stay_out_of_the_ratio(self):
+        # A non-finite or negative impedance is not compared with its
+        # neighbours, so it makes none of them open.
+        for resistance in (math.inf, math.nan, -1e30):
+            net = _case2_with_seg_a1(resistance)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                diags = validate(net)
+            assert [(d.code, d.object_id) for d in diags] == [("invalid_value", "seg_a1")]

@@ -257,6 +257,46 @@ class TestParseErrors:
             errs = errors_of(text)
             assert any(token in _line_containing(text, e.line) for e in errs), token
 
+    @pytest.mark.parametrize(
+        "section, entry, kind, message",
+        [
+            (
+                "[wind]\nid = turbine\nbus = root\npeak_w = 1500\n"
+                "cut_in_mps = 5\nrated_mps = 4\ncut_out_mps = 30\n",
+                "rated_mps = 4",
+                ParseErrorKind.SEMANTIC_CONFLICT,
+                "wind 'turbine' needs 0 <= cut_in < rated < cut_out",
+            ),
+            (
+                "[grid]\nid = utility\nbus = leaf\n",
+                "bus = leaf",
+                ParseErrorKind.SEMANTIC_CONFLICT,
+                "grid connection 'utility' must sit on the slack bus",
+            ),
+            (
+                "[weather]\ntrace = my wx.csv\n",
+                "trace = my wx.csv",
+                ParseErrorKind.TYPE_MISMATCH,
+                "key 'trace' expects a path without whitespace, got 'my wx.csv'",
+            ),
+        ],
+    )
+    def test_rule_cites_its_entry(self, section, entry, kind, message):
+        text = MINIMAL + "\n" + section
+        (err,) = errors_of(text)
+        assert (err.kind, err.message) == (kind, message)
+        assert _line_containing(text, err.line) == entry
+        assert err.column == entry.index("= ") + 3
+
+    def test_open_line_cites_its_section(self):
+        text = bundled_scenario_text("case2")
+        assert "resistance_ohm = 0.006896\n" in text
+        text = text.replace("resistance_ohm = 0.006896\n", "resistance_ohm = 1e15\n", 1)
+        (err,) = errors_of(text)
+        assert err.kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert (_line_containing(text, err.line + 1), err.column) == ("id = seg_a1", 1)
+        assert "open in floating point: line 'seg_a1'" in err.message
+
 
 CONFIG = SimulationConfig(steps=4, start_hour=0, solver="acpf", seed=9)
 

@@ -1,5 +1,6 @@
 """Weather synthesis: SplitMix64 determinism, Weibull sampling, cloud walk, CSV."""
 
+import csv
 import math
 import re
 
@@ -523,6 +524,32 @@ class TestTraceCsv:
         path.write_text("step,hour,cloud_factor,wind_speed_mps\n0,0,0.5,4\n")
         with pytest.raises(WeatherTraceError, match="missing column.*temperature_c"):
             load_weather_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file, expected header"),
+            (",".join(TRACE_COLUMNS) + ",pressure\n0,0,0.5,4,12,1013\n", "unknown column(s): pressure"),
+            # With 5-cell rows the repeated hour once read as a 1-step trace.
+            (",".join(TRACE_COLUMNS) + ",hour\n0,0,0.5,4,12\n", "duplicate column(s): hour"),
+            (",".join(TRACE_COLUMNS) + ",hour\n0,0,0.5,4,12,0\n", "duplicate column(s): hour"),
+            (
+                "hour,step,hour,step,cloud_factor,wind_speed_mps,temperature_c\n",
+                "duplicate column(s): step, hour",
+            ),
+            (
+                "step,hour,cloud_factor,wind_speed_mps," + "t" * 140_000 + "\n",
+                f"header: field larger than field limit ({csv.field_size_limit()})",
+            ),
+        ],
+        ids=["empty", "unknown", "duplicate-5-cells", "duplicate-6-cells", "duplicates", "long-cell"],
+    )
+    def test_bad_header_is_named(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(WeatherTraceError) as exc:
+            load_weather_csv(path)
+        assert (str(exc.value), exc.value.row) == (f"{path}: {message}", None)
 
     def test_cloud_out_of_range_cites_row(self, tmp_path):
         path = tmp_path / "trace.csv"
