@@ -225,7 +225,7 @@ def line_resistance(resistivity: float, length: float, cross_section: float) -> 
 
 
 class SingularBranchError(ValueError):
-    """A line with zero impedance cannot enter the admittance matrix."""
+    """A line whose per-unit 1/z is not finite cannot enter the admittance matrix."""
 
 
 def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
@@ -234,7 +234,8 @@ def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
     Each line contributes -1/z_pu to both off-diagonal slots; parallel
     lines accumulate.  Diagonals are set to cancel their row, then
     refined once so every row sums to zero well inside 1e-12 even after
-    floating-point rounding.
+    floating-point rounding.  A line whose per-unit z is zero, or so
+    small that 1/z is not finite, raises SingularBranchError.
     """
     n = len(network.buses)
     index = {bus.id: i for i, bus in enumerate(network.buses)}
@@ -247,6 +248,11 @@ def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
         if i == k:
             raise ValueError(f"line {line.id!r} connects bus {line.from_bus!r} to itself")
         y_line = 1.0 / z
+        if not np.isfinite(y_line):
+            raise SingularBranchError(
+                f"line {line.id!r} impedance {z.real!r} + j{z.imag!r} pu is too small: "
+                "its 1/z is not finite"
+            )
         y[i, k] -= y_line
         y[k, i] -= y_line
     for i in range(n):
@@ -265,18 +271,17 @@ def _open_lines(network: Network, lines: list[Line]) -> dict[Line, float]:
     one weak line of a bus, still carries the other end's row and is not
     open.  The ratio does not depend on the per-unit base, so it is taken
     in ohms.  lines must connect two distinct buses of the network
-    through a non-zero, finite impedance.
+    through a finite impedance whose 1/z is finite.
     """
     index = {bus.id: i for i, bus in enumerate(network.buses)}
     ends = np.array([(index[line.from_bus], index[line.to_bus]) for line in lines], np.intp)
     ends = ends.reshape(-1, 2)
-    # A subnormal impedance's 1/z overflows: its own ratio is NaN, and its
-    # neighbours keep the ratio at their other end.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = 1.0 / np.array([complex(line.resistance, line.reactance) for line in lines], complex)
-        total = np.zeros(len(network.buses), complex)
+    y = 1.0 / np.array([complex(line.resistance, line.reactance) for line in lines], complex)
+    total = np.zeros(len(network.buses), complex)
+    # Near-shorts' 1/z may sum past the largest float: the sum is inf.
+    with np.errstate(over="ignore"):
         np.add.at(total, ends, y[:, None])
-        ratio = np.abs(y) / np.abs(total[ends]).min(axis=1)
+    ratio = np.abs(y) / np.abs(total[ends]).min(axis=1)
     eps = np.finfo(float).eps
     return {line: r for line, r in zip(lines, ratio.tolist()) if r <= eps}
 
@@ -308,7 +313,8 @@ def validate(network: Network) -> list[Diagnostic]:
     Reports duplicate identifiers, numeric fields that are non-finite or
     outside their FIELD_BOUNDS range, BUS_FIELDS that name no bus,
     disconnected buses, a slack count other than one, zero-impedance or
-    self-looped lines, and inconsistent wind speeds.  A line that is open
+    self-looped lines, lines whose 1/z is not finite (a subnormal
+    impedance), and inconsistent wind speeds.  A line that is open
     in floating point (see _open_lines) connects nothing: the buses it
     alone connects are disconnected, and the diagnostic names it.
     """
@@ -389,11 +395,21 @@ def validate(network: Network) -> list[Diagnostic]:
             message = f"grid connection {tie.id!r} must sit on the slack bus"
             diags.append(Diagnostic("invalid_value", tie.id, message, "bus"))
 
+    # Lines with a diagnostic on their ends or impedance keep it and stay
+    # out of the open-line ratio, and so does a line whose 1/z overflows.
+    electrical = ("from_bus", "to_bus", "resistance", "reactance")
+    flagged = {d.object_id for d in diags if d.attribute in electrical}
+    for line in network.lines:
+        z = complex(line.resistance, line.reactance)
+        if line.id not in flagged and not np.isfinite(1.0 / z):
+            message = (
+                f"line {line.id!r} impedance {z.real!r} + j{z.imag!r} ohm is too small: "
+                "its 1/z is not finite"
+            )
+            diags.append(Diagnostic("invalid_value", line.id, message, "resistance"))
+            flagged.add(line.id)
+
     if network.buses:
-        # Lines with a diagnostic on their ends or impedance keep it and stay
-        # out of the open-line ratio.
-        electrical = ("from_bus", "to_bus", "resistance", "reactance")
-        flagged = {d.object_id for d in diags if d.attribute in electrical}
         open_lines = _open_lines(network, [line for line in network.lines if line.id not in flagged])
         start = next((i for i, b in enumerate(network.buses) if b.kind is BusKind.SLACK), 0)
         reachable = _connected_component(network, start, open_lines)

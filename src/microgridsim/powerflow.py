@@ -128,7 +128,12 @@ def compute_injections(
     matrix-matrix product over the stack would round differently.
     """
     v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
-    s = v * np.conj(np.matmul(admittance.y, v[..., None])[..., 0])
+    return _injections(v, admittance.y)
+
+
+def _injections(v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) at every bus of a complex state (n,) or stack of states (S, n): S = V conj(Y V)."""
+    s = v * np.conj(np.matmul(y, v[..., None])[..., 0])
     return s.real, s.imag
 
 
@@ -303,22 +308,14 @@ def _eliminate_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _mismatch(
-    admittance: AdmittanceMatrix,
-    p_spec: np.ndarray,
-    q_spec: np.ndarray,
-    v_mag: np.ndarray,
-    v_angle: np.ndarray,
-    pq: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Injection mismatch [dP, dQ] at the PQ buses of a state or a stack of states.
+    p_spec: np.ndarray, q_spec: np.ndarray, p_calc: np.ndarray, q_calc: np.ndarray, pq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Injection mismatch [dP, dQ] at the PQ buses, from (P, Q) at every bus of a state or stack.
 
-    Returns (mismatch, worst, P, Q): worst is each state's largest
-    |mismatch| (0 without PQ buses), and (P, Q) the injections at every
-    bus.
+    Returns (mismatch, worst): worst is each state's largest |mismatch| (0 without PQ buses).
     """
-    p_calc, q_calc = compute_injections(v_mag, v_angle, admittance)
     mismatch = np.concatenate([p_spec - p_calc[..., pq], q_spec - q_calc[..., pq]], axis=-1)
-    return mismatch, np.abs(mismatch).max(-1, initial=0.0), p_calc, q_calc
+    return mismatch, np.abs(mismatch).max(-1, initial=0.0)
 
 
 def _worst_bus(
@@ -348,8 +345,10 @@ def solve_steps(
     The steps share one loop.  Each iteration evaluates their mismatches
     together, applies the stop rule to all of them as one boolean mask,
     builds a solution for each step that stops, and updates the others;
-    the method picks only the cap, the state, how it reads as |V| and
-    theta, and the update.  Either update serves the going steps at once:
+    the method picks only the cap, the state, its injections, how it
+    reads as |V| and theta, and the update.  Gauss-Seidel's injections
+    are S = V conj(Y V) of its complex V, which becomes |V| and theta
+    only for the steps that stop.  Either update serves the going steps at once:
     Newton-Raphson eliminates their Jacobians as one stack, and a
     Gauss-Seidel sweep updates each bus in all of them with one set of
     array operations.  A step that stops unconverged gets its worst
@@ -366,6 +365,7 @@ def solve_steps(
     if method == METHOD_NEWTON_RAPHSON:
         cap = NR_MAX_ITERATIONS
         state = (np.ones(shape), np.zeros(shape))
+        injections = lambda v_mag, v_angle: compute_injections(v_mag, v_angle, admittance)
         polar = lambda v_mag, v_angle: (v_mag, v_angle)
         update = partial(_newton_step, admittance, pq)
     elif method == METHOD_GAUSS_SEIDEL:
@@ -377,6 +377,7 @@ def solve_steps(
         cap = GS_MAX_ITERATIONS
         # Complex V, and S* at the PQ buses.
         state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec))
+        injections = lambda v, _: _injections(v, y)
         # np.arctan2 gives the bits of np.angle with less overhead.
         polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
         buses = list(zip(pq.tolist(), [y[i : i + 1] for i in pq.tolist()], diagonal))
@@ -395,20 +396,19 @@ def solve_steps(
     singular = np.zeros(len(problem), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in count():
-            v_mag, v_angle = polar(*state)
-            mismatch, worst, p_calc, q_calc = _mismatch(
-                admittance, p_spec, q_spec, v_mag, v_angle, pq
-            )
+            p_calc, q_calc = injections(*state)
+            mismatch, worst = _mismatch(p_spec, q_spec, p_calc, q_calc, pq)
             # The stop rule, negated: a step goes on while its mismatch is
             # finite and above TOLERANCE and the cap is not reached.
             going = (worst > TOLERANCE) & np.isfinite(worst) & (it < cap) & ~singular
             if not going.all():
                 converged = worst <= TOLERANCE
-                for i in np.flatnonzero(~(going | singular)).tolist():
+                stop = np.flatnonzero(~(going | singular))
+                for i, v_mag, v_angle in zip(stop.tolist(), *polar(*(arr[stop] for arr in state))):
                     ok = bool(converged[i])
                     outcomes[steps[i]] = PowerFlowSolution(
-                        v_mag=v_mag[i],
-                        v_angle=v_angle[i],
+                        v_mag=v_mag,
+                        v_angle=v_angle,
                         iterations=it,
                         max_mismatch=float(worst[i]),
                         slack_injection=(float(p_calc[i, slack]), float(q_calc[i, slack])),

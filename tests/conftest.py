@@ -198,43 +198,40 @@ def loop_gauss_seidel(problem: PowerFlowProblem) -> PowerFlowSolution:
     """Per-bus reference for solve_gauss_seidel on step 0 of a problem.
 
     The sweep as first written: each bus slices its row of Y, reads Y_ii
-    and conjugates S_i anew, the angle comes from np.angle and the PQ
-    buses are indexed with a list.  solve_gauss_seidel must reproduce
-    every field of its solution bit for bit.  The tolerance and the cap
-    are the package's, read at each call, and a mismatch that is not
-    finite stops the solve, as the package's stop rule says.
+    and conjugates S_i anew, and the PQ buses are indexed with a list.
+    The stop rule reads S = V conj(Y V) of the complex V itself, and the
+    worst bus comes from that mismatch; |V| and the angle, from np.angle,
+    are taken only for the solution returned.  solve_gauss_seidel must
+    reproduce every field of its solution bit for bit.  The tolerance and
+    the cap are the package's, read at each call, and a mismatch that is
+    not finite stops the solve, as the package's stop rule says.
     """
     max_iter = powerflow.GS_MAX_ITERATIONS
     y = problem.admittance.y
     n = problem.admittance.n
     pq = problem.pq_indices
     slack = problem.slack_index
+    p_spec, q_spec = problem.p_injection[0], problem.q_injection[0]
     s_spec = np.zeros(n, dtype=complex)
-    s_spec[pq] = problem.p_injection[0] + 1j * problem.q_injection[0]
+    s_spec[pq] = p_spec + 1j * q_spec
     v = np.ones(n, dtype=complex)
     it = 0
     while True:
-        v_mag = np.abs(v)
-        v_angle = np.angle(v)
-        p_calc, q_calc = compute_injections(v_mag, v_angle, problem.admittance)
-        mismatch = np.concatenate(
-            [problem.p_injection[0] - p_calc[pq], problem.q_injection[0] - q_calc[pq]]
-        )
+        s_calc = v * np.conj(y @ v)
+        p_calc, q_calc = s_calc.real, s_calc.imag
+        mismatch = np.concatenate([p_spec - p_calc[pq], q_spec - q_calc[pq]])
         max_mismatch = float(np.max(np.abs(mismatch))) if len(pq) else 0.0
         converged = max_mismatch <= powerflow.TOLERANCE
         if converged or it >= max_iter or not math.isfinite(max_mismatch):
-            solution = PowerFlowSolution(
-                v_mag=v_mag,
-                v_angle=v_angle,
+            return PowerFlowSolution(
+                v_mag=np.abs(v),
+                v_angle=np.angle(v),
                 iterations=it,
                 max_mismatch=max_mismatch,
                 slack_injection=(float(p_calc[slack]), float(q_calc[slack])),
                 converged=converged,
-                worst_bus=None,
+                worst_bus=None if converged else loop_worst_bus(mismatch, p_spec, q_spec, pq),
             )
-            if converged:
-                return solution
-            return replace(solution, worst_bus=loop_worst_mismatch_bus(problem, solution))
         for i in pq:
             row_sum = y[i, :] @ v - y[i, i] * v[i]
             v[i] = (np.conj(s_spec[i]) / np.conj(v[i]) - row_sum) / y[i, i]
@@ -246,17 +243,26 @@ def loop_worst_mismatch_bus(
 ) -> int:
     """Reference for PowerFlowSolution.worst_bus: recomputed from the final state.
 
-    The index of the PQ bus whose final |dP| or |dQ| at `step` is largest,
-    as np.argmax picks it.  When the state has overflowed, several buses'
-    mismatch is inf or NaN; then it is the one, among those, with the
-    largest specified max(|P|, |Q|) injection.
+    loop_worst_bus of the mismatch that compute_injections gives at the
+    solution's |V| and angle, against the injections of `step`.
     """
     pq = problem.pq_indices
-    m = len(pq)
     p_spec, q_spec = problem.p_injection[step], problem.q_injection[step]
     with np.errstate(over="ignore", invalid="ignore"):
         p_calc, q_calc = compute_injections(solution.v_mag, solution.v_angle, problem.admittance)
         mismatch = np.concatenate([p_spec - p_calc[pq], q_spec - q_calc[pq]])
+    return loop_worst_bus(mismatch, p_spec, q_spec, pq)
+
+
+def loop_worst_bus(mismatch: np.ndarray, p_spec, q_spec, pq) -> int:
+    """The index of the PQ bus whose |dP| or |dQ| in a mismatch [dP, dQ] is largest.
+
+    np.argmax picks among equals.  When the state has overflowed, several
+    buses' mismatch is inf or NaN; then it is the one, among those, with
+    the largest specified max(|P|, |Q|) injection.
+    """
+    m = len(pq)
+    with np.errstate(invalid="ignore"):
         worst = np.maximum(np.abs(mismatch[:m]), np.abs(mismatch[m:]))
     overflowed = ~np.isfinite(worst)
     if overflowed.any():

@@ -313,6 +313,13 @@ _OPEN_SEG_A1_ERROR = (
     "'ha1', 'ha2', 'ha3', 'ha4'; open in floating point: line 'seg_a1' "
     "(|1/z| at most 6.9e-18 of each end's sum)"
 )
+# At 1e-320 ohm seg_a1's 1/z overflows, and at 1e-308 ohm its per-unit 1/z does.
+_SUBNORMAL_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e-320\n")
+_SUBNORMAL_SEG_A1_ERROR = (
+    "bases.mgs:111:18: semantic_conflict: line 'seg_a1' impedance 1e-320 + j0.0 ohm is too small: "
+    "its 1/z is not finite"
+)
+_TINY_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e-308\n")
 _TINY_Z = (
     ("s_base_va = 10000\n", "s_base_va = 1e308\n"),
     ("v_base_v = 230\n", "v_base_v = 1e-150\n"),
@@ -394,6 +401,27 @@ BAD_INPUTS = {
             _OPEN_SEG_A1_ERROR,
         )
         for solver in ("acpf", "gs", "simple")
+    },
+    "validate subnormal line": (
+        lambda tmp: ["validate", _case2_with(tmp, _SUBNORMAL_SEG_A1)],
+        _SUBNORMAL_SEG_A1_ERROR,
+    ),
+    **{
+        f"run {solver} subnormal line": (
+            lambda tmp, solver=solver: [
+                "run", _case2_with(tmp, _SUBNORMAL_SEG_A1), "--solver", solver
+            ],
+            _SUBNORMAL_SEG_A1_ERROR,
+        )
+        for solver in ("acpf", "gs", "simple")
+    },
+    **{
+        f"run {solver} line with a subnormal per-unit impedance": (
+            lambda tmp, solver=solver: ["run", _case2_with(tmp, _TINY_SEG_A1), "--solver", solver],
+            "bases.mgs: line 'seg_a1' impedance 1.890359168241964e-309 + j0.0 pu is too small: "
+            "its 1/z is not finite",
+        )
+        for solver in ("acpf", "gs")
     },
     "validate underflowing impedance base": (
         lambda tmp: ["validate", _case2_with(tmp, *_TINY_Z)],

@@ -344,10 +344,9 @@ class TestOpenLines:
         lines = (Line("l1", "a", "b", 1.0), Line("l2", "b", "a", 1e20))
         assert validate(Network(buses, lines)) == []
 
-    @pytest.mark.parametrize("tiny", [5e-324, 1e-235])
+    @pytest.mark.parametrize("tiny", [1e-308, 1e-235])
     def test_line_beside_a_near_short_is_not_open(self, tiny):
         # l1 is lost in b1's sum, but it is all of a's: it still connects.
-        # A subnormal impedance's 1/z overflows without a warning.
         buses = (
             Bus("a", BusKind.SLACK, 230.0),
             Bus("b1", BusKind.PQ, 230.0),
@@ -357,6 +356,45 @@ class TestOpenLines:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate(Network(buses, lines)) == []
+
+    @pytest.mark.parametrize("resistance, reactance", [(1e-320, 0.0), (0.0, 5e-324), (1e-320, 1e-320)])
+    def test_line_whose_1_over_z_is_not_finite(self, resistance, reactance):
+        # 1/z overflows: the line is an invalid value, whatever its
+        # neighbours, and stays out of the open-line ratio, with no warning.
+        network = _case2_with_seg_a1(resistance)
+        lines = (replace(network.lines[0], reactance=reactance),) + network.lines[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags = validate(replace(network, lines=lines))
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in diags] == [
+            (
+                "invalid_value",
+                "seg_a1",
+                "resistance",
+                f"line 'seg_a1' impedance {resistance!r} + j{reactance!r} ohm is too small: "
+                "its 1/z is not finite",
+            )
+        ]
+        # Per unit, z is subnormal too, or zero.
+        with pytest.raises(
+            SingularBranchError, match="^line 'seg_a1' (impedance .* pu is too small|has zero)"
+        ):
+            build_admittance(replace(network, lines=lines), BASE)
+
+    def test_per_unit_1_over_z_that_is_not_finite_is_a_singular_branch(self):
+        # 1e-308 ohm has a finite 1/z, so the line is valid, but at a
+        # z_base of 5.29 ohm its per-unit 1/z overflows.
+        network = _case2_with_seg_a1(1e-308)
+        assert validate(network) == []
+        with pytest.raises(
+            SingularBranchError,
+            match=r"^line 'seg_a1' impedance 1\.890359168241964e-309 \+ j0\.0 pu is too small: "
+            "its 1/z is not finite$",
+        ):
+            build_admittance(network, BASE)
+        # A base that keeps the per-unit impedance normal builds.
+        y = build_admittance(network, PerUnitBase(s_base=1.0, v_base=1.0)).y
+        assert y[network.bus_index("f"), network.bus_index("a1")] == -1e308
 
     def test_lines_with_their_own_diagnostic_stay_out_of_the_ratio(self):
         # A non-finite or negative impedance is not compared with its

@@ -1,5 +1,6 @@
 """Scenario DSL: parsing, error reporting, canonical emission, round-trips."""
 
+import cmath
 import dataclasses
 import math
 import random
@@ -607,7 +608,10 @@ def bounded_scenarios(draw):
     lines, loads = [], []
     for i in range(1, n):
         r, extra = value("line", "resistance"), optional("line", "reactance", "length")
-        assume(r != 0.0 or extra.get("reactance", 0.0) != 0.0)
+        # Fields in bounds can still make a line of zero impedance, or a
+        # subnormal one whose 1/z is not finite: validate rejects both.
+        z = complex(r, extra.get("reactance", 0.0))
+        assume(z != 0 and cmath.isfinite(1.0 / z))
         lines.append(Line(f"l{i}", buses[i - 1].id, f"b{i}", r, **extra))
         active = value("load", "active_power")
         loads.append(LoadDevice(f"d{i}", f"b{i}", active, **optional("load", "reactive_power")))
