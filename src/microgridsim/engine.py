@@ -76,13 +76,21 @@ _RESULT_DTYPE = np.dtype(
      ("value", np.float64), ("unit", object)]
 )
 
-# Bytes of per-step solver state that one stack of AC steps may hold.
-# Newton-Raphson counts its augmented 2m x (2m + 1) float64 matrix for m PQ
-# buses: 31 steps of a 17-bus street, 1 step of a 160-bus feeder; a larger
-# stack saves little per pivot and costs memory in proportion.
-# Gauss-Seidel counts its complex voltage row, 16 bytes a bus: 963 steps
-# of the street, whose sweeps then cost per bus, not per step.
-STACK_BYTES = 256 * 1024
+# Bytes of per-step solver state (_step_bytes) that one stack of AC steps may
+# hold.  A stacked Newton-Raphson pivot makes about ten numpy calls whatever
+# the stack's size, so larger stacks pay until those calls stop dominating.
+# From 256 KiB to 1.5 MiB in steps of 256 KiB (BENCH_23.json "sweep", a
+# 2-vCPU Xeon, one BLAS thread), two weeks of the street took 0.052, 0.040,
+# 0.036, 0.036, 0.035 and 0.033 reference-clock s (perfbench street_acpf)
+# and a year 1.75, 1.26, 1.11, 0.97, 0.94 and 0.96 s wall, with peak RSS
+# flat to 1 MiB, then 0.7 and 1.4 MB more.  At 1 MiB the 17-bus
+# street's 2m x (2m + 1) float64 matrix gives stacks of 124 steps; the
+# 160-bus feeder's (811,536 bytes) keeps one step per stack and the
+# one-system elimination, as any budget below two of them does.  Gauss-Seidel
+# counts its complex voltage row, 16 bytes a bus: 3,855 steps of the street,
+# whose sweeps cost per bus, not per step.  A year of its gs ran in 9.2 s
+# wall against 9.8 s at 256 KiB (5 alternated runs) and 0.8 MB more RSS.
+STACK_BYTES = 1024 * 1024
 
 
 class ResultRecord(NamedTuple):
@@ -388,8 +396,14 @@ def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
             rows[:, -1] = total_line_losses(net, base, v_mag, v_angle) * cfg.s_base_va
         return failure
 
-    step_bytes = 16 * n if cfg.solver == METHOD_GAUSS_SEIDEL else 8 * 2 * m * (2 * m + 1)
+    step_bytes = _step_bytes(n, cfg.solver)
     return (max(1, STACK_BYTES // step_bytes) if step_bytes else 1), solve_stack
+
+
+def _step_bytes(n: int, solver: str) -> int:
+    """Bytes of one step of an n-bus AC run by solver, as STACK_BYTES counts them."""
+    m = n - 1
+    return 16 * n if solver == METHOD_GAUSS_SEIDEL else 8 * 2 * m * (2 * m + 1)
 
 
 def _require_finite(where: str, names: Iterable[str], values: Iterable[float]) -> None:

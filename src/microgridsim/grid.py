@@ -261,29 +261,42 @@ def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
     return AdmittanceMatrix(y)
 
 
-def _open_lines(network: Network, lines: list[Line]) -> dict[Line, float]:
-    """The lines that are open in floating point, each with its ratio.
+def _open_lines(
+    network: Network, lines: list[Line]
+) -> tuple[dict[Line, float], dict[str, list[str]]]:
+    """The lines that are open in floating point, each with its ratio, and
+    the ids of the buses whose |sum of 1/z| is not finite, each with its lines'.
 
     A line's ratio is its |1/z| over the smaller |sum of 1/z| of the lines
     at its two end buses.  At or below machine epsilon the line cannot
     change the sum of either bus's row: it connects nothing.  A line that
     is lost only in one end's sum, beside a near-short there or as the
     one weak line of a bus, still carries the other end's row and is not
-    open.  The ratio does not depend on the per-unit base, so it is taken
-    in ohms.  lines must connect two distinct buses of the network
-    through a finite impedance whose 1/z is finite.
+    open.  Near-shorts' 1/z may sum past the largest float: such a bus
+    makes none of its lines open.  The ratio does not depend on the
+    per-unit base, so it is taken in ohms.  lines must connect two
+    distinct buses of the network through a finite impedance whose 1/z
+    is finite.
     """
     index = {bus.id: i for i, bus in enumerate(network.buses)}
     ends = np.array([(index[line.from_bus], index[line.to_bus]) for line in lines], np.intp)
     ends = ends.reshape(-1, 2)
     y = 1.0 / np.array([complex(line.resistance, line.reactance) for line in lines], complex)
     total = np.zeros(len(network.buses), complex)
-    # Near-shorts' 1/z may sum past the largest float: the sum is inf.
-    with np.errstate(over="ignore"):
+    # Near-shorts' 1/z may sum past the largest float: to inf, or to nan.
+    with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(total, ends, y[:, None])
-    ratio = np.abs(y) / np.abs(total[ends]).min(axis=1)
+    total = np.abs(total)
+    overflowed = ~np.isfinite(total)
+    total[overflowed] = 0.0
+    with np.errstate(divide="ignore"):
+        ratio = np.abs(y) / total[ends].min(axis=1)
     eps = np.finfo(float).eps
-    return {line: r for line, r in zip(lines, ratio.tolist()) if r <= eps}
+    open_lines = {line: r for line, r in zip(lines, ratio.tolist()) if r <= eps}
+    return open_lines, {
+        network.buses[bus].id: [line.id for line, pair in zip(lines, ends.tolist()) if bus in pair]
+        for bus in np.flatnonzero(overflowed).tolist()
+    }
 
 
 def _connected_component(network: Network, start: int, open_lines: dict[Line, float]) -> set[int]:
@@ -316,7 +329,9 @@ def validate(network: Network) -> list[Diagnostic]:
     self-looped lines, lines whose 1/z is not finite (a subnormal
     impedance), and inconsistent wind speeds.  A line that is open
     in floating point (see _open_lines) connects nothing: the buses it
-    alone connects are disconnected, and the diagnostic names it.
+    alone connects are disconnected, and the diagnostic names it.  The
+    buses whose lines' 1/z sum to no finite number are one diagnostic,
+    which names each with its lines.
     """
     diags: list[Diagnostic] = []
     grid = () if network.grid is None else (network.grid,)
@@ -410,7 +425,15 @@ def validate(network: Network) -> list[Diagnostic]:
             flagged.add(line.id)
 
     if network.buses:
-        open_lines = _open_lines(network, [line for line in network.lines if line.id not in flagged])
+        open_lines, overflowed = _open_lines(
+            network, [line for line in network.lines if line.id not in flagged]
+        )
+        if overflowed:
+            message = "near-short lines: the sum of 1/z is not finite at " + ", ".join(
+                f"bus {bus!r} (" + ", ".join(f"line {line!r}" for line in at) + ")"
+                for bus, at in overflowed.items()
+            )
+            diags.append(Diagnostic("near_short", next(iter(overflowed)), message))
         start = next((i for i, b in enumerate(network.buses) if b.kind is BusKind.SLACK), 0)
         reachable = _connected_component(network, start, open_lines)
         unreachable = [b.id for i, b in enumerate(network.buses) if i not in reachable]

@@ -319,6 +319,17 @@ _SUBNORMAL_SEG_A1_ERROR = (
     "bases.mgs:111:18: semantic_conflict: line 'seg_a1' impedance 1e-320 + j0.0 ohm is too small: "
     "its 1/z is not finite"
 )
+# seg_a1 and a parallel copy at 1e-308 ohm: at f and at a1 their 1/z sum past the largest float.
+_PARALLEL_NEAR_SHORTS = (
+    "[line]\nid = seg_a1\nfrom = f\nto = a1\nresistance_ohm = 0.006896\n",
+    "[line]\nid = seg_a1\nfrom = f\nto = a1\nresistance_ohm = 1e-308\n\n"
+    "[line]\nid = seg_a1b\nfrom = f\nto = a1\nresistance_ohm = 1e-308\n",
+)
+_PARALLEL_NEAR_SHORTS_ERROR = (
+    "bases.mgs:22:1: semantic_conflict: near-short lines: the sum of 1/z is not finite at "
+    "bus 'f' (line 'seg_a1', line 'seg_a1b', line 'seg_b1'), bus 'a1' (line 'seg_a1', "
+    "line 'seg_a1b', line 'seg_a2', line 'tap_a1')"
+)
 _TINY_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e-308\n")
 _TINY_Z = (
     ("s_base_va = 10000\n", "s_base_va = 1e308\n"),
@@ -422,6 +433,13 @@ BAD_INPUTS = {
             "its 1/z is not finite",
         )
         for solver in ("acpf", "gs")
+    },
+    **{
+        f"{command} parallel near-shorts": (
+            lambda tmp, command=command: [*command.split(), _case2_with(tmp, _PARALLEL_NEAR_SHORTS)],
+            _PARALLEL_NEAR_SHORTS_ERROR,
+        )
+        for command in ("validate", "run --solver acpf", "run --solver gs", "run --solver simple")
     },
     "validate underflowing impedance base": (
         lambda tmp: ["validate", _case2_with(tmp, *_TINY_Z)],

@@ -45,6 +45,7 @@ from conftest import (
     loop_render_csv,
     loop_summarize,
     loop_wind_power,
+    make_radial_network,
     make_random_scenario,
     mutated_csv,
     overheated_weather,
@@ -82,15 +83,16 @@ def block_rows(n):
 
 
 def stacks_of(scenario, steps):
-    """Context in which an AC run of scenario, by its solver, solves stacks of `steps` steps.
-
-    Newton-Raphson counts a 2m x (2m + 1) float64 matrix per step against
-    engine.STACK_BYTES, and Gauss-Seidel a complex voltage per bus.
-    """
-    n = len(scenario.network.buses)
-    m = n - 1
-    step_bytes = 16 * n if scenario.config.solver == "gs" else 8 * 2 * m * (2 * m + 1)
+    """Context in which an AC run of scenario, by its solver, solves stacks of `steps` steps."""
+    step_bytes = engine._step_bytes(len(scenario.network.buses), scenario.config.solver)
     return mock.patch.object(engine, "STACK_BYTES", steps * step_bytes)
+
+
+def solved_stacks(scenario):
+    """(steps, method) of each stack that an AC run of scenario solves, in order."""
+    with mock.patch.object(powerflow, "solve_steps", wraps=powerflow.solve_steps) as spy:
+        run_simulation(scenario)
+    return [(len(call.args[0]), call.args[1]) for call in spy.call_args_list]
 
 
 # The stack sizes error order is checked at: 1 solves step by step.
@@ -584,14 +586,37 @@ class TestStackedRuns:
         assert {call.args[1].method for call in calls} == {solver}
 
     def test_gauss_seidel_run_of_the_street_is_one_stack(self):
-        # STACK_BYTES holds 963 steps of the street's complex voltage rows,
+        # STACK_BYTES holds 3,855 steps of the street's complex voltage rows,
         # so its 48 steps are swept as one stack.
         scenario = parse_scenario(bundled_scenario_text("case2_pv"))
         scenario = replace(scenario, config=replace(scenario.config, solver="gs"))
         assert scenario.config.steps == 48
-        with mock.patch.object(powerflow, "solve_steps", wraps=powerflow.solve_steps) as spy:
-            run_simulation(scenario)
-        assert [(len(call.args[0]), call.args[1]) for call in spy.call_args_list] == [(48, "gs")]
+        assert solved_stacks(scenario) == [(48, "gs")]
+
+    def test_newton_raphson_stacks_of_the_street(self):
+        # STACK_BYTES holds 124 of the street's 32 x 33 matrices: two weeks
+        # are solved in stacks of 124, 124 and 88 steps.
+        scenario = parse_scenario(bundled_scenario_text("case2_pv"))
+        scenario = replace(scenario, config=replace(scenario.config, solver="acpf", steps=336))
+        assert solved_stacks(scenario) == [(124, "acpf"), (124, "acpf"), (88, "acpf")]
+
+    def test_newton_raphson_stacks_of_a_160_bus_feeder_are_single_steps(self):
+        # Two of its 318 x 319 matrices outgrow STACK_BYTES, so each step is
+        # its own stack and takes the one-system elimination.
+        network = make_radial_network(random.Random(160), 160, load_pu_range=(0.001, 0.01))
+        config = SimulationConfig(steps=3, start_hour=12, solver="acpf", seed=1)
+        scenario = Scenario(network=network, config=config, weather=WeatherParams(seed=1))
+        assert engine.STACK_BYTES < engine._step_bytes(160, "acpf") * 2
+        assert solved_stacks(scenario) == [(1, "acpf")] * 3
+
+    def test_street_csv_does_not_depend_on_the_stack_budget(self):
+        # Two weeks in the stacks of the budget before this one (31 steps)
+        # and in those of the current one render the same bytes.
+        scenario = parse_scenario(bundled_scenario_text("case2_pv"))
+        scenario = replace(scenario, config=replace(scenario.config, solver="acpf", steps=336))
+        with stacks_of(scenario, 31):
+            small = render_csv(run_simulation(scenario))
+        assert render_csv(run_simulation(scenario)) == small
 
 
 class TestCsv:

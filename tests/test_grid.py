@@ -25,6 +25,7 @@ from microgridsim import (
     parse_scenario,
     validate,
 )
+from microgridsim.grid import _open_lines
 from conftest import BASE, make_radial_network
 
 COPPER = 1.724e-8
@@ -356,6 +357,40 @@ class TestOpenLines:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate(Network(buses, lines)) == []
+
+    def test_parallel_near_shorts_are_not_open(self):
+        # Each line's 1/z is 1e308, and their sum at either bus overflows.
+        # Neither line is open: the diagnostic names the buses and lines.
+        buses = (Bus("a", BusKind.SLACK, 230.0), Bus("b", BusKind.PQ, 230.0))
+        lines = (Line("l1", "a", "b", 1e-308), Line("l2", "b", "a", 1e-308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags = validate(Network(buses, lines))
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in diags] == [
+            (
+                "near_short",
+                "a",
+                None,
+                "near-short lines: the sum of 1/z is not finite at "
+                "bus 'a' (line 'l1', line 'l2'), bus 'b' (line 'l1', line 'l2')",
+            )
+        ]
+
+    def test_bus_whose_sum_overflows_makes_no_line_open(self):
+        # The 1e20 ohm line l3 is lost in c's sum beside the 1 ohm line l4,
+        # and in b's overflowed sum; b's sum is no number, so l3 is not open.
+        buses = tuple(Bus(i, BusKind.SLACK if i == "a" else BusKind.PQ, 230.0) for i in "abc")
+        lines = (
+            Line("l1", "a", "b", 1e-308),
+            Line("l2", "a", "b", 1e-308),
+            Line("l3", "b", "c", 1e20),
+            Line("l4", "c", "a", 1.0),
+        )
+        network = Network(buses, lines)
+        assert [(d.code, d.object_id) for d in validate(network)] == [("near_short", "a")]
+        open_lines, overflowed = _open_lines(network, list(lines))
+        assert open_lines == {}
+        assert overflowed == {"a": ["l1", "l2", "l4"], "b": ["l1", "l2", "l3"]}
 
     @pytest.mark.parametrize("resistance, reactance", [(1e-320, 0.0), (0.0, 5e-324), (1e-320, 1e-320)])
     def test_line_whose_1_over_z_is_not_finite(self, resistance, reactance):
