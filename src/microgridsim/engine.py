@@ -38,6 +38,7 @@ from .generation import pv_power, wind_power
 from .grid import Network, PerUnitBase, build_admittance
 from .powerflow import (
     METHOD_GAUSS_SEIDEL,
+    TOLERANCE,
     PowerFlowProblem,
     PowerFlowSolution,
     SingularMatrixError,
@@ -252,8 +253,12 @@ def run_simulation(
     wind speed, is a ValueError naming step and quantity.  Else a non-finite result is one naming
     step, object and quantity, so a table never holds one; or the step's
     NonConvergenceError, or SingularMatrixError as 'step S: MESSAGE',
-    naming the bus of a Newton-Raphson pivot.  A solver other than acpf,
-    gs or simple is a ValueError.
+    naming the bus of a Newton-Raphson pivot.  An AC step whose values are
+    all finite, but whose p_grid plus PQ injections less losses misses zero
+    by more than m * TOLERANCE pu for m PQ buses (what the stop rule lets
+    the injections miss) plus 8 eps of the terms' magnitudes, as beside a
+    near-short line, is a ValueError 'step S: ...' that gives the miss in
+    W.  A solver other than acpf, gs or simple is a ValueError.
     """
     cfg = scenario.config
     net = scenario.network
@@ -394,6 +399,17 @@ def _ac_stacks(net: Network, cfg: SimulationConfig) -> tuple[int, Callable]:
             rows[:, 1 : 2 * n : 2] = v_angle
             rows[:, -2] = np.array([sol.slack_injection[0] for sol in solutions]) * cfg.s_base_va
             rows[:, -1] = total_line_losses(net, base, v_mag, v_angle) * cfg.s_base_va
+            terms = (rows[:, -2], p_watts[: len(rows), pq].sum(axis=1), -rows[:, -1])
+            imbalance, scale = sum(terms), sum(map(np.abs, terms))
+            allowed = m * TOLERANCE * cfg.s_base_va + 8 * np.finfo(float).eps * scale
+            off = np.flatnonzero(np.isfinite(rows).all(axis=1) & (np.abs(imbalance) > allowed))
+            if off.size:
+                i = int(off[0])
+                failure = first + i, ValueError(
+                    f"step {first + i}: p_grid + injections - losses is {imbalance[i]:.6g} W, "
+                    f"beyond the {allowed[i]:.3g} W that the solver's tolerance allows: "
+                    "rounding swamped the solution, as beside a near-short line"
+                )
         return failure
 
     step_bytes = _step_bytes(n, cfg.solver)

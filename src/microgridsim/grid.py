@@ -10,8 +10,10 @@ can report every problem at once.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -228,96 +230,61 @@ class SingularBranchError(ValueError):
     """A line whose per-unit 1/z is not finite cannot enter the admittance matrix."""
 
 
+def _line_table(network: Network, z_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every line's end-bus indices (L, 2) and impedance z / z_base (L,), in line order.
+
+    An id that names no bus gets an index from n up, one per id, so two
+    ends are equal exactly when their ids are.  Each part of z is divided
+    on its own, as Python's complex / float does (numpy's rounds
+    otherwise).  np.reciprocal(z) rounds as Python's 1.0 / z does; numpy's
+    1.0 / z does not.
+    """
+    index = defaultdict(count(len(network.buses)).__next__)
+    index.update((bus.id, i) for i, bus in enumerate(network.buses))
+    ends = np.array([(index[line.from_bus], index[line.to_bus]) for line in network.lines], np.intp)
+    parts = np.array([(line.resistance, line.reactance) for line in network.lines], float)
+    return ends.reshape(-1, 2), (parts.reshape(-1, 2) / z_base).view(complex)[:, 0]
+
+
 def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
     """Assemble the per-unit bus admittance matrix of a shunt-free network.
 
     Each line contributes -1/z_pu to both off-diagonal slots; parallel
-    lines accumulate.  Diagonals are set to cancel their row, then
-    refined once so every row sums to zero well inside 1e-12 even after
-    floating-point rounding.  A line whose per-unit z is zero, or so
-    small that 1/z is not finite, raises SingularBranchError.
+    lines accumulate, in line order, by one scatter.  Diagonals are set
+    to cancel their row, then refined once so every row sums to zero
+    well inside 1e-12 even after floating-point rounding.  The first line
+    that cannot enter the matrix raises: a per-unit z that is zero
+    (SingularBranchError), an unknown end bus (KeyError naming it), a
+    self-loop (ValueError), or a z whose 1/z is not finite, such as a
+    subnormal one (SingularBranchError).
     """
     n = len(network.buses)
-    index = {bus.id: i for i, bus in enumerate(network.buses)}
-    y = np.zeros((n, n), dtype=complex)
-    for line in network.lines:
-        z = complex(line.resistance, line.reactance) / base.z_base
-        if z == 0:
+    ends, z = _line_table(network, base.z_base)
+    with np.errstate(all="ignore"):
+        y_line = np.reciprocal(z)
+    zero, unknown, self_loop = z == 0, ends >= n, ends[:, 0] == ends[:, 1]
+    bad = zero | unknown.any(axis=1) | self_loop | ~np.isfinite(y_line) | ~np.isfinite(z)
+    if bad.any():
+        line = network.lines[j := int(np.argmax(bad))]
+        if zero[j]:
             raise SingularBranchError(f"line {line.id!r} has zero impedance")
-        i, k = index[line.from_bus], index[line.to_bus]
-        if i == k:
+        if unknown[j].any():
+            raise KeyError(line.from_bus if unknown[j, 0] else line.to_bus)
+        if self_loop[j]:
             raise ValueError(f"line {line.id!r} connects bus {line.from_bus!r} to itself")
-        y_line = 1.0 / z
-        if not np.isfinite(y_line):
-            raise SingularBranchError(
-                f"line {line.id!r} impedance {z.real!r} + j{z.imag!r} pu is too small: "
-                "its 1/z is not finite"
-            )
-        y[i, k] -= y_line
-        y[k, i] -= y_line
-    for i in range(n):
-        y[i, i] = -np.sum(y[i, :])
-        y[i, i] -= np.sum(y[i, :])
+        # As Python divides it: a non-finite part makes the other nan.
+        z_pu = complex(line.resistance, line.reactance) / base.z_base
+        raise SingularBranchError(
+            f"line {line.id!r} impedance {z_pu.real!r} + j{z_pu.imag!r} pu is too small: "
+            "its 1/z is not finite"
+        )
+    y = np.zeros((n, n), dtype=complex)
+    # Each line's (from, to) then (to, from) slot, line by line.
+    np.subtract.at(y, (ends.ravel(), ends[:, ::-1].ravel()), np.repeat(y_line, 2))
+    diagonal = y.reshape(-1)[:: n + 1]
+    diagonal[:] = -y.sum(axis=1)
+    diagonal -= y.sum(axis=1)
     return AdmittanceMatrix(y)
-
-
-def _open_lines(
-    network: Network, lines: list[Line]
-) -> tuple[dict[Line, float], dict[str, list[str]]]:
-    """The lines that are open in floating point, each with its ratio, and
-    the ids of the buses whose |sum of 1/z| is not finite, each with its lines'.
-
-    A line's ratio is its |1/z| over the smaller |sum of 1/z| of the lines
-    at its two end buses.  At or below machine epsilon the line cannot
-    change the sum of either bus's row: it connects nothing.  A line that
-    is lost only in one end's sum, beside a near-short there or as the
-    one weak line of a bus, still carries the other end's row and is not
-    open.  Near-shorts' 1/z may sum past the largest float: such a bus
-    makes none of its lines open.  The ratio does not depend on the
-    per-unit base, so it is taken in ohms.  lines must connect two
-    distinct buses of the network through a finite impedance whose 1/z
-    is finite.
-    """
-    index = {bus.id: i for i, bus in enumerate(network.buses)}
-    ends = np.array([(index[line.from_bus], index[line.to_bus]) for line in lines], np.intp)
-    ends = ends.reshape(-1, 2)
-    y = 1.0 / np.array([complex(line.resistance, line.reactance) for line in lines], complex)
-    total = np.zeros(len(network.buses), complex)
-    # Near-shorts' 1/z may sum past the largest float: to inf, or to nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(total, ends, y[:, None])
-    total = np.abs(total)
-    overflowed = ~np.isfinite(total)
-    total[overflowed] = 0.0
-    with np.errstate(divide="ignore"):
-        ratio = np.abs(y) / total[ends].min(axis=1)
-    eps = np.finfo(float).eps
-    open_lines = {line: r for line, r in zip(lines, ratio.tolist()) if r <= eps}
-    return open_lines, {
-        network.buses[bus].id: [line.id for line, pair in zip(lines, ends.tolist()) if bus in pair]
-        for bus in np.flatnonzero(overflowed).tolist()
-    }
-
-
-def _connected_component(network: Network, start: int, open_lines: dict[Line, float]) -> set[int]:
-    index = {bus.id: i for i, bus in enumerate(network.buses)}
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(network.buses))}
-    for line in network.lines:
-        i = index.get(line.from_bus)
-        k = index.get(line.to_bus)
-        if i is None or k is None or i == k or line in open_lines:
-            continue
-        adjacency[i].append(k)
-        adjacency[k].append(i)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return seen
 
 
 def validate(network: Network) -> list[Diagnostic]:
@@ -327,10 +294,14 @@ def validate(network: Network) -> list[Diagnostic]:
     outside their FIELD_BOUNDS range, BUS_FIELDS that name no bus,
     disconnected buses, a slack count other than one, zero-impedance or
     self-looped lines, lines whose 1/z is not finite (a subnormal
-    impedance), and inconsistent wind speeds.  A line that is open
-    in floating point (see _open_lines) connects nothing: the buses it
-    alone connects are disconnected, and the diagnostic names it.  The
-    buses whose lines' 1/z sum to no finite number are one diagnostic,
+    impedance), and inconsistent wind speeds.  The line rules are masks
+    over one table of the lines' end buses and impedances.  A line whose
+    |1/z| is at most machine epsilon of the smaller |sum of 1/z| at its
+    two end buses (taken in ohms: the ratio does not depend on the base)
+    cannot change either bus's row: it is open in floating point and
+    connects nothing.  The buses it alone connects are disconnected, and
+    the diagnostic names it.  A bus whose lines' 1/z sum to no finite
+    number makes none of its lines open; such buses are one diagnostic,
     which names each with its lines.
     """
     diags: list[Diagnostic] = []
@@ -393,13 +364,16 @@ def validate(network: Network) -> list[Diagnostic]:
             )
         )
 
-    for line in network.lines:
-        if line.from_bus == line.to_bus:
-            message = f"line {line.id!r} connects a bus to itself"
-            diags.append(Diagnostic("self_loop", line.id, message, "to_bus"))
-        if line.resistance == line.reactance == 0.0:
-            message = f"line {line.id!r} has zero impedance"
-            diags.append(Diagnostic("zero_impedance", line.id, message, "resistance"))
+    buses, lines, n = network.buses, network.lines, len(network.buses)
+    ends, z = _line_table(network, 1.0)
+    self_loop, zero = ends[:, 0] == ends[:, 1], z == 0
+    for j in np.flatnonzero(self_loop | zero).tolist():
+        if self_loop[j]:
+            message = f"line {lines[j].id!r} connects a bus to itself"
+            diags.append(Diagnostic("self_loop", lines[j].id, message, "to_bus"))
+        if zero[j]:
+            message = f"line {lines[j].id!r} has zero impedance"
+            diags.append(Diagnostic("zero_impedance", lines[j].id, message, "resistance"))
     for wind in network.winds:
         speeds = (wind.cut_in, wind.rated, wind.cut_out)
         if all(map(math.isfinite, speeds)) and not wind.cut_in < wind.rated < wind.cut_out:
@@ -410,46 +384,59 @@ def validate(network: Network) -> list[Diagnostic]:
             message = f"grid connection {tie.id!r} must sit on the slack bus"
             diags.append(Diagnostic("invalid_value", tie.id, message, "bus"))
 
-    # Lines with a diagnostic on their ends or impedance keep it and stay
-    # out of the open-line ratio, and so does a line whose 1/z overflows.
-    electrical = ("from_bus", "to_bus", "resistance", "reactance")
-    flagged = {d.object_id for d in diags if d.attribute in electrical}
-    for line in network.lines:
-        z = complex(line.resistance, line.reactance)
-        if line.id not in flagged and not np.isfinite(1.0 / z):
-            message = (
-                f"line {line.id!r} impedance {z.real!r} + j{z.imag!r} ohm is too small: "
-                "its 1/z is not finite"
-            )
-            diags.append(Diagnostic("invalid_value", line.id, message, "resistance"))
-            flagged.add(line.id)
-
-    if network.buses:
-        open_lines, overflowed = _open_lines(
-            network, [line for line in network.lines if line.id not in flagged]
+    # A line with a diagnostic on its ends or impedance (unknown or equal
+    # ends, a z that is zero or outside FIELD_BOUNDS, or a 1/z that is not
+    # finite) keeps it and stays out of the open-line ratio.
+    known = (ends < n).all(axis=1)
+    fit = known & ~self_loop & ~zero & np.isfinite(z) & (z.real >= 0) & (z.imag >= 0)
+    with np.errstate(all="ignore"):
+        y = np.reciprocal(z)
+    for j in np.flatnonzero(fit & ~np.isfinite(y)).tolist():
+        message = (
+            f"line {lines[j].id!r} impedance {z[j].real.item()!r} + j{z[j].imag.item()!r} ohm "
+            "is too small: its 1/z is not finite"
         )
-        if overflowed:
-            message = "near-short lines: the sum of 1/z is not finite at " + ", ".join(
-                f"bus {bus!r} (" + ", ".join(f"line {line!r}" for line in at) + ")"
-                for bus, at in overflowed.items()
+        diags.append(Diagnostic("invalid_value", lines[j].id, message, "resistance"))
+    used = np.flatnonzero(fit & np.isfinite(y))
+    at, y = ends[used], y[used]
+    total = np.zeros(n, complex)
+    # Near-shorts' 1/z may sum past the largest float: to inf, or to nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(total, at, y[:, None])
+    total = np.abs(total)
+    overflowed = np.flatnonzero(~np.isfinite(total)).tolist()
+    if overflowed:
+        message = "near-short lines: the sum of 1/z is not finite at " + ", ".join(
+            f"bus {buses[bus].id!r} ("
+            + ", ".join(f"line {lines[j].id!r}" for j in used[(at == bus).any(axis=1)])
+            + ")"
+            for bus in overflowed
+        )
+        diags.append(Diagnostic("near_short", buses[overflowed[0]].id, message))
+    total[overflowed] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(y) / total[at].min(axis=1)
+    is_open = ratio <= np.finfo(float).eps
+    connects = known & ~self_loop
+    connects[used[is_open]] = False
+    # Reachability spreads from the slack one line further a pass.
+    a, b = ends[connects].T
+    start = network.slack_index() if slack_ids else 0
+    reached = np.arange(n) == start
+    while (cross := reached[a] != reached[b]).any():
+        reached[a[cross]] = reached[b[cross]] = True
+    if not reached.all():
+        unreachable = [buses[i].id for i in np.flatnonzero(~reached).tolist()]
+        names = ", ".join(map(repr, unreachable))
+        message = f"buses unreachable from {buses[start].id!r}: {names}"
+        # The open lines with one end reachable cut the rest off.
+        cut = np.flatnonzero(is_open & (reached[at[:, 0]] != reached[at[:, 1]])).tolist()
+        if cut:
+            message += "; open in floating point: " + ", ".join(
+                f"line {lines[used[k]].id!r} (|1/z| at most {ratio[k]:.3g} of each end's sum)"
+                for k in cut
             )
-            diags.append(Diagnostic("near_short", next(iter(overflowed)), message))
-        start = next((i for i, b in enumerate(network.buses) if b.kind is BusKind.SLACK), 0)
-        reachable = _connected_component(network, start, open_lines)
-        unreachable = [b.id for i, b in enumerate(network.buses) if i not in reachable]
-        if unreachable:
-            names = ", ".join(map(repr, unreachable))
-            message = f"buses unreachable from {network.buses[start].id!r}: {names}"
-            # The open lines with one end reachable cut the rest off.
-            reached = {network.buses[i].id for i in reachable}
-            cut = [
-                line for line in open_lines if (line.from_bus in reached) != (line.to_bus in reached)
-            ]
-            if cut:
-                message += "; open in floating point: " + ", ".join(
-                    f"line {line.id!r} (|1/z| at most {open_lines[line]:.3g} of each end's sum)"
-                    for line in cut
-                )
-            diags.append(Diagnostic("disconnected", cut[0].id if cut else unreachable[0], message))
+        where = lines[used[cut[0]]].id if cut else unreachable[0]
+        diags.append(Diagnostic("disconnected", where, message))
 
     return diags

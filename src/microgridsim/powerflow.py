@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import AdmittanceMatrix, Network, PerUnitBase
+from .grid import AdmittanceMatrix, Network, PerUnitBase, _line_table
 
 TOLERANCE = 1e-8
 NR_MAX_ITERATIONS = 50
@@ -550,20 +550,17 @@ def total_line_losses(
 ) -> float | np.ndarray:
     """Sum of R |I|^2 over all lines, in pu, for a state (n,) or each state of a stack (S, n).
 
-    The array terms have the bits of a scalar loop's: |I| is np.hypot, as
-    abs of a complex scalar is (np.abs on an array is not), and the square
-    np.float_power, as ** 2 is.  They are summed from 0.0 in line order;
-    np.sum would regroup more than 8 of them.
+    Each line's end buses and per-unit z come from the network's line
+    table, and R is z.real.  The array terms have the bits of a scalar
+    loop's: |I| is np.hypot, as abs of a complex scalar is (np.abs on an
+    array is not), and the square np.float_power, as ** 2 is.  They are
+    summed from 0.0 in line order; np.sum would regroup more than 8 of
+    them.  A line whose end names no bus is an IndexError.
     """
-    index = {bus.id: i for i, bus in enumerate(network.buses)}
-    z_base, lines = base.z_base, network.lines
-    r = np.array([line.resistance / z_base for line in lines])
-    z = np.array([complex(line.resistance, line.reactance) / z_base for line in lines])
-    from_bus = [index[line.from_bus] for line in lines]
-    to_bus = [index[line.to_bus] for line in lines]
+    ends, z = _line_table(network, base.z_base)
     v = np.asarray(v_mag, dtype=float) * np.exp(1j * np.asarray(v_angle, dtype=float))
-    current = (v.take(from_bus, axis=-1) - v.take(to_bus, axis=-1)) / z
-    terms = r * np.float_power(np.hypot(current.real, current.imag), 2)
+    current = (v.take(ends[:, 0], axis=-1) - v.take(ends[:, 1], axis=-1)) / z
+    terms = z.real * np.float_power(np.hypot(current.real, current.imag), 2)
     zero = np.zeros((*terms.shape[:-1], 1))
     total = np.add.accumulate(np.concatenate((zero, terms), axis=-1), axis=-1)[..., -1]
     return float(total) if total.ndim == 0 else total

@@ -289,6 +289,47 @@ def loop_line_losses(network: Network, base: PerUnitBase, v_mag, v_angle) -> flo
     return total
 
 
+def loop_build_admittance(network: Network, base: PerUnitBase) -> np.ndarray:
+    """Line-by-line reference for build_admittance's Y on a network it accepts.
+
+    The loop as first written: per line, its per-unit impedance as a
+    Python complex, 1/z as Python divides, subtracted from both
+    off-diagonal slots; then per row the diagonal that cancels it, refined
+    once.  build_admittance must give the same bits.
+    """
+    n = len(network.buses)
+    index = {bus.id: i for i, bus in enumerate(network.buses)}
+    y = np.zeros((n, n), dtype=complex)
+    for line in network.lines:
+        z = complex(line.resistance, line.reactance) / base.z_base
+        i, k = index[line.from_bus], index[line.to_bus]
+        y_line = 1.0 / z
+        y[i, k] -= y_line
+        y[k, i] -= y_line
+    for i in range(n):
+        y[i, i] = -np.sum(y[i, :])
+        y[i, i] -= np.sum(y[i, :])
+    return y
+
+
+def loop_reachable(network: Network, start: int, skip: set[str]) -> set[int]:
+    """Breadth-first reference for validate's reachability: the indices of
+    the buses that the lines not named in skip connect to bus start.
+    Lines with an unknown end or both ends on one bus connect nothing."""
+    index = {bus.id: i for i, bus in enumerate(network.buses)}
+    neighbours: dict[int, list[int]] = {i: [] for i in range(len(network.buses))}
+    for line in network.lines:
+        i, k = index.get(line.from_bus), index.get(line.to_bus)
+        if i is not None and k is not None and i != k and line.id not in skip:
+            neighbours[i].append(k)
+            neighbours[k].append(i)
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [k for i in frontier for k in neighbours[i] if k not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def loop_pv_power(panel: SolarPanel, hour_of_day: int, cloud_factor: float) -> float:
     """Scalar reference for pv_power: the PV curve as first written, one value at a time."""
     sky = clear_sky_factor(hour_of_day)

@@ -330,6 +330,8 @@ _PARALLEL_NEAR_SHORTS_ERROR = (
     "bus 'f' (line 'seg_a1', line 'seg_a1b', line 'seg_b1'), bus 'a1' (line 'seg_a1', "
     "line 'seg_a1b', line 'seg_a2', line 'tap_a1')"
 )
+# At 1e-300 ohm seg_a1 is valid, but swamps its neighbours in rounding.
+_NEAR_SHORT_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e-300\n")
 _TINY_SEG_A1 = ("to = a1\nresistance_ohm = 0.006896\n", "to = a1\nresistance_ohm = 1e-308\n")
 _TINY_Z = (
     ("s_base_va = 10000\n", "s_base_va = 1e308\n"),
@@ -431,6 +433,15 @@ BAD_INPUTS = {
             lambda tmp, solver=solver: ["run", _case2_with(tmp, _TINY_SEG_A1), "--solver", solver],
             "bases.mgs: line 'seg_a1' impedance 1.890359168241964e-309 + j0.0 pu is too small: "
             "its 1/z is not finite",
+        )
+        for solver in ("acpf", "gs")
+    },
+    **{
+        f"run {solver} near-short line": (
+            lambda tmp, solver=solver: [
+                "run", _case2_with(tmp, _NEAR_SHORT_SEG_A1), "--solver", solver
+            ],
+            "bases.mgs: step 0: p_grid + injections - losses is -39359.6 W, beyond the 0.0016 W",
         )
         for solver in ("acpf", "gs")
     },

@@ -1,6 +1,7 @@
 """Simulation loop, results CSV, and summaries."""
 
 import csv
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -33,6 +34,7 @@ from microgridsim import (
     render_csv,
     run_simulation,
     summarize,
+    validate,
     weather_series,
     write_csv,
     write_weather_csv,
@@ -288,6 +290,31 @@ class TestRunSimulation:
         with pytest.raises(ValueError) as exc:
             run_simulation(scenario)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("solver", ["acpf", "gs"])
+    def test_near_short_line_breaks_the_power_balance(self, solver):
+        # At 1e-300 ohm seg_a1 passes validate, and each step stops within
+        # tolerance, but seg_a1's admittance swamps its neighbours' in
+        # rounding: p_grid reads 0 W under a 39 kW street load.
+        text = bundled_scenario_text("case2")
+        seg_a1 = "to = a1\nresistance_ohm = "
+        scenario = parse_scenario(text.replace(seg_a1 + "0.006896\n", seg_a1 + "1e-300\n"))
+        assert validate(scenario.network) == []
+        scenario = replace(scenario, config=replace(scenario.config, solver=solver, steps=4))
+        weather = weather_series(scenario.weather, 4, scenario.config.start_hour)
+        balance = (
+            r"^step 0: p_grid \+ injections - losses is -39359\.6 W, beyond the 0\.0016 W that "
+            "the solver's tolerance allows: rounding swamped the solution, as beside a "
+            "near-short line$"
+        )
+        with pytest.raises(ValueError, match=balance):
+            run_simulation(scenario, weather=weather)
+        # In step order: weather broken at step 1 comes after step 0's
+        # imbalance, and at step 0 before it.
+        for step, message in ((1, balance), (0, r"^step 0: weather temperature is nan")):
+            broken = changed_weather(weather, step, temperature=math.nan)
+            with pytest.raises(ValueError, match=message):
+                run_simulation(scenario, weather=broken)
 
     def test_non_finite_balance_value_names_its_object(self):
         # Two 1e308 W loads are finite, but the grid's share of them is not.

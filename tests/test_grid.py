@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microgridsim import (
     Bus,
@@ -25,11 +27,57 @@ from microgridsim import (
     parse_scenario,
     validate,
 )
-from microgridsim.grid import _open_lines
-from conftest import BASE, make_radial_network
+from conftest import BASE, loop_build_admittance, loop_reachable, make_radial_network
 
 COPPER = 1.724e-8
 SECTION = 150e-6
+
+
+# Three per-unit bases, of z_base 5.29 ohm, 1.6 ohm and 32.7 megaohm.
+BASES = (
+    BASE,
+    PerUnitBase(s_base=100_000.0, v_base=400.0),
+    PerUnitBase(s_base=3.7, v_base=11_000.0),
+)
+OHMS = st.floats(1e-4, 10.0)
+
+
+@st.composite
+def radial_networks_with_parallel_lines(draw):
+    """A random radial network, with copies of some of its lines laid either
+    way round, in shuffled line order; every impedance drawn in ohms."""
+    n = draw(st.integers(1, 40))
+    ends = [(f"b{draw(st.integers(0, i - 1))}", f"b{i}") for i in range(1, n)]
+    if ends:
+        copies = draw(st.lists(st.tuples(st.sampled_from(ends), st.booleans()), max_size=6))
+        ends += [(b, a) if flip else (a, b) for (a, b), flip in copies]
+    lines = [
+        Line(f"l{k}", a, b, draw(OHMS), draw(st.sampled_from([0.0]) | OHMS))
+        for k, (a, b) in enumerate(ends)
+    ]
+    buses = tuple(Bus(f"b{i}", BusKind.SLACK if i == 0 else BusKind.PQ, 230.0) for i in range(n))
+    return Network(buses, tuple(draw(st.permutations(lines))))
+
+
+@st.composite
+def networks_with_open_lines(draw):
+    """Random groups of 2-5 buses, each a tree of 1-10 milliohm lines, and
+    1e15 ohm lines between any two buses.  Every bus's sum of 1/z is at
+    least 100 S, so each 1e15 ohm line is open in floating point."""
+    n = draw(st.integers(2, 24))
+    lines, first = [], 0
+    while first < n:
+        size = draw(st.integers(2, 5))
+        last = n if n - (first + size) < 2 else first + size
+        for i in range(first + 1, last):
+            parent = draw(st.integers(first, i - 1))
+            lines.append(Line(f"l{i}", f"b{parent}", f"b{i}", draw(st.floats(1e-3, 1e-2))))
+        first = last
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for k, (i, j) in enumerate(draw(st.lists(pairs, min_size=1, max_size=8))):
+        lines.append(Line(f"weak{k}", f"b{i}", f"b{j}", 1e15))
+    buses = tuple(Bus(f"b{i}", BusKind.SLACK if i == 0 else BusKind.PQ, 230.0) for i in range(n))
+    return Network(buses, tuple(draw(st.permutations(lines))))
 
 
 def two_bus(resistance=BASE.z_base, reactance=0.0):
@@ -153,6 +201,13 @@ class TestBuildAdmittance:
             assert np.array_equal(y, y.T)
             assert np.max(np.abs(y.sum(axis=1))) <= 1e-12
             assert np.all(np.diag(y).real >= 0.0)
+
+    @settings(max_examples=50)
+    @given(radial_networks_with_parallel_lines())
+    def test_bytes_match_the_line_loop(self, network):
+        for base in BASES:
+            y = build_admittance(network, base).y
+            assert y.tobytes() == loop_build_admittance(network, base).tobytes()
 
     def test_valid_network_always_builds(self):
         rng = random.Random(9)
@@ -316,6 +371,49 @@ class TestValidate:
         ]
         assert validate(replace(net, grid=GridConnection("utility", "a"))) == []
 
+    def test_diagnostic_order(self):
+        # Per-line rules in line order, then the devices', then each
+        # remaining line rule over all lines.
+        buses = tuple(Bus(i, BusKind.SLACK if i == "s" else BusKind.PQ, 230.0) for i in "sbcdef")
+        lines = (
+            Line("sb", "s", "b", 0.01),
+            Line("loop", "c", "c", 0.01),
+            Line("bc", "b", "c", 0.01),
+            Line("zero", "c", "d", 0.0),
+            Line("cd", "c", "d", 0.01),
+            Line("sub", "b", "d", 1e-320),
+            Line("de", "d", "e", 1e15),
+            Line("ef", "e", "f", 0.01),
+        )
+        network = Network(
+            buses,
+            lines,
+            winds=(WindTurbine("wt", "b", 800.0, 3.0, 30.0, 25.0),),
+            grid=GridConnection("utility", "b"),
+        )
+        assert [(d.code, d.object_id, d.attribute) for d in validate(network)] == [
+            ("self_loop", "loop", "to_bus"),
+            ("zero_impedance", "zero", "resistance"),
+            ("invalid_value", "wt", "rated"),
+            ("invalid_value", "utility", "bus"),
+            ("invalid_value", "sub", "resistance"),
+            ("disconnected", "de", None),
+        ]
+
+    def test_unknown_end_buses_compare_by_name(self):
+        # Both ends of xx name one unknown bus, a self-loop; xy's name two.
+        lines = (Line("l1", "a", "b", 1.0), Line("xx", "x", "x", 1.0), Line("xy", "x", "y", 1.0))
+        network = replace(two_bus(), lines=lines)
+        assert [(d.code, d.object_id, d.attribute) for d in validate(network)] == [
+            ("dangling_reference", "xx", "from_bus"),
+            ("dangling_reference", "xx", "to_bus"),
+            ("dangling_reference", "xy", "from_bus"),
+            ("dangling_reference", "xy", "to_bus"),
+            ("self_loop", "xx", "to_bus"),
+        ]
+        with pytest.raises(KeyError, match="^'x'$"):
+            build_admittance(network, BASE)
+
 
 def _case2_with_seg_a1(resistance: float) -> Network:
     network = parse_scenario(bundled_scenario_text("case2")).network
@@ -376,6 +474,32 @@ class TestOpenLines:
             )
         ]
 
+    @settings(max_examples=50)
+    @given(networks_with_open_lines())
+    def test_disconnected_buses_match_breadth_first_search(self, network):
+        weak = {line.id for line in network.lines if line.resistance == 1e15}
+        reachable = loop_reachable(network, 0, weak)
+        unreachable = [bus.id for i, bus in enumerate(network.buses) if i not in reachable]
+        diags = validate(network)
+        if not unreachable:
+            assert diags == []
+            return
+        (diag,) = diags
+        assert diag.code == "disconnected"
+        names, _, cut = diag.message.partition("; open in floating point: ")
+        assert names == "buses unreachable from 'b0': " + ", ".join(map(repr, unreachable))
+        # The lines named are the weak ones with one end reachable.
+        cuts = [
+            line.id
+            for line in network.lines
+            if line.id in weak
+            and (network.bus_index(line.from_bus) in reachable)
+            != (network.bus_index(line.to_bus) in reachable)
+        ]
+        assert [name for name in cuts if f"line {name!r} (" in cut] == cuts
+        assert cut.count("line '") == len(cuts)
+        assert diag.object_id == (cuts or unreachable)[0]
+
     def test_bus_whose_sum_overflows_makes_no_line_open(self):
         # The 1e20 ohm line l3 is lost in c's sum beside the 1 ohm line l4,
         # and in b's overflowed sum; b's sum is no number, so l3 is not open.
@@ -386,11 +510,20 @@ class TestOpenLines:
             Line("l3", "b", "c", 1e20),
             Line("l4", "c", "a", 1.0),
         )
-        network = Network(buses, lines)
-        assert [(d.code, d.object_id) for d in validate(network)] == [("near_short", "a")]
-        open_lines, overflowed = _open_lines(network, list(lines))
-        assert open_lines == {}
-        assert overflowed == {"a": ["l1", "l2", "l4"], "b": ["l1", "l2", "l3"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags = validate(Network(buses, lines))
+        # No line is open, so nothing is disconnected: one diagnostic.
+        assert [(d.code, d.object_id, d.attribute, d.message) for d in diags] == [
+            (
+                "near_short",
+                "a",
+                None,
+                "near-short lines: the sum of 1/z is not finite at "
+                "bus 'a' (line 'l1', line 'l2', line 'l4'), "
+                "bus 'b' (line 'l1', line 'l2', line 'l3')",
+            )
+        ]
 
     @pytest.mark.parametrize("resistance, reactance", [(1e-320, 0.0), (0.0, 5e-324), (1e-320, 1e-320)])
     def test_line_whose_1_over_z_is_not_finite(self, resistance, reactance):
