@@ -13,9 +13,11 @@ form sorts rows by (step, object, quantity) and renders values at up to
 9 significant digits.  Rendering and iterating a table go one
 fixed-size block of rows at a time, and reading one back one block of
 lines at a time, so that the per-row Python objects of only one block
-are alive at once.  A rendered block is one % operation on the joined
-templates of its rows, one template per (object, quantity, unit).  A
-block read back is parsed by numpy's C reader, unless the csv module,
+are alive at once.  A rendered block is one join of texts made once
+each: a 'step,hour,' per run of equal step and hour, a value's text per
+distinct value, and the names per (object, quantity, unit); a value or
+name that the reader would refuse or split is refused first.  A block
+read back is parsed by numpy's C reader, unless the csv module,
 int() or float() could read it otherwise: then they read it, row by row,
 and their answer, a table or a located error, is the reader's.
 """
@@ -436,7 +438,11 @@ def render_csv(
     """Render a results table as CSV text (LF endings, 9 significant digits).
 
     Rows are ordered by (step, object, quantity), names in Python string
-    order; rows that tie keep their table order.
+    order; rows that tie keep their table order.  What read_results_csv
+    would reject or read otherwise is a ValueError naming the first such
+    row's step, object and quantity, in that order: a NaN or infinite
+    value, or an object, quantity or unit name that holds a comma, CR or
+    LF, starts with '"', or is not UTF-8 text.
     """
     return "".join(_csv_blocks(table, config_comments))
 
@@ -446,9 +452,13 @@ def write_csv(
     path: str | Path,
     config_comments: Sequence[tuple[str, str]] | None = None,
 ) -> None:
-    """Write a results table as UTF-8 CSV; see render_csv for the format."""
+    """Write a results table as UTF-8 CSV; see render_csv for the format.
+
+    A table that render_csv rejects raises before the file is opened.
+    """
+    blocks = _csv_blocks(table, config_comments)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_csv_blocks(table, config_comments))
+        fh.writelines(blocks)
 
 
 def _csv_blocks(
@@ -456,13 +466,14 @@ def _csv_blocks(
 ) -> Iterator[str]:
     """The CSV text: the comments and header, then one piece per block of rows.
 
-    Each distinct (object, quantity, unit) of the table has one %-template
-    of its row, its names escaped; a block is the join of its rows'
-    templates, formatted once with their interleaved (step, hour, value).
-    '%.9g' % value is scenario.format_number(value).
+    The table is sorted and checked here, before the first piece is made.
+    A row is four pieces of text, each made once and then looked up: its
+    'step,hour,' once per run of equal (step, hour) in the block, its
+    'object,quantity,' and ',unit\n' once per (object, quantity, unit) of
+    the table, and its value's '%.9g' (scenario.format_number) once per
+    distinct float64 bit pattern in the block, so -0.0 stays '-0'.  A
+    block is one join of its rows' pieces.
     """
-    comments = [f"# {key} = {value}\n" for key, value in config_comments or ()]
-    yield "".join(comments) + ",".join(RESULT_COLUMNS) + "\n"
     order = np.lexsort(
         (
             _ranks(table.quantities)[table.quantity_code],
@@ -476,17 +487,63 @@ def _csv_blocks(
     _, first, combo = np.unique(
         pair * len(table.units) + table.unit_code, return_index=True, return_inverse=True
     )
-    templates = [
-        "%d,%d,{},{},%.9g,{}\n".format(*(name.replace("%", "%%") for name in (obj, quantity, unit)))
-        for _, _, obj, quantity, _, unit in table._rows(first)
-    ]
-    for rows in _blocks(len(order)):
-        index = order[rows]
-        fields = [None] * (3 * len(index))
-        fields[0::3] = table.step[index].tolist()
-        fields[1::3] = table.hour[index].tolist()
-        fields[2::3] = table.value[index].tolist()
-        yield "".join(map(templates.__getitem__, combo[index].tolist())) % tuple(fields)
+    names = [(obj, quantity, unit) for _, _, obj, quantity, _, unit in table._rows(first)]
+    faults = [_name_fault(*combo_names) for combo_names in names]
+    bad = ~np.isfinite(table.value)
+    if any(faults):
+        bad |= np.array([fault is not None for fault in faults])[combo]
+    if bad.any():
+        row = order[np.argmax(bad[order])]
+        (obj, quantity, _), fault = names[combo[row]], faults[combo[row]]
+        where = f"step {table.step[row]}"
+        if fault is not None:
+            raise ValueError(f"{where}: object {obj!r}, quantity {quantity!r}: {fault}")
+        _require_finite(where, [f"{obj} {quantity}"], [table.value[row]])
+    heads = np.array([f"{obj},{quantity}," for obj, quantity, _ in names], dtype=object)
+    tails = np.array([f",{unit}\n" for _, _, unit in names], dtype=object)
+    comments = [f"# {key} = {value}\n" for key, value in config_comments or ()]
+    return chain(
+        ["".join(comments) + ",".join(RESULT_COLUMNS) + "\n"],
+        (_csv_block(table, order[rows], combo, heads, tails) for rows in _blocks(len(order))),
+    )
+
+
+def _name_fault(obj: str, quantity: str, unit: str) -> str | None:
+    """Why read_results_csv would not read these names back as three cells, or None."""
+    for kind, name in (("object", obj), ("quantity", quantity), ("unit", unit)):
+        if name.startswith('"'):
+            return f"{kind} {name!r} starts with '\"'"
+        for char, what in ((",", "a comma"), ("\r", "a CR"), ("\n", "an LF")):
+            if char in name:
+                return f"{kind} {name!r} holds {what}"
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"{kind} {name!r} is not UTF-8 text"
+    return None
+
+
+def _csv_block(
+    table: ResultTable, index: np.ndarray, combo: np.ndarray, heads: np.ndarray, tails: np.ndarray
+) -> str:
+    """The text of the table's rows at index, in that order; see _csv_blocks."""
+    step, hour = table.step[index], table.hour[index]
+    run_start = np.ones(len(index), dtype=bool)
+    run_start[1:] = (step[1:] != step[:-1]) | (hour[1:] != hour[:-1])
+    starts = np.flatnonzero(run_start)
+    prefixes = np.array(
+        ["%d,%d," % sh for sh in zip(step[starts].tolist(), hour[starts].tolist())], dtype=object
+    )
+    # By bit pattern, so that -0.0 and 0.0 keep their own texts.
+    bits, value_code = np.unique(table.value[index].view(np.int64), return_inverse=True)
+    texts = np.array(list(map("%.9g".__mod__, bits.view(np.float64).tolist())), dtype=object)
+    codes = combo[index]
+    parts = [None] * (4 * len(index))
+    parts[0::4] = prefixes.take(np.cumsum(run_start) - 1).tolist()
+    parts[1::4] = heads.take(codes).tolist()
+    parts[2::4] = texts.take(value_code).tolist()
+    parts[3::4] = tails.take(codes).tolist()
+    return "".join(parts)
 
 
 def _ranks(names: Sequence[str]) -> np.ndarray:

@@ -77,10 +77,19 @@ def sample_wind(u: float | np.ndarray, shape: float, scale: float) -> float | np
 
 def step_cloud(prev: float, u: float, sigma: float) -> float:
     """One random-walk step of the cloud factor, clamped to [0, 1]; sigma is cloud_step."""
+    _check_cloud_step(sigma)
+    return _walk_cloud(sigma, prev, u)
+
+
+def _check_cloud_step(sigma: float) -> None:
     if not sigma >= 0.0:
         raise ValueError(f"cloud_step must be >= 0, got {sigma!r}")
     if sigma == math.inf:
         raise ValueError(f"cloud_step must be finite, got {sigma!r}")
+
+
+def _walk_cloud(sigma: float, prev: float, u: float) -> float:
+    """step_cloud for a sigma already checked; sigma first, for partial."""
     return min(1.0, max(0.0, prev + sigma * (2.0 * u - 1.0)))
 
 
@@ -191,7 +200,8 @@ def weather_series(params: WeatherParams, n_steps: int, start_hour: int = 0) -> 
         raise ValueError(f"cloud_initial must be in [0, 1], got {params.cloud_initial!r}")
     u = uniform_stream(params.seed, 2 * n_steps)
     wind = sample_wind(u[0::2], params.weibull_shape, params.weibull_scale)
-    walk = partial(step_cloud, sigma=params.cloud_step)
+    _check_cloud_step(params.cloud_step)
+    walk = partial(_walk_cloud, params.cloud_step)
     cloud = list(accumulate(u[1::2].tolist(), walk, initial=params.cloud_initial))[1:]
     for name in ("temp_mean", "temp_amplitude"):
         if not math.isfinite(value := getattr(params, name)):

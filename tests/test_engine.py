@@ -685,6 +685,67 @@ class TestCsv:
         assert lines[1] == "# solver = acpf"
         assert lines[2] == "step,hour,object,quantity,value,unit"
 
+    @staticmethod
+    def assert_refused(tmp_path, records, message):
+        """render_csv and write_csv raise message; write_csv touches no file."""
+        table = ResultTable.from_records(records)
+        with pytest.raises(ValueError) as exc:
+            render_csv(table)
+        assert str(exc.value) == message
+        kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+        kept.write_text("kept\n")
+        for path in (kept, missing):
+            with pytest.raises(ValueError) as exc:
+                write_csv(table, path)
+            assert str(exc.value) == message
+        assert kept.read_text() == "kept\n"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, tmp_path, value):
+        # The first in rendered order is named, not the first in table order.
+        records = [
+            ResultRecord(2, 2, "a", "p_out", value, "W"),
+            ResultRecord(1, 1, "b", "p_out", value, "W"),
+            ResultRecord(1, 1, "a", "p_out", 1.0, "W"),
+            ResultRecord(1, 1, "c", "p_out", value, "W"),
+        ]
+        self.assert_refused(tmp_path, records, f"step 1: b p_out is {value}, not a finite number")
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            ("a,b", "holds a comma"),
+            ("a\rb", "holds a CR"),
+            ("a\n", "holds an LF"),
+            ('"a', "starts with '\"'"),
+            ('""', "starts with '\"'"),
+            ("a\udc80", "is not UTF-8 text"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["object", "quantity", "unit"])
+    def test_name_the_reader_would_split_is_refused(self, tmp_path, name, fault, kind):
+        names = {"object": "x", "quantity": "p_out", "unit": "W", kind: name}
+        # The NaN's row renders after the bad name's, which is named.
+        records = [
+            ResultRecord(2, 2, "z", "p_out", math.nan, "W"),
+            ResultRecord(2, 2, **names, value=1.0),
+            ResultRecord(1, 1, "a", "p_out", 1.0, "W"),
+        ]
+        message = (
+            f"step 2: object {names['object']!r}, quantity {names['quantity']!r}: "
+            f"{kind} {name!r} {fault}"
+        )
+        self.assert_refused(tmp_path, records, message)
+
+    @pytest.mark.parametrize("name", ['a"b', "", "a\x00b", " a ", "\x1c", "#", "a\u2028b"])
+    def test_names_the_reader_keeps_are_written(self, tmp_path, name):
+        records = [ResultRecord(0, 0, name, name, -0.0, name)]
+        path = tmp_path / "results.csv"
+        write_csv(ResultTable.from_records(records), path)
+        assert path.read_text(encoding="utf-8") == loop_render_csv(records)
+        assert repr(list(read_results_csv(path))) == repr(records)
+
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,object\n")
@@ -880,18 +941,22 @@ def read_outcome(read, path) -> str:
         return str(exc)
 
 
-OBJECTS = ("pv", "b10", "b2", "Grid", "weather", "a_b", "ab")
-QUANTITIES = ("v_mag", "p_out", "losses", "cloud_factor")
-UNITS = ("V", "W", "rad", "1")
+# Names with '%' check that no name is read as a format; values drawn from a
+# small pool repeat within a block and mix signed zeros; hours drawn from
+# 0..1 give runs of rows that share step and hour.
+OBJECTS = ("pv", "b10", "b2", "Grid", "weather", "a_b", "ab", "%s", "pv%d")
+QUANTITIES = ("v_mag", "p_out", "losses", "cloud_factor", "p_%")
+UNITS = ("V", "W", "rad", "1", "%")
+VALUE_POOL = (0.0, -0.0, 1.5, -1.5, 5e-324, 1e300)
 
 records_st = st.lists(
     st.builds(
         ResultRecord,
         step=st.integers(0, 3),
-        hour=st.integers(0, 23),
+        hour=st.integers(0, 1) | st.integers(0, 23),
         object=st.sampled_from(OBJECTS),
         quantity=st.sampled_from(QUANTITIES),
-        value=st.floats(allow_nan=False, allow_infinity=False),
+        value=st.sampled_from(VALUE_POOL) | st.floats(allow_nan=False, allow_infinity=False),
         unit=st.sampled_from(UNITS),
     ),
     max_size=12,
