@@ -111,14 +111,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 1
 
-    if args.out is not None:
-        try:
+    try:
+        if args.out is None:
+            text = render_csv(table, comments)
+        else:
             write_csv(table, args.out, comments)
-        except OSError as exc:
-            print(f"cannot write {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(render_csv(table, comments))
+    except ValueError as exc:  # what the results reader would not read back; nothing is written
+        print(f"{args.scenario}: cannot write results: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot write {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    if args.out is None:
+        sys.stdout.write(text)
     return 0
 
 

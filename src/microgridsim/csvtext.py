@@ -20,17 +20,19 @@ import numpy as np
 _PYTHON_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def loadtxt_columns(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+def loadtxt_columns(lines: list[str], dtype: np.dtype, converters=None) -> np.ndarray | None:
     """The rows of lines, blank lines skipped, as a 1-D record array of dtype, or None.
 
-    None where Python could read a cell of the lines otherwise: they hold
-    a character of _PYTHON_ONLY, a line is longer than the csv module's
-    field limit (at which csv raises), numpy raises or warns, or numpy
-    does not give one row per non-empty line.  numpy releases that still
-    read an int cell such as '1.0' or '1e3' through float, truncating it,
-    only warn (DeprecationWarning) where int() raises.  Where an array is
-    returned, its rows are those of csv.reader, their numbers as int()
-    and float() read them.
+    numpy calls converters[column], if given, on each cell of the column,
+    in row order, for its field's value.  None where Python could read a
+    cell of the lines otherwise: they hold a character of _PYTHON_ONLY, a
+    line is longer than the csv module's field limit (at which csv
+    raises), numpy raises or warns, or numpy does not give one row per
+    non-empty line.  numpy releases that still read an int cell such as
+    '1.0' or '1e3' through float, truncating it, only warn
+    (DeprecationWarning) where int() raises.  Where an array is returned,
+    its rows are those of csv.reader, their numbers as int() and float()
+    read them.
     """
     n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
     if not n_rows:
@@ -43,7 +45,7 @@ def loadtxt_columns(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1, converters=converters)
         except (ValueError, Warning):
             return None
     return table if len(table) == n_rows else None

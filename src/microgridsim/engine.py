@@ -73,10 +73,11 @@ _WEATHER = ("cloud_factor", "wind_speed", "temperature")
 # objects live.
 _BLOCK_ROWS = 4096
 
-# A results row as numpy's C reader parses it; names stay strings until coded.
+# A results row as read back, a field per CSV column named after its
+# ResultTable column: numpy's C reader codes the names as it reads them.
 _RESULT_DTYPE = np.dtype(
-    [("step", np.int64), ("hour", np.int64), ("object", object), ("quantity", object),
-     ("value", np.float64), ("unit", object)]
+    [("step", np.int64), ("hour", np.int64), ("object_code", np.intp), ("quantity_code", np.intp),
+     ("value", np.float64), ("unit_code", np.intp)]
 )
 
 # Bytes of per-step solver state (_step_bytes) that one stack of AC steps may
@@ -114,14 +115,11 @@ class _Coder(dict):
         code = self[name] = len(self)
         return code
 
-    def codes(self, names: Iterable[str]) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, names), dtype=np.intp)
-
 
 def _encode(labels: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Codes of labels into the tuple of distinct labels, in first-seen order."""
     coder = _Coder()
-    return coder.codes(labels), tuple(coder)
+    return np.fromiter(map(coder.__getitem__, labels), dtype=np.intp), tuple(coder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,7 +464,9 @@ def _csv_blocks(
 ) -> Iterator[str]:
     """The CSV text: the comments and header, then one piece per block of rows.
 
-    The table is sorted and checked here, before the first piece is made.
+    The comments and the table are checked here, and the table sorted,
+    before the first piece is made: a comment key or value that holds a CR
+    or LF, or is not UTF-8 text, is a ValueError that names the key.
     A row is four pieces of text, each made once and then looked up: its
     'step,hour,' once per run of equal (step, hour) in the block, its
     'object,quantity,' and ',unit\n' once per (object, quantity, unit) of
@@ -474,6 +474,9 @@ def _csv_blocks(
     distinct float64 bit pattern in the block, so -0.0 stays '-0'.  A
     block is one join of its rows' pieces.
     """
+    for key, value in config_comments or ():
+        if fault := _text_fault("key", key, cell=False) or _text_fault("value", value, cell=False):
+            raise ValueError(f"config comment {key!r}: {fault}")
     order = np.lexsort(
         (
             _ranks(table.quantities)[table.quantity_code],
@@ -488,7 +491,8 @@ def _csv_blocks(
         pair * len(table.units) + table.unit_code, return_index=True, return_inverse=True
     )
     names = [(obj, quantity, unit) for _, _, obj, quantity, _, unit in table._rows(first)]
-    faults = [_name_fault(*combo_names) for combo_names in names]
+    kinds = ("object", "quantity", "unit")
+    faults = [next(filter(None, map(_text_fault, kinds, combo_names)), None) for combo_names in names]
     bad = ~np.isfinite(table.value)
     if any(faults):
         bad |= np.array([fault is not None for fault in faults])[combo]
@@ -508,18 +512,17 @@ def _csv_blocks(
     )
 
 
-def _name_fault(obj: str, quantity: str, unit: str) -> str | None:
-    """Why read_results_csv would not read these names back as three cells, or None."""
-    for kind, name in (("object", obj), ("quantity", quantity), ("unit", unit)):
-        if name.startswith('"'):
-            return f"{kind} {name!r} starts with '\"'"
-        for char, what in ((",", "a comma"), ("\r", "a CR"), ("\n", "an LF")):
-            if char in name:
-                return f"{kind} {name!r} holds {what}"
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            return f"{kind} {name!r} is not UTF-8 text"
+def _text_fault(kind: str, text: str, cell: bool = True) -> str | None:
+    """Why read_results_csv would not read text back as a cell, or in a comment line; or None."""
+    if cell and text.startswith('"'):
+        return f"{kind} {text!r} starts with '\"'"
+    for char, what in ((",", "a comma"), ("\r", "a CR"), ("\n", "an LF")):
+        if char in text and (cell or char != ","):
+            return f"{kind} {text!r} holds {what}"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"{kind} {text!r} is not UTF-8 text"
     return None
 
 
@@ -562,13 +565,17 @@ def read_results_csv(path: str | Path) -> ResultTable:
     non-comment rows, the header being row 1, and so is a row the csv
     module rejects.  A file that is not UTF-8 is a ValueError that names
     the file.  The file is read one block of lines at a time: numpy's C
-    reader parses a block, and wherever the answer of Python's csv module,
-    int and float could differ (_loadtxt_block), one loop over the block's
-    rows reads it with them instead (_read_block), so what is accepted,
-    and how, is theirs.
+    reader parses a block, coding names as it reads them, and wherever
+    the answer of Python's csv module, int and float could differ
+    (loadtxt_columns, or a value that is not finite), one loop over the
+    block's rows reads it with them instead (_read_block), so what is
+    accepted, and how, is theirs.  A C reader that gives up partway has
+    coded the names of a prefix of the rows that the loop reads, in its
+    order, so names keep their first-seen order, or the loop raises.
     """
-    objects, quantities, units = _Coder(), _Coder(), _Coder()
-    chunks = []
+    objects, quantities, units = coders = _Coder(), _Coder(), _Coder()
+    converters = {2: objects.__getitem__, 3: quantities.__getitem__, 5: units.__getitem__}
+    blocks = [np.empty(0, _RESULT_DTYPE)]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = filter(None, csv.reader(line for line in fh if not line.startswith("#")))
@@ -583,59 +590,40 @@ def read_results_csv(path: str | Path) -> ResultTable:
                     f"{path}: expected header {','.join(RESULT_COLUMNS)}, got {','.join(header)}"
                 )
             row_no = 2
-            while chunk := list(islice(fh, _BLOCK_ROWS)):
-                lines = [line for line in chunk if not line.startswith("#")]
-                columns = _loadtxt_block(lines) or _read_block(path, lines, fh, row_no)
-                step, hour, obj, quantity, value, unit = columns
-                if not len(step):
-                    continue
-                chunks.append(
-                    (step, hour, objects.codes(obj), quantities.codes(quantity), units.codes(unit), value)
-                )
-                row_no += len(step)
+            while lines := list(islice(fh, _BLOCK_ROWS)):
+                text = "".join(lines)
+                if text.startswith("#") or "\n#" in text or "\r#" in text:
+                    lines = [line for line in lines if not line.startswith("#")]
+                block = loadtxt_columns(lines, _RESULT_DTYPE, converters)
+                if block is None or not np.isfinite(block["value"]).all():
+                    block = _read_block(path, lines, fh, row_no, coders)
+                # Fields copied apart: a kept record array per block took 1 MB
+                # more peak RSS reading two years of case1.
+                blocks.append({name: block[name].copy() for name in _RESULT_DTYPE.names})
+                row_no += len(block)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not chunks:
-        return ResultTable.from_records(())
     return ResultTable(
-        *map(np.concatenate, zip(*chunks)),
+        **{name: np.concatenate([block[name] for block in blocks]) for name in _RESULT_DTYPE.names},
         objects=tuple(objects),
         quantities=tuple(quantities),
         units=tuple(units),
     )
 
 
-def _loadtxt_block(lines: list[str]) -> tuple | None:
-    """Columns of a block of lines by numpy's C reader, or None.
-
-    None where Python could read the block otherwise (see loadtxt_columns)
-    or where a value is not finite.
-    """
-    table = loadtxt_columns(lines, _RESULT_DTYPE)
-    if table is None or not np.isfinite(table["value"]).all():
-        return None
-    # Copies, so that the block's record array and its names can be freed.
-    return (
-        table["step"].copy(),
-        table["hour"].copy(),
-        table["object"].tolist(),
-        table["quantity"].tolist(),
-        table["value"].copy(),
-        table["unit"].tolist(),
-    )
-
-
-def _read_block(path: str | Path, lines: list[str], fh: Iterator[str], first_row_no: int) -> tuple:
-    """Columns of a block of lines read row by row, its first non-empty row first_row_no.
+def _read_block(path: str | Path, lines: list[str], fh: Iterator[str], first: int, coders) -> np.ndarray:
+    """_RESULT_DTYPE rows of a block of lines read row by row, its first non-empty row numbered first.
 
     A quoted cell left open at the block's end reads on in fh's
     non-comment lines.  The first row that breaks a rule of
     read_results_csv, in row order, is a ValueError that names it.
+    Names are coded by coders, the object, quantity and unit _Coders.
     """
+    objects, quantities, units = coders
     reader = csv.reader(chain(lines, (line for line in fh if not line.startswith("#"))))
     rows = []
     while reader.line_num < len(lines):
-        row_no = first_row_no + len(rows)
+        row_no = first + len(rows)
         try:
             cells = next(reader)
         except csv.Error as exc:
@@ -654,9 +642,8 @@ def _read_block(path: str | Path, lines: list[str], fh: Iterator[str], first_row
             raise ValueError(f"{path}: row {row_no}: {exc}") from None
         if not isfinite(value):
             raise ValueError(f"{path}: row {row_no}: value {cells[4]} is not a finite number")
-        rows.append((step, hour, obj, quantity, value, unit))
-    step, hour, obj, quantity, value, unit = zip(*rows) if rows else ((),) * 6
-    return np.array(step, np.int64), np.array(hour, np.int64), obj, quantity, np.array(value, float), unit
+        rows.append((step, hour, objects[obj], quantities[quantity], value, units[unit]))
+    return np.array(rows, _RESULT_DTYPE)
 
 
 def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:
@@ -664,9 +651,13 @@ def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:
 
     Quartiles interpolate linearly between closest ranks (the value at
     zero-based rank p*(n-1)), matching numpy's default percentile method.
-    Each object's values are taken in table order.  A statistic that
-    overflows to inf or NaN, though every value is finite, raises
-    ValueError naming the object, quantity and statistic.
+    Each object's values are taken in table order.  Objects with equally
+    many values are one batch, a C-contiguous block of a row each, whose
+    statistics are numpy calls along the rows: each row gets the 1-D
+    kernels, bit for bit what a call on the object's values alone gives.
+    A statistic that overflows to inf or NaN, though every value is
+    finite, raises ValueError naming the object, quantity and statistic:
+    the first such object by name, and its first such statistic.
     """
     # Code -1 matches no row.
     code = table.quantities.index(quantity) if quantity in table.quantities else -1
@@ -679,30 +670,30 @@ def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:
         )
     # A stable sort by object keeps each object's rows in table order.
     rows = rows[np.argsort(table.object_code[rows], kind="stable")]
-    codes = table.object_code[rows]
-    starts = np.flatnonzero(np.diff(codes)) + 1
-    series = {
-        table.objects[c]: table.value[group]
-        for c, group in zip(codes[np.r_[0, starts]].tolist(), np.split(rows, starts))
-    }
-    out = []
-    # One errstate for all objects: entering it costs more than a small
-    # object's statistics.
+    codes, values = table.object_code[rows], table.value[rows]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    lengths = np.diff(np.r_[starts, len(rows)])
+    # minimum, q1, median, q3, maximum, mean: a row per object, in code order.
+    stats = np.empty((len(starts), 6))
     with np.errstate(over="ignore", invalid="ignore"):
-        for obj in sorted(series):
-            values = series[obj]
-            q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0]).tolist()
-            stats = {
-                "minimum": float(values.min()),
-                "q1": q1,
-                "median": median,
-                "q3": q3,
-                "maximum": float(values.max()),
-                "mean": float(values.mean()),
-            }
-            _require_finite(f"{obj} {quantity}", stats, stats.values())
-            out.append(SummaryRow(object=obj, quantity=quantity, **stats))
-    return out
+        for length in np.unique(lengths).tolist():
+            members = np.flatnonzero(lengths == length)
+            if len(members) == len(starts):
+                block = values.reshape(-1, length)
+            else:
+                block = values[starts[members, None] + np.arange(length)]
+            stats[members, 1:4] = np.percentile(block, [25.0, 50.0, 75.0], axis=1).T
+            stats[members, 0], stats[members, 4] = block.min(axis=1), block.max(axis=1)
+            stats[members, 5] = block.mean(axis=1)
+    names = [table.objects[c] for c in codes[starts].tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    bad = ~np.isfinite(stats[order]).all(axis=1)
+    if bad.any():
+        i = order[np.argmax(bad)]
+        fields = ("minimum", "q1", "median", "q3", "maximum", "mean")
+        _require_finite(f"{names[i]} {quantity}", fields, stats[i])
+    stats = stats.tolist()
+    return [SummaryRow(names[i], quantity, *stats[i]) for i in order]
 
 
 BUNDLED_SCENARIOS = ("case1", "case2", "case2_pv")

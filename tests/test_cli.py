@@ -475,6 +475,24 @@ class TestBadInput:
         assert message in line
         assert captured.out in ("", "1 diagnostics\n")
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_weather_csv_path_holding_lf_writes_nothing(self, tmp_path, capsys, to_file):
+        # The path is echoed in a '# weather_csv = ' line, which an LF would
+        # split into a line that the results reader rejects.
+        directory = tmp_path / "a\nb"
+        directory.mkdir()
+        trace = _trace(directory)
+        out = tmp_path / "r.csv"
+        argv = ["run", CASE1, "--weather-csv", trace] + (["--out", str(out)] if to_file else [])
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        refusal = f"config comment 'weather_csv': value {trace!r} holds an LF"
+        assert line == f"{CASE1}: cannot write results: {refusal}"
+
     def test_relative_weather_csv_resolves_against_the_working_directory(self, tmp_path):
         # The scenario lives elsewhere, so resolving against its directory fails.
         trace = _trace(tmp_path)

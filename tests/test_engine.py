@@ -686,17 +686,17 @@ class TestCsv:
         assert lines[2] == "step,hour,object,quantity,value,unit"
 
     @staticmethod
-    def assert_refused(tmp_path, records, message):
+    def assert_refused(tmp_path, records, message, comments=None):
         """render_csv and write_csv raise message; write_csv touches no file."""
         table = ResultTable.from_records(records)
         with pytest.raises(ValueError) as exc:
-            render_csv(table)
+            render_csv(table, comments)
         assert str(exc.value) == message
         kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
         kept.write_text("kept\n")
         for path in (kept, missing):
             with pytest.raises(ValueError) as exc:
-                write_csv(table, path)
+                write_csv(table, path, comments)
             assert str(exc.value) == message
         assert kept.read_text() == "kept\n"
         assert not missing.exists()
@@ -737,6 +737,19 @@ class TestCsv:
             f"{kind} {name!r} {fault}"
         )
         self.assert_refused(tmp_path, records, message)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [("a\rb", "holds a CR"), ("a\n", "holds an LF"), ("a\udc80", "is not UTF-8 text")],
+    )
+    @pytest.mark.parametrize("part", ["key", "value"])
+    def test_comment_the_reader_would_split_is_refused(self, tmp_path, text, fault, part):
+        comment = {"key": "weather_csv", "value": "wx.csv", part: text}
+        comments = [("seed", "1"), (comment["key"], comment["value"]), ("solver", "x\ny")]
+        # The comments are checked before the table's NaN, and in their order.
+        records = [ResultRecord(0, 0, "a", "p_out", math.nan, "W")]
+        message = f"config comment {comment['key']!r}: {part} {text!r} {fault}"
+        self.assert_refused(tmp_path, records, message, comments)
 
     @pytest.mark.parametrize("name", ['a"b', "", "a\x00b", " a ", "\x1c", "#", "a\u2028b"])
     def test_names_the_reader_keeps_are_written(self, tmp_path, name):
@@ -912,6 +925,26 @@ class TestCsv:
                     with pytest.raises(ValueError) as exc:
                         read_results_csv(path)
                     assert str(exc.value) == f"{path}: row 2: {expected}"
+
+    def test_names_coded_before_the_fast_path_gives_up(self, tmp_path):
+        # numpy's reader codes 'b', then row 3's 'a', before it rejects the
+        # 1_000 that float() reads; the row-by-row reading of the block must
+        # keep those codes and add 'c', 'v_mag' and 'V' after them.
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "# seed = 1\nstep,hour,object,quantity,value,unit\n"
+            "0,0,b,p_out,1.5,W\n0,0,a,p_out,1_000,W\n# mid-block\n"
+            "1,1,c,v_mag,2,V\n1,1,a,p_out,-0.0,W\n1,1,d,p_out,0.5,W\n"
+        )
+        expected = loop_read_results_csv(path)
+        assert [r.object for r in expected] == ["b", "a", "c", "a", "d"]
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                table = read_results_csv(path)
+            assert repr(list(table)) == repr(expected)
+            assert table.objects == ("b", "a", "c", "d")
+            assert table.quantities == ("p_out", "v_mag")
+            assert table.units == ("W", "V")
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("cell", ["1.0", "2.5", "1e3"])
@@ -1101,3 +1134,55 @@ class TestSummarize:
         with pytest.raises(ValueError) as exc:
             summarize(ResultTable.from_records(records), "p_out")
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_feeder_shaped_table_matches_the_object_loop(self, seed):
+        # 160 buses in three series lengths, rows shuffled so that codes and
+        # names are in different orders; values mix signed zeros, +-1e308
+        # (at most one of each an object, so nothing overflows) and normal
+        # numbers of any magnitude.
+        rng = random.Random(seed)
+        lengths = {f"b{i}": rng.choice((24, 24, 24, 23, 7)) for i in range(160)}
+        pool = (0.0, -0.0, 0.0, -0.0, 1.5, -2.5, 5e-324)
+        records = []
+        for obj, length in lengths.items():
+            values = [
+                rng.choice(pool) if rng.random() < 0.5 else rng.gauss(0.0, 10.0 ** rng.randint(-300, 300))
+                for _ in range(length)
+            ]
+            if rng.random() < 0.3:
+                values[rng.randrange(length)] = 1e308
+                values[rng.randrange(length)] = -1e308
+            records += [ResultRecord(i, i % 24, obj, "v_mag", v, "V") for i, v in enumerate(values)]
+            records.append(ResultRecord(0, 0, obj, "v_angle", 0.0, "rad"))
+        rng.shuffle(records)
+        table = ResultTable.from_records(records)
+        assert len(set(lengths.values())) == 3
+        rows = summarize(table, "v_mag")
+        assert len(rows) == 160
+        assert repr(rows) == repr(loop_summarize(records, "v_mag"))
+
+    def test_first_overflowing_object_by_name_is_named(self):
+        # 'b' comes first in the table and in its own series length; 'a'
+        # overflows in q1 and in its mean, and q1 is named.
+        values = {"b": [1e308, 1e308], "c": [1.0, 2.0, 3.0], "a": [-1e308, 1e308, 1e308, 1e308]}
+        records = [
+            ResultRecord(step, 0, obj, "p_out", v, "W")
+            for obj, series in values.items()
+            for step, v in enumerate(series)
+        ]
+        message = "a p_out: q1 is -inf, not a finite number"
+        with pytest.raises(ValueError) as oracle:
+            loop_summarize(records, "p_out")
+        assert str(oracle.value) == message
+        with pytest.raises(ValueError) as exc:
+            summarize(ResultTable.from_records(records), "p_out")
+        assert str(exc.value) == message
+
+    def test_case2_pv_under_acpf_matches_the_object_loop(self):
+        scenario = parse_scenario(bundled_scenario_text("case2_pv"))
+        assert scenario.config.solver == "acpf"
+        table = run_simulation(scenario)
+        records = list(table)
+        for quantity in table.quantities:
+            assert repr(summarize(table, quantity)) == repr(loop_summarize(records, quantity))
