@@ -440,7 +440,9 @@ def render_csv(
     would reject or read otherwise is a ValueError naming the first such
     row's step, object and quantity, in that order: a NaN or infinite
     value, or an object, quantity or unit name that holds a comma, CR or
-    LF, starts with '"', or is not UTF-8 text.
+    LF, starts with '"', or is not UTF-8 text.  Before any of these, a
+    config_comments key or value that holds a CR or LF, or is not UTF-8
+    text, is a ValueError naming the key.
     """
     return "".join(_csv_blocks(table, config_comments))
 
@@ -591,9 +593,7 @@ def read_results_csv(path: str | Path) -> ResultTable:
                 )
             row_no = 2
             while lines := list(islice(fh, _BLOCK_ROWS)):
-                text = "".join(lines)
-                if text.startswith("#") or "\n#" in text or "\r#" in text:
-                    lines = [line for line in lines if not line.startswith("#")]
+                lines = [line for line in lines if not line.startswith("#")]
                 block = loadtxt_columns(lines, _RESULT_DTYPE, converters)
                 if block is None or not np.isfinite(block["value"]).all():
                     block = _read_block(path, lines, fh, row_no, coders)
@@ -668,24 +668,26 @@ def summarize(table: ResultTable, quantity: str) -> list[SummaryRow]:
             f"no records with quantity {quantity!r}; available: "
             + (", ".join(available) if available else "none")
         )
-    # A stable sort by object keeps each object's rows in table order.
-    rows = rows[np.argsort(table.object_code[rows], kind="stable")]
-    codes, values = table.object_code[rows], table.value[rows]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    lengths = np.diff(np.r_[starts, len(rows)])
-    # minimum, q1, median, q3, maximum, mean: a row per object, in code order.
-    stats = np.empty((len(starts), 6))
+    # Objects ordered by series length, then code; a stable sort of the rows
+    # by that rank makes each length class one slice, each object's rows in
+    # table order.
+    lengths = np.bincount(table.object_code[rows], minlength=len(table.objects))
+    present = np.flatnonzero(lengths)
+    present = present[np.argsort(lengths[present], kind="stable")]
+    rank = np.empty(len(table.objects), dtype=np.intp)
+    rank[present] = np.arange(len(present))
+    values = table.value[rows[np.argsort(rank[table.object_code[rows]], kind="stable")]]
+    # minimum, q1, median, q3, maximum, mean: a row per object, in rank order.
+    stats = np.empty((len(present), 6))
+    first = start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for length in np.unique(lengths).tolist():
-            members = np.flatnonzero(lengths == length)
-            if len(members) == len(starts):
-                block = values.reshape(-1, length)
-            else:
-                block = values[starts[members, None] + np.arange(length)]
-            stats[members, 1:4] = np.percentile(block, [25.0, 50.0, 75.0], axis=1).T
-            stats[members, 0], stats[members, 4] = block.min(axis=1), block.max(axis=1)
-            stats[members, 5] = block.mean(axis=1)
-    names = [table.objects[c] for c in codes[starts].tolist()]
+        for length, count in zip(*map(np.ndarray.tolist, np.unique(lengths[present], return_counts=True))):
+            block = values[start : start + count * length].reshape(count, length)
+            part = stats[first : first + count]
+            part[:, 1:4] = np.percentile(block, [25.0, 50.0, 75.0], axis=1).T
+            part[:, 0], part[:, 4], part[:, 5] = block.min(axis=1), block.max(axis=1), block.mean(axis=1)
+            first, start = first + count, start + count * length
+    names = [table.objects[c] for c in present.tolist()]
     order = sorted(range(len(names)), key=names.__getitem__)
     bad = ~np.isfinite(stats[order]).all(axis=1)
     if bad.any():
