@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
-from typing import Sequence
+from itertools import count, cycle
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ GS_MAX_ITERATIONS = 5000
 # The solver names of the .mgs format and the CLI.
 METHOD_NEWTON_RAPHSON = "acpf"
 METHOD_GAUSS_SEIDEL = "gs"
+
+# The bits of float +inf as uint64: below them are +0.0 and the positive finite floats.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 class SingularMatrixError(RuntimeError):
@@ -350,10 +353,14 @@ def solve_steps(
     are S = V conj(Y V) of its complex V, which becomes |V| and theta
     only for the steps that stop.  Either update serves the going steps at once:
     Newton-Raphson eliminates their Jacobians as one stack, and a
-    Gauss-Seidel sweep updates each bus in all of them with one set of
-    array operations.  A step that stops unconverged gets its worst
+    Gauss-Seidel sweep updates a whole level of buses, which share no
+    line, in all of them with one set of array operations.  The levels
+    are found once per call (_gauss_seidel_levels), and a sweep that
+    could differ from one in bus order is done again in bus order
+    (_gauss_seidel_sweeps).  A step that stops unconverged gets its worst
     bus (_worst_bus) from the mismatch that stopped it.  Each step's
-    solution is bit for bit the one it gets alone.  A step whose Jacobian
+    solution is bit for bit the one it gets alone, and a Gauss-Seidel
+    one that of the scalar per-bus loop.  A step whose Jacobian
     is singular gets its SingularMatrixError in place of a solution, and
     the other steps go on; a zero Gauss-Seidel diagonal is every step's
     error.  numpy's overflow and invalid-value warnings are silenced: the
@@ -375,19 +382,23 @@ def solve_steps(
             message = f"zero admittance diagonal at bus index {zero[0]}"
             return [SingularMatrixError(message) for _ in range(len(problem))]
         cap = GS_MAX_ITERATIONS
-        # Complex V, and S* at the PQ buses.
-        state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec))
+        # Row r of a sweep's bus-major arrays serves PQ bus buses[r]: the
+        # PQ buses by level, each level one slice of rows.
+        level = _gauss_seidel_levels(y, pq)
+        order = np.argsort(level, kind="stable")
+        buses = pq[order]
+        bounds = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 2)).tolist()
+        schedules = (
+            [slice(a, b) for a, b in zip(bounds, bounds[1:])],
+            [slice(r, r + 1) for r in np.argsort(order).tolist()],
+        )
+        # Complex V, and S* at the PQ buses in row order, (S, m) held
+        # bus-major as the sweeps read it (until steps stop and it is cut).
+        state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec).T[order].T)
         injections = lambda v, _: _injections(v, y)
         # np.arctan2 gives the bits of np.angle with less overhead.
         polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
-        buses = list(zip(pq.tolist(), [y[i : i + 1] for i in pq.tolist()], diagonal))
-        # The sweeps' buffers, allocated once for the whole stack: fresh
-        # ones each sweep would be page-faulted anew on a long stack.
-        size = pq.size * len(problem)
-        work = np.empty((2, size), dtype=complex), np.empty(size)
-        update = partial(
-            _gauss_seidel_sweeps, pq, buses, diagonal.real[:, None], diagonal.imag[:, None], work
-        )
+        update = partial(_gauss_seidel_sweeps, y, buses, diagonal[order][:, None], schedules, {})
     else:
         raise ValueError(f"unknown solver method {method!r}")
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
@@ -461,27 +472,55 @@ def _newton_step(
     return errors
 
 
+def _gauss_seidel_levels(y: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Each PQ bus's level: 1 + the highest level among its earlier PQ neighbours, from 0.
+
+    PQ buses i and k are neighbours when Y_ik or Y_ki is nonzero.  So an
+    earlier neighbour sits in a lower level, a later one in a higher
+    level, and no two buses of one level are neighbours (level scheduling
+    of a sparse triangular solve: Anderson & Saad, Int. J. High Speed
+    Computing 1(1), 1989).
+    """
+    linked = y[np.ix_(pq, pq)] != 0
+    linked |= linked.T
+    level = np.zeros(len(pq), dtype=np.intp)
+    for i in range(1, len(pq)):
+        level[i] = level[:i][linked[i, :i]].max(initial=-1) + 1
+    return level
+
+
 def _gauss_seidel_sweeps(
-    pq: np.ndarray, buses: list[tuple], y_re: np.ndarray, y_im: np.ndarray,
-    work: tuple[np.ndarray, ...], state: tuple, mismatch: np.ndarray, injections: tuple,
+    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, schedules: tuple[list, list], plans: dict,
+    state: tuple, mismatch: np.ndarray, injections: tuple,
 ) -> tuple[()]:
     """One Gauss-Seidel sweep of every (V, S*) state of a stack at once, in place.
 
-    Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii.
-    The invariant: V_i changes only at bus i's own update, so at bus i's
-    turn Y_ii V_i and S_i*/V_i* are what they were at the sweep's start.
-    They are taken there, for every PQ bus of every step, into bus-major
-    (m, S) arrays whose row k serves the k-th PQ bus; the bus loop then
-    makes only bus i's row dot, two subtractions and the division by
-    Y_ii, written straight into V_i.  buses holds each PQ bus's index,
-    its row of Y as a (1, n) view, and Y_ii; y_re and y_im are Y_ii's
-    parts as (m, 1) columns.  work holds the buffers, sized for the whole
-    stack; a sweep of the S steps still going uses their first m * S
-    elements.  Each step gets the bits of the scalar update
+    Update per PQ bus, in bus order: V_i <- (S_i*/V_i* - sum_{k != i}
+    Y_ik V_k) / Y_ii.  V_i changes only at bus i's own update, so at bus
+    i's turn Y_ii V_i and S_i*/V_i* are what they were at the sweep's
+    start.  They are taken there, for every PQ bus of every step, into
+    bus-major (m, S) arrays whose row r serves PQ bus buses[r], with the
+    buses in level order (_gauss_seidel_levels); y_ii holds Y_ii per
+    row, (m, 1), and S* in the state's columns comes in row order too.
+    Each schedule is a list of row slices, one per level: the levels,
+    then one bus per level in bus order.  plans keeps the buffers and
+    views of the last stack size swept (_gauss_seidel_plan).
+
+    The levels are updated one at a time (_gauss_seidel_level).  A bus
+    reads each neighbour's V in the version that bus order gives it: an
+    earlier neighbour's new V, a later one's old V.  A non-neighbour k
+    may be read in the other version, but its term Y_ik V_k is a zero.
+    For finite V it is a signed zero whose sign is that of a part of
+    V_k, and a zero changes a sum only where the sum is zero, and then
+    only its sign.  So the sweep is the bus-order sweep bit for bit
+    unless it flips the sign bit of a part of V at some PQ bus, or
+    leaves one that is not finite.  Then it is done again from its start
+    state by the second schedule: the same loop, in bus order.  Each
+    step gets the bits of the scalar update
     ``(s / conj(v_i) - (y[i].dot(v) - y_ii * v_i)) / y_ii``:
 
     - the row sum is each step's own dense BLAS dot, taken by matmul of
-      the row by the step's column, as ``y[i].dot(v)`` takes it; summing
+      row i by the step's column, as ``y[i].dot(v)`` takes it; summing
       only the nonzeros would regroup the dot's SIMD accumulation;
     - Y_ii V_i is written in real arithmetic, in the order of numpy's
       scalar complex product, because numpy's array complex multiply
@@ -494,26 +533,84 @@ def _gauss_seidel_sweeps(
     The mismatch and injections are unused.
     """
     v, s_conj = state
-    steps = len(v)
-    y_v, s_v = (buf[: pq.size * steps].reshape(pq.size, steps) for buf in work[0])
-    product = work[1][: y_v.size].reshape(y_v.shape)
-    # V at the PQ buses, then its conjugate, then S*/V*, in one buffer.
-    # (take with mode "raise" would fill a copy of out and then copy it.)
-    np.take(v.T, pq, axis=0, out=s_v, mode="clip")
-    np.multiply(y_re, s_v.real, out=y_v.real)
-    np.multiply(y_im, s_v.imag, out=product)
-    np.subtract(y_v.real, product, out=y_v.real)
-    np.multiply(y_re, s_v.imag, out=y_v.imag)
-    np.multiply(y_im, s_v.real, out=product)
-    np.add(y_v.imag, product, out=y_v.imag)
-    np.conjugate(s_v, out=s_v)
-    np.divide(s_conj.T, s_v, out=s_v)
-    columns = v[:, :, None]
-    for (i, row, y_ii), y_v_i, s_v_i in zip(buses, y_v, s_v):
-        np.subtract(np.matmul(row, columns)[:, 0, 0], y_v_i, out=y_v_i)
-        np.subtract(s_v_i, y_v_i, out=y_v_i)
-        np.divide(y_v_i, y_ii, out=v[:, i])
+    y_re, y_im = y_ii.real, y_ii.imag
+    fresh = len(v) not in plans
+    if fresh:
+        plans.clear()
+        plans[len(v)] = _gauss_seidel_plan(y, buses, y_ii, schedules, len(v))
+    # The stack is cut only when steps stop, so while its size holds, V at
+    # the PQ buses is the last sweep's new V, in this sweep's start.
+    start, y_v, s_v, product, plan = next(plans[len(v)])
+    if fresh:
+        # (take with mode "raise" would fill a copy of out and then copy it.)
+        np.take(v.T, buses, axis=0, out=start, mode="clip")
+    for levels in plan:
+        # From V: Y_ii V_i, then V*, then S*/V*.
+        np.multiply(y_re, start.real, out=y_v.real)
+        np.multiply(y_im, start.imag, out=product)
+        np.subtract(y_v.real, product, out=y_v.real)
+        np.multiply(y_re, start.imag, out=y_v.imag)
+        np.multiply(y_im, start.real, out=product)
+        np.add(y_v.imag, product, out=y_v.imag)
+        np.conjugate(start, out=s_v)
+        np.divide(s_conj.T, s_v, out=s_v)
+        _gauss_seidel_level(v, levels)
+        # y_v now holds the new V.  A product's sign bit is the XOR of its
+        # factors' (IEEE 754), and a product with a factor that is not
+        # finite is not finite either.  So a start part times its new part
+        # is below +inf as uint64 bits unless the sign flipped or the new
+        # part is not finite; one that overflows only redoes the sweep.
+        signs = np.multiply(start.view(float), y_v.view(float), out=s_v.view(float))
+        if len(levels) == buses.size or signs.view(np.uint64).max(initial=0) < _INF_BITS:
+            return ()
+        v.T[buses] = start
     return ()
+
+
+def _gauss_seidel_plan(
+    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, schedules: tuple[list, list], steps: int
+) -> Iterator[tuple]:
+    """The buffers of sweeps of `steps` steps, and each schedule's levels as views of them.
+
+    Yields (start, y_v, s_v, product, plan) without end: bus-major
+    (m, steps) arrays, complex but for product, and for each schedule a
+    list of levels, (y_v rows, s_v rows, dots as (l, steps) and as
+    (l, steps, 1, 1), buses, Y rows as (l, 1, 1, n), Y_ii rows).  Two
+    buffers take turns as start and y_v, so each sweep's start is the
+    last sweep's y_v.  They are made once per stack size: fresh ones each
+    sweep would cost view making on a short stack and page faults on a
+    long one.
+    """
+    start, y_v, s_v = np.empty((3, buses.size, steps), dtype=complex)
+    product = np.empty(y_v.shape)
+    widest = max((rows.stop - rows.start for rows in schedules[0]), default=0)
+    dots = np.empty(widest * steps, dtype=complex)
+
+    def views(y_v: np.ndarray) -> list[list[tuple]]:
+        def level(rows: slice) -> tuple:
+            out, idx = y_v[rows], buses[rows]
+            dot = dots[: out.size].reshape(out.shape)
+            return out, s_v[rows], dot, dot.reshape(*out.shape, 1, 1), idx, y[idx, None, None], y_ii[rows]
+
+        return [[level(rows) for rows in schedule] for schedule in schedules]
+
+    return cycle([(start, y_v, s_v, product, views(y_v)), (y_v, start, s_v, product, views(start))])
+
+
+def _gauss_seidel_level(v: np.ndarray, levels: list[tuple]) -> None:
+    """The Gauss-Seidel update of each level of a _gauss_seidel_plan schedule in turn, in place.
+
+    One matmul takes every bus's dot with every step's column of V, two
+    subtractions and a division by Y_ii turn the level's rows of y_v
+    (Y_ii V_i) into its new V, which is written into V's columns.
+    """
+    columns, v_t = v[:, :, None], v.T
+    for out, s_rows, dot, dot_4d, idx, y_rows, y_ii in levels:
+        np.matmul(y_rows, columns, out=dot_4d)
+        np.subtract(dot, out, out=out)
+        np.subtract(s_rows, out, out=out)
+        np.divide(out, y_ii, out=out)
+        v_t[idx] = out
 
 
 def solve(

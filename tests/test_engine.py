@@ -822,6 +822,27 @@ class TestCsv:
         assert path.read_text() == loop_render_csv(records)
         assert list(read_results_csv(path)) == loop_read_results_csv(path) == records
 
+    @pytest.mark.parametrize("bad", ["", "0,0,a,p_out,x,W\n"], ids=["rows", "bad-row-after"])
+    def test_blank_lines_read_as_the_row_loop_reads_them(self, tmp_path, bad):
+        # numpy's reader skips a blank line, so a block that holds one
+        # gives fewer rows than lines and is read row by row.  A blank line
+        # in the middle of the rows and one at the end of the file; a bad
+        # row before the last is named by its number among the rows.
+        rows = [f"{i // 3},{i // 3},obj{i % 3},p_out,{i / 8},W\n" for i in range(9)]
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "# seed = 1\nstep,hour,object,quantity,value,unit\n"
+            + "".join(rows[:4]) + "\n" + "".join(rows[4:]) + bad + "\n"
+        )
+        expected = read_outcome(loop_read_results_csv, path)
+        if bad:
+            assert expected.startswith(f"{path}: row 11: ")
+        else:
+            assert len(loop_read_results_csv(path)) == 9
+        for n in BLOCK_SIZES:
+            with block_rows(n):
+                assert read_outcome(read_results_csv, path) == expected
+
     def test_memory_does_not_grow_with_rows(self, case1, tmp_path):
         # 48,000 rows.  The record-per-row CSV layer peaked at about 200 B
         # a row to render and 500 B a row to read back; the rendered text

@@ -139,6 +139,33 @@ def interior_slack_feeders(draw):
 
 
 @st.composite
+def meshed_networks(draw):
+    """radial_feeders of 3-12 buses meshed by 1-6 more R+jX lines, with an interior slack.
+
+    Each added line either joins a drawn pair of buses, closing a loop,
+    or runs in parallel with a drawn line of the feeder.  Bus 0 becomes a
+    PQ bus with no load of its own: a zero injection.
+    """
+    net = draw(radial_feeders().filter(lambda net: len(net.buses) >= 3))
+    n = len(net.buses)
+    lines = list(net.lines)
+    for k in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            twin = draw(st.sampled_from(net.lines))
+            ends = twin.from_bus, twin.to_bus
+        else:
+            ends = tuple(f"bus{i}" for i in draw(st.permutations(range(n)))[:2])
+        r_pu, x_pu = draw(st.floats(0.001, 0.01)), draw(st.floats(0.0, 0.01))
+        lines.append(Line(f"mesh{k}", *ends, r_pu * BASE.z_base, x_pu * BASE.z_base))
+    slack = draw(st.integers(1, n - 2))
+    buses = tuple(
+        replace(bus, kind=BusKind.SLACK if i == slack else BusKind.PQ)
+        for i, bus in enumerate(net.buses)
+    )
+    return replace(net, buses=buses, lines=tuple(lines))
+
+
+@st.composite
 def sparse_systems(draw, n=None):
     """Sparse, diagonally weighted systems with their rows shuffled.
 
@@ -792,6 +819,115 @@ class TestGaussSeidel:
         sol = solve_gauss_seidel(problem)
         assert sol.converged and sol.iterations >= 2
         assert calls == []
+
+
+def redo_counterexample() -> PowerFlowProblem:
+    """Five buses, bus 0 the slack, where a level sweep must be done again in bus order.
+
+    Buses 1 and 2 share level 0, and bus 2 reads bus 1's V through a zero
+    term.  Bus 1 hangs off the slack by a tiny admittance and carries a
+    1e308 pu var load, so its new V is infinite after one sweep.  In bus
+    order bus 2 then reads 0 * inf, a NaN; at once with bus 1, it reads
+    bus 1's old V.
+    """
+    y = np.zeros((5, 5), dtype=complex)
+    for a, b, y_line in ((0, 1, 5e-6 - 1e-6j), (0, 2, 50 - 20j), (2, 3, 50 - 20j), (3, 4, 50 - 20j)):
+        y[[a, b], [a, b]] += y_line
+        y[[a, b], [b, a]] -= y_line
+    p = np.full(4, -0.01)
+    q = np.array([-1e308, -0.005, -0.005, -0.005])
+    return PowerFlowProblem(AdmittanceMatrix(y), 0, p, q)
+
+
+def assert_steps_match_loop(base: PowerFlowProblem, scales) -> None:
+    """Each step of a stack of base's injections times scales equals the per-bus loop alone."""
+    p = np.outer(scales, base.p_injection)
+    q = np.outer(scales, base.q_injection)
+    stack = PowerFlowProblem(base.admittance, base.slack_index, p, q)
+    for s in range(len(scales)):
+        alone = replace(base, p_injection=p[s], q_injection=q[s])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = loop_gauss_seidel(alone)
+        assert_same_bits(solve(stack, SolverOptions(method="gs"), s), expected)
+
+
+class TestGaussSeidelLevels:
+    """A sweep updates one level of PQ buses at once, bit for bit as in bus order."""
+
+    @given(net=meshed_networks())
+    def test_neighbours_sit_in_different_levels(self, net):
+        problem = problem_for(net)
+        y, pq = problem.admittance.y, problem.pq_indices
+        level = powerflow._gauss_seidel_levels(y, pq)
+        linked = (y != 0) | (y.T != 0)
+        for a in range(len(pq)):
+            for b in range(a):
+                if linked[pq[a], pq[b]]:
+                    assert level[b] < level[a]  # an earlier neighbour sits lower
+                if level[a] == level[b]:
+                    assert not linked[pq[a], pq[b]]
+
+    @given(
+        net=meshed_networks(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=25)
+    def test_meshed_networks(self, net, scales):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(powerflow, "GS_MAX_ITERATIONS", 200)
+            assert_steps_match_loop(problem_for(net), scales)
+
+    def test_resistive_network_with_active_loads(self, monkeypatch):
+        # No reactance and no var load, as on the bundled street: every
+        # imaginary part of V stays a zero, whose sign is all a zero term
+        # of a row dot could change.
+        monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 300)
+        rng = random.Random(17)
+        for n_buses in (3, 9, 17, 40):
+            base = problem_for(make_radial_network(rng, n_buses, load_pu_range=(0.01, 0.1)))
+            assert not base.admittance.y.imag.any() and not base.q_injection.any()
+            assert not solve_gauss_seidel(base).v_angle.any()
+            assert_steps_match_loop(base, [0.5, 1.0, 3.0])
+
+    def test_zero_injection_buses(self, monkeypatch):
+        # Loads on a third of the buses; the others inject nothing.
+        monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 300)
+        rng = random.Random(29)
+        for n_buses in (6, 25):
+            net = random_reactive_network(rng, n_buses, load_pu_range=(0.01, 0.1))
+            loads = tuple(load for i, load in enumerate(net.loads) if i % 3 == 0)
+            base = problem_for(replace(net, loads=loads))
+            assert (base.p_injection == 0).sum() >= n_buses // 2
+            assert_steps_match_loop(base, [1.0, 2.0])
+
+    def test_a_sweep_that_leaves_v_not_finite_is_done_again_in_bus_order(self, monkeypatch):
+        problem = redo_counterexample()
+        level = powerflow._gauss_seidel_levels(problem.admittance.y, problem.pq_indices)
+        assert level.tolist() == [0, 0, 1, 2]
+        calls = []
+        real = powerflow._gauss_seidel_level
+
+        def spy(v, levels):
+            real(v, levels)
+            calls.append((len(levels), np.abs(v[0])))
+
+        monkeypatch.setattr(powerflow, "_gauss_seidel_level", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_gauss_seidel(problem)
+            expected = loop_gauss_seidel(problem)
+        # By levels, bus 2 is finite; in bus order, it is not.
+        assert [n for n, _ in calls] == [3, 4]
+        assert np.isinf(calls[0][1][1]) and calls[0][1][2] == pytest.approx(0.99989655)
+        assert np.isinf(sol.v_mag[1]) and np.isnan(sol.v_mag[2:]).all()
+        assert sol.iterations == 1
+        assert_same_bits(sol, expected)
+
+    def test_large_random_feeder_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 30)
+        base = problem_for(random_reactive_network(random.Random(160), 160))
+        sol = solve_gauss_seidel(base)
+        assert sol.iterations == 30 and not sol.converged
+        assert_steps_match_loop(base, [1.0, 0.5])
 
 
 # The complex-state stop rule and the polar form round differently: by at

@@ -472,6 +472,17 @@ class TestTraceCsv:
         path.write_bytes(data.draw(mutated_csv(rows, 1, tuple(range(len(TRACE_COLUMNS))))))
         assert trace_outcome(load_weather_csv, path) == trace_outcome(loop_load_weather_csv, path)
 
+    def test_blank_lines_read_as_the_row_loop_reads_them(self, tmp_path):
+        # numpy's reader skips a blank line, so a trace that holds one gives
+        # fewer rows than lines and is read row by row.  A trace is one
+        # block of lines, whatever the results reader's block size.
+        path = tmp_path / "trace.csv"
+        write_weather_csv(weather_series(WeatherParams(seed=4), 12), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:6]) + "\n" + "".join(lines[6:]) + "\n")
+        assert len(load_weather_csv(path)) == 12
+        assert trace_outcome(load_weather_csv, path) == trace_outcome(loop_load_weather_csv, path)
+
     def test_lf_endings_and_header(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_weather_csv(weather_series(WeatherParams(), 2), path)
