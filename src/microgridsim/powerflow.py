@@ -387,7 +387,7 @@ def solve_steps(
         level = _gauss_seidel_levels(y, pq)
         order = np.argsort(level, kind="stable")
         buses = pq[order]
-        bounds = np.searchsorted(level[order], np.arange(level.max(initial=-1) + 2)).tolist()
+        bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
         schedules = (
             [slice(a, b) for a, b in zip(bounds, bounds[1:])],
             [slice(r, r + 1) for r in np.argsort(order).tolist()],
