@@ -91,9 +91,10 @@ _RESULT_DTYPE = np.dtype(
 # street's 2m x (2m + 1) float64 matrix gives stacks of 124 steps; the
 # 160-bus feeder's (811,536 bytes) keeps one step per stack and the
 # one-system elimination, as any budget below two of them does.  Gauss-Seidel
-# counts its complex voltage row, 16 bytes a bus: 3,855 steps of the street,
-# whose sweeps cost per bus, not per step.  A year of its gs ran in 9.2 s
-# wall against 9.8 s at 256 KiB (5 alternated runs) and 0.8 MB more RSS.
+# counts its complex voltage row, 16 bytes a bus: 3,855 steps of the street.
+# With level-scheduled sweeps a year of its gs ran in 8.9-11.1 s wall
+# (median 9.2) against 8.3-9.1 s (median 8.8) at 256 KiB, six alternated
+# runs each, and took 1.7 MB more peak RSS: 1 MiB is Newton-Raphson's knee.
 STACK_BYTES = 1024 * 1024
 
 
@@ -468,13 +469,15 @@ def _csv_blocks(
 
     The comments and the table are checked here, and the table sorted,
     before the first piece is made: a comment key or value that holds a CR
-    or LF, or is not UTF-8 text, is a ValueError that names the key.
-    A row is four pieces of text, each made once and then looked up: its
-    'step,hour,' once per run of equal (step, hour) in the block, its
-    'object,quantity,' and ',unit\n' once per (object, quantity, unit) of
-    the table, and its value's '%.9g' (scenario.format_number) once per
-    distinct float64 bit pattern in the block, so -0.0 stays '-0'.  A
-    block is one join of its rows' pieces.
+    or LF, or is not UTF-8 text, is a ValueError that names the key.  Each
+    distinct object, quantity and unit name is checked once, and its rows
+    found through their codes.  A row is four pieces of text, each made
+    once and then looked up: its 'step,hour,' once per run of equal (step,
+    hour) in the block, its 'object,quantity,' once per (object, quantity)
+    pair of the table, its ',unit\n' once per unit name, and its value's
+    '%.9g' (scenario.format_number) once per distinct float64 bit pattern
+    in the block, so -0.0 stays '-0'.  A block is one join of its rows'
+    pieces.
     """
     for key, value in config_comments or ():
         if fault := _text_fault("key", key, cell=False) or _text_fault("value", value, cell=False):
@@ -486,31 +489,33 @@ def _csv_blocks(
             table.step,
         )
     )
-    # Codes combined two at a time, so that no product of name counts overflows.
-    pair = table.object_code * len(table.quantities) + table.quantity_code
-    pair = np.unique(pair, return_inverse=True)[1]
-    _, first, combo = np.unique(
-        pair * len(table.units) + table.unit_code, return_index=True, return_inverse=True
-    )
-    names = [(obj, quantity, unit) for _, _, obj, quantity, _, unit in table._rows(first)]
     kinds = ("object", "quantity", "unit")
-    faults = [next(filter(None, map(_text_fault, kinds, combo_names)), None) for combo_names in names]
+    names = (table.objects, table.quantities, table.units)
+    codes = (table.object_code, table.quantity_code, table.unit_code)
+    faults = [[_text_fault(kind, name) for name in kind_names] for kind, kind_names in zip(kinds, names)]
     bad = ~np.isfinite(table.value)
-    if any(faults):
-        bad |= np.array([fault is not None for fault in faults])[combo]
+    for kind_faults, kind_codes in zip(faults, codes):
+        if any(kind_faults):
+            bad |= np.array([fault is not None for fault in kind_faults])[kind_codes]
     if bad.any():
         row = order[np.argmax(bad[order])]
-        (obj, quantity, _), fault = names[combo[row]], faults[combo[row]]
+        _, _, obj, quantity, _, _ = next(table._rows([row]))
         where = f"step {table.step[row]}"
-        if fault is not None:
+        if fault := next(filter(None, (f[c[row]] for f, c in zip(faults, codes))), None):
             raise ValueError(f"{where}: object {obj!r}, quantity {quantity!r}: {fault}")
         _require_finite(where, [f"{obj} {quantity}"], [table.value[row]])
-    heads = np.array([f"{obj},{quantity}," for obj, quantity, _ in names], dtype=object)
-    tails = np.array([f",{unit}\n" for _, _, unit in names], dtype=object)
+    _, first, pair = np.unique(
+        table.object_code * len(table.quantities) + table.quantity_code,
+        return_index=True, return_inverse=True,
+    )
+    heads = np.array(
+        [f"{obj},{quantity}," for _, _, obj, quantity, _, _ in table._rows(first)], dtype=object
+    )
+    tails = np.array([f",{unit}\n" for unit in table.units], dtype=object)
     comments = [f"# {key} = {value}\n" for key, value in config_comments or ()]
     return chain(
         ["".join(comments) + ",".join(RESULT_COLUMNS) + "\n"],
-        (_csv_block(table, order[rows], combo, heads, tails) for rows in _blocks(len(order))),
+        (_csv_block(table, order[rows], pair, heads, tails) for rows in _blocks(len(order))),
     )
 
 
@@ -529,7 +534,7 @@ def _text_fault(kind: str, text: str, cell: bool = True) -> str | None:
 
 
 def _csv_block(
-    table: ResultTable, index: np.ndarray, combo: np.ndarray, heads: np.ndarray, tails: np.ndarray
+    table: ResultTable, index: np.ndarray, pair: np.ndarray, heads: np.ndarray, tails: np.ndarray
 ) -> str:
     """The text of the table's rows at index, in that order; see _csv_blocks."""
     step, hour = table.step[index], table.hour[index]
@@ -542,12 +547,11 @@ def _csv_block(
     # By bit pattern, so that -0.0 and 0.0 keep their own texts.
     bits, value_code = np.unique(table.value[index].view(np.int64), return_inverse=True)
     texts = np.array(list(map("%.9g".__mod__, bits.view(np.float64).tolist())), dtype=object)
-    codes = combo[index]
     parts = [None] * (4 * len(index))
     parts[0::4] = prefixes.take(np.cumsum(run_start) - 1).tolist()
-    parts[1::4] = heads.take(codes).tolist()
+    parts[1::4] = heads.take(pair[index]).tolist()
     parts[2::4] = texts.take(value_code).tolist()
-    parts[3::4] = tails.take(codes).tolist()
+    parts[3::4] = tails.take(table.unit_code[index]).tolist()
     return "".join(parts)
 
 

@@ -217,10 +217,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pivot is never read again, so it is left as it is.
 
     A stack is eliminated together, one pivot at a time for all of its
-    systems (see _eliminate_stack).  A NaN in the solution of a system
-    not found singular there may come from a zero factor that met an
-    infinite entry, which that system alone never meets, so it is
-    solved again alone.
+    systems (see _eliminate_stack).  The one-system elimination alone
+    judges singularity: a system that met a pivot below 1e-12 in the
+    stack, or came back with a NaN, which a zero factor that met an
+    infinite entry can make, is solved again alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -230,13 +230,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"right-hand side must have shape {a.shape[:-1]}")
     if a.ndim == 2:
         return _eliminate(a, b)
-    x, singular = _eliminate_stack(a, b)
-    for i in np.flatnonzero(np.isnan(x).any(axis=1) & ~singular).tolist():
+    x, small = _eliminate_stack(a, b)
+    for i in np.flatnonzero(small | np.isnan(x).any(axis=1)).tolist():
         try:
             x[i] = _eliminate(a[i], b[i])
         except SingularMatrixError:
-            singular[i] = True
-    x[singular] = np.nan
+            x[i] = np.nan
     return x
 
 
@@ -264,20 +263,17 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _eliminate_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """solve_linear's elimination of a stack of systems, all at once.
 
-    Returns the solutions and a mask of the singular systems, whose
-    solutions are meaningless.  Each pivot and row swap is per system,
-    but one row selection serves the stack: the rows below the pivot
-    that are nonzero in any system.  A system whose own entry is zero
-    there subtracts a zero factor times its pivot row, which changes no
-    finite value; only where that zero meets an infinite entry does it
-    make a NaN.  The back substitution takes each system's own BLAS dot,
-    as one system's does: matmul of a row by a column, like ``@`` of two
-    vectors, calls it.  The pivot check reads U's diagonal once
-    elimination is done, so numpy's warnings for the divisions past a
-    singular pivot are silenced.  Up to its first NaN pivot, a system
-    has the pivots it has alone: a NaN met in the stack first shows up
-    as a NaN pivot.  So a pivot below 1e-12 before that one makes it
-    singular alone too, and only such a system is marked.
+    Returns the solutions and a mask of the systems that met a pivot
+    below 1e-12, which solve_linear solves again alone.  Each pivot and
+    row swap is per system, but one row selection serves the stack: the
+    rows below the pivot that are nonzero in any system.  A system whose
+    own entry is zero there subtracts a zero factor times its pivot row,
+    which changes no finite value; only where that zero meets an
+    infinite entry does it make a NaN.  The back substitution takes each
+    system's own BLAS dot, as one system's does: matmul of a row by a
+    column, like ``@`` of two vectors, calls it.  The pivot check reads
+    U's diagonal once elimination is done, so numpy's warnings for the
+    divisions past a small pivot are silenced.
     """
     systems, n = b.shape
     # Row k of every system is ab[k], and each system's row is contiguous.
@@ -305,9 +301,7 @@ def _eliminate_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
             dot = np.matmul(row[:, None, k + 1 : n], x[:, k + 1 :, None])[:, 0, 0]
             x[:, k] = (row[:, n] - dot) / row[:, k]
     diagonal = np.arange(n)
-    pivots = np.abs(ab[diagonal, :, diagonal])
-    after_nan = np.logical_or.accumulate(np.isnan(pivots), axis=0)
-    return x, (~after_nan & (pivots < 1e-12)).any(axis=0)
+    return x, (np.abs(ab[diagonal, :, diagonal]) < 1e-12).any(axis=0)
 
 
 def _mismatch(
@@ -446,27 +440,22 @@ def _newton_step(
     """One Newton-Raphson iteration of a stack of (|V|, theta) states, in place.
 
     J dx = mismatch gives each state's angle and magnitude corrections.
-    The Jacobians are built and solved as one stack; a lone state takes
-    the one-system elimination, which makes fewer numpy calls per pivot.
-    Returns (index, error) for each state whose Jacobian is singular.
+    The Jacobians are built and solved as one stack.  A lone state, and
+    each state whose correction came back all NaN, as a singular one
+    does, is solved as one system, which makes fewer numpy calls per
+    pivot and raises a singular Jacobian's error.  Returns (index, error)
+    for each state whose Jacobian is singular.
     """
     v_mag, v_angle = state
     m = len(pq)
     jac = newton_jacobian(v_mag, v_angle, admittance, pq, injections)
+    dx = solve_linear(jac, mismatch) if len(jac) > 1 else np.full(mismatch.shape, np.nan)
     errors = []
-    if len(jac) == 1:
+    for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
         try:
-            dx = solve_linear(jac[0], mismatch[0])[None]
+            dx[i] = solve_linear(jac[i], mismatch[i])
         except SingularMatrixError as exc:
-            return [(0, exc)]
-    else:
-        dx = solve_linear(jac, mismatch)
-        # A singular system comes back as NaN; alone, it raises its error.
-        for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
-            try:
-                _eliminate(jac[i], mismatch[i])
-            except SingularMatrixError as exc:
-                errors.append((i, exc))
+            errors.append((i, exc))
     v_angle[:, pq] += dx[:, :m]
     v_mag[:, pq] += dx[:, m:]
     return errors

@@ -738,6 +738,20 @@ class TestCsv:
         )
         self.assert_refused(tmp_path, records, message)
 
+    @pytest.mark.parametrize("kind", ["object", "quantity"])
+    def test_row_with_two_refused_names_is_named_by_the_first(self, tmp_path, kind):
+        # Within a row the object is checked first, then the quantity, then the unit.
+        names = {"object": "x", "quantity": "p_out", "unit": "W,h", kind: "a\n"}
+        records = [
+            ResultRecord(1, 1, "a", "p_out", 1.0, "W"),
+            ResultRecord(1, 1, **names, value=math.nan),
+        ]
+        message = (
+            f"step 1: object {names['object']!r}, quantity {names['quantity']!r}: "
+            f"{kind} 'a\\n' holds an LF"
+        )
+        self.assert_refused(tmp_path, records, message)
+
     @pytest.mark.parametrize(
         "text, fault",
         [("a\rb", "holds a CR"), ("a\n", "holds an LF"), ("a\udc80", "is not UTF-8 text")],
