@@ -2,9 +2,11 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -395,12 +397,27 @@ class TestEmission:
 
 
 class TestFuzz:
+    # What the parser makes of the 2,000 documents below: the SHA-256 of
+    # each outcome in turn, and how many errors of each kind they hold.
+    # Recorded when each section was still read through a stateful reader
+    # class, so that any change in a scenario, an error or its place shows.
+    OUTCOMES_SHA256 = "600b0777b55666b6f9e5987ffc5763e4d1037405b93108235223765da5e2fb2b"
+    ERROR_KINDS = {
+        "syntax": 9689,
+        "missing_required": 3760,
+        "unknown_key": 2801,
+        "semantic_conflict": 1893,
+        "type_mismatch": 1035,
+    }
+
     def test_mutated_documents_never_crash(self):
         # Arbitrary garbage must either parse or raise ScenarioFormatError.
         rng = random.Random(55)
         base = bundled_scenario_text("case2")
         alphabet = "abz_=[]#.0123456789 \n\t-+eE!\r"
-        for _ in range(500):
+        digest = hashlib.sha256()
+        kinds = Counter()
+        for _ in range(2000):
             if rng.random() < 0.5:
                 text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 200)))
             else:
@@ -416,9 +433,14 @@ class TestFuzz:
                         chars.insert(pos, rng.choice(alphabet))
                 text = "".join(chars)
             try:
-                parse_scenario(text)
-            except ScenarioFormatError:
-                pass
+                outcome = repr(parse_scenario(text))
+            except ScenarioFormatError as exc:
+                errors = [(e.line, e.column, e.kind.value, e.message) for e in exc.errors]
+                kinds.update(kind for _, _, kind, _ in errors)
+                outcome = f"{errors!r}\n{exc}"
+            digest.update(outcome.encode() + b"\0")
+        assert dict(kinds) == self.ERROR_KINDS
+        assert digest.hexdigest() == self.OUTCOMES_SHA256
 
 
 CASE2 = bundled_scenario_text("case2")
