@@ -3,10 +3,12 @@
 A scenario file is a sequence of sections.  A section starts with
 ``[kind]`` where kind is one of simulation, weather, bus, line, grid,
 load, pv, wind; the following ``key = value`` entries describe one
-object.  ``#`` starts a comment, blank lines are ignored, identifiers
-use ``[a-z0-9_]+``, and numbers accept integer, decimal, or scientific
-notation with ``.`` as separator; a number that overflows to infinity
-is an error.
+object.  Lines end at LF, CRLF or CR only, so a form feed or U+2028 in a
+comment stays in it.  ``#`` starts a comment, blank lines are ignored,
+identifiers use ``[a-z0-9_]+``, and numbers accept integer, decimal, or
+scientific notation with ``.`` as separator; a number that overflows to
+infinity, or an integer of more digits than ``int()`` converts, is an
+error.
 
 ``_SCHEMA`` is the one definition of the keys: for each section kind,
 the dataclass it builds and its entries in canonical order, each with
@@ -19,17 +21,23 @@ placement of validation diagnostics and the results-CSV header
 
 Parsing is all-or-nothing: every problem found is reported as a
 :class:`ParseError` with a 1-based line and column, and no partially
-valid scenario is ever returned.  :func:`emit_scenario` writes the
-canonical form (fixed section and key order, defaults materialized,
-numbers at up to 9 significant digits, LF endings), and
-``parse_scenario(emit_scenario(s))`` reproduces ``s``.
+valid scenario is ever returned.  Every section goes through one loop
+over its keys (a ``[weather]`` section that holds ``trace`` through that
+key alone): ``_read`` converts each entry as its key's kind says, and
+each problem goes to one ``fail(line, column, kind, message)`` callback.
+:func:`emit_scenario` writes the canonical form (fixed section and key
+order, defaults materialized, numbers at up to 9 significant digits, LF
+endings), and ``parse_scenario(emit_scenario(s))`` reproduces ``s``.  It
+raises ValueError for a text value that would read back as another one
+or not at all: an empty one, one holding ``#``, CR or LF, or one with
+whitespace around it, such as a trace path ``wx#1.csv``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -240,12 +248,12 @@ _SCHEMA = {
 }
 # A [weather] section holds either this key alone or the model parameters.
 _TRACE = _Key("trace", "weather_trace", "path")
+# The keys a section of each kind may hold; any other is unknown.
+_KNOWN_KEYS = {kind: {k.key for k in spec.keys} for kind, spec in _SCHEMA.items()}
+_KNOWN_KEYS["weather"].add(_TRACE.key)
 
-_SECTION_KINDS = tuple(_SCHEMA)
 
-
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     key: str
     value: str
     line: int
@@ -253,257 +261,134 @@ class _Entry:
     value_column: int
 
 
-@dataclass
-class _Section:
+class _Section(NamedTuple):
     kind: str
     line: int
-    entries: dict[str, _Entry] = field(default_factory=dict)
+    entries: dict[str, _Entry]
 
 
-class _Reader:
-    """Typed, error-accumulating access to one section's entries."""
-
-    def __init__(self, section: _Section, errors: list[ParseError]):
-        self.section = section
-        self.errors = errors
-        self.used: set[str] = set()
-        self.ok = True
-
-    def _take(self, key: str, required: bool) -> _Entry | None:
-        self.used.add(key)
-        entry = self.section.entries.get(key)
-        if entry is None and required:
-            self.errors.append(
-                ParseError(
-                    self.section.line,
-                    1,
-                    ParseErrorKind.MISSING_REQUIRED,
-                    f"section [{self.section.kind}] is missing required key {key!r}",
-                )
-            )
-            self.ok = False
-        return entry
-
-    def _fail(self, entry: _Entry, kind: ParseErrorKind, message: str) -> None:
-        self.errors.append(ParseError(entry.line, entry.value_column, kind, message))
-        self.ok = False
-
-    def _mismatch(self, entry: _Entry, expected: str) -> None:
-        self._fail(
-            entry,
-            ParseErrorKind.TYPE_MISMATCH,
-            f"key {entry.key!r} expects {expected}, got {entry.value!r}",
-        )
-
-    def read(self, key: _Key, required: bool):
-        """The entry's value converted as key.kind says; None if absent or invalid."""
-        entry = self._take(key.key, required)
-        if entry is None:
-            return None
-        text, kind = entry.value, key.kind
-        if kind == "number":
-            if not _NUMBER_RE.match(text):
-                return self._mismatch(entry, "a number")
-            value, noun = float(text), "a number"
-            if not math.isfinite(value):  # float() makes 1e999 inf
-                return self._fail(
-                    entry,
-                    ParseErrorKind.SEMANTIC_CONFLICT,
-                    f"key {entry.key!r} must be finite, got {text!r}",
-                )
-        elif kind == "int":
-            if not _INT_RE.match(text):
-                return self._mismatch(entry, "an integer")
-            value, noun = int(text), "an integer"
-        elif kind == "id":
-            if not _ID_RE.match(text):
-                return self._mismatch(entry, "an identifier ([a-z0-9_], 1-32 chars)")
-            return text
-        elif kind == "path":
-            if any(ch.isspace() for ch in text):
-                return self._mismatch(entry, "a path without whitespace")
-            return text
-        else:
-            if text not in kind:
-                return self._mismatch(entry, "one of " + ", ".join(kind))
-            return kind[kind.index(text)]
-        unmet = key.bound.unmet(value)
-        if unmet:
-            return self._mismatch(entry, f"{noun} {unmet}")
-        return value
-
-    def reject_unknown(self) -> None:
-        for key, entry in self.section.entries.items():
-            if key not in self.used:
-                self.errors.append(
-                    ParseError(
-                        entry.line,
-                        entry.key_column,
-                        ParseErrorKind.UNKNOWN_KEY,
-                        f"unknown key {key!r} in section [{self.section.kind}]",
-                    )
-                )
-                self.ok = False
-
-
-def _scan_sections(text: str, errors: list[ParseError]) -> list[_Section]:
+def _scan_sections(text: str, fail) -> list[_Section]:
+    """The sections of known kinds in text; fail(line, column, kind, message)
+    gets each unknown section, syntax error and duplicate key."""
     sections: list[_Section] = []
     current: _Section | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
         header = _SECTION_RE.match(content)
         if header:
-            kind = header.group(1)
-            if kind not in _SECTION_KINDS:
-                errors.append(
-                    ParseError(
-                        line_no,
-                        content.index("[") + 1,
-                        ParseErrorKind.UNKNOWN_KEY,
-                        f"unknown section kind [{kind}]",
-                    )
-                )
-                current = _Section(kind, line_no)  # swallow entries, already reported
-                continue
-            current = _Section(kind, line_no)
-            sections.append(current)
+            current = _Section(header.group(1), line_no, {})
+            if current.kind in _SCHEMA:
+                sections.append(current)
+            else:  # its entries are read but kept out of the sections
+                message = f"unknown section kind [{current.kind}]"
+                fail(line_no, content.index("[") + 1, ParseErrorKind.UNKNOWN_KEY, message)
             continue
-        entry_match = _ENTRY_RE.match(content)
-        if entry_match is None:
+        match = _ENTRY_RE.match(content)
+        if match is None:
             column = len(content) - len(content.lstrip()) + 1
-            errors.append(
-                ParseError(
-                    line_no,
-                    column,
-                    ParseErrorKind.SYNTAX,
-                    f"expected 'key = value' or '[section]', got {content.strip()!r}",
-                )
-            )
+            message = f"expected 'key = value' or '[section]', got {content.strip()!r}"
+            fail(line_no, column, ParseErrorKind.SYNTAX, message)
             continue
+        key, column = match.group(1), match.start(1) + 1
         if current is None:
-            errors.append(
-                ParseError(
-                    line_no,
-                    entry_match.start(1) + 1,
-                    ParseErrorKind.SYNTAX,
-                    "entry appears before any section header",
-                )
-            )
-            continue
-        key = entry_match.group(1)
-        entry = _Entry(
-            key=key,
-            value=entry_match.group(2),
-            line=line_no,
-            key_column=entry_match.start(1) + 1,
-            value_column=entry_match.start(2) + 1,
-        )
-        if key in current.entries:
-            errors.append(
-                ParseError(
-                    line_no,
-                    entry.key_column,
-                    ParseErrorKind.SEMANTIC_CONFLICT,
-                    f"duplicate key {key!r} in section [{current.kind}]",
-                )
-            )
-            continue
-        current.entries[key] = entry
+            fail(line_no, column, ParseErrorKind.SYNTAX, "entry appears before any section header")
+        elif key in current.entries:
+            message = f"duplicate key {key!r} in section [{current.kind}]"
+            fail(line_no, column, ParseErrorKind.SEMANTIC_CONFLICT, message)
+        else:
+            current.entries[key] = _Entry(key, match.group(2), line_no, column, match.start(2) + 1)
     return sections
 
 
-def _single_section(
-    sections: list[_Section], kind: str, errors: list[ParseError]
-) -> _Section | None:
-    found = [s for s in sections if s.kind == kind]
-    for extra in found[1:]:
-        errors.append(
-            ParseError(
-                extra.line,
-                1,
-                ParseErrorKind.SEMANTIC_CONFLICT,
-                f"section [{kind}] may appear at most once",
-            )
-        )
-    return found[0] if found else None
+def _read(key: _Key, entry: _Entry, fail):
+    """The entry's value converted as key.kind says; None once fail has reported why not."""
+    text, kind, where = entry.value, key.kind, (entry.line, entry.value_column)
+    if kind == "number":
+        noun, value = "a number", _NUMBER_RE.match(text) and float(text)
+        if value is not None and not math.isfinite(value):  # float() makes 1e999 inf
+            message = f"key {entry.key!r} must be finite, got {text!r}"
+            return fail(*where, ParseErrorKind.SEMANTIC_CONFLICT, message)
+    elif kind == "int":
+        try:
+            noun, value = "an integer", _INT_RE.match(text) and int(text)
+        except ValueError:  # more digits than int() converts
+            digits = len(text.lstrip("+-"))
+            message = f"key {entry.key!r} has {digits} digits, too many for an integer"
+            return fail(*where, ParseErrorKind.SEMANTIC_CONFLICT, message)
+    elif kind == "id":
+        noun, value = "an identifier ([a-z0-9_], 1-32 chars)", _ID_RE.match(text) and text
+    elif kind == "path":
+        noun, value = "a path without whitespace", None if any(c.isspace() for c in text) else text
+    else:
+        noun, value = "one of " + ", ".join(kind), next((w for w in kind if w == text), None)
+    if value is not None:
+        unmet = key.bound.unmet(value)
+        if unmet is None:
+            return value
+        noun += " " + unmet
+    message = f"key {entry.key!r} expects {noun}, got {text!r}"
+    return fail(*where, ParseErrorKind.TYPE_MISMATCH, message)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document; raise ScenarioFormatError listing every problem."""
     errors: list[ParseError] = []
-    sections = _scan_sections(text, errors)
 
-    first = {
-        kind: _single_section(sections, kind, errors)
-        for kind in ("simulation", "weather", "grid")
-    }
-    if first["simulation"] is None:
-        errors.append(
-            ParseError(
-                1, 1, ParseErrorKind.MISSING_REQUIRED, "missing [simulation] section"
-            )
-        )
+    def fail(line: int, column: int, kind: ParseErrorKind, message: str) -> None:
+        errors.append(ParseError(line, column, kind, message))
+
+    conflict = ParseErrorKind.SEMANTIC_CONFLICT
+    sections = _scan_sections(text, fail)
+    if all(section.kind != "simulation" for section in sections):
+        fail(1, 1, ParseErrorKind.MISSING_REQUIRED, "missing [simulation] section")
 
     # Attribute values of every section that read cleanly, per kind.
     values: dict[str, list[dict]] = {kind: [] for kind in _SCHEMA}
-    weather_trace: str | None = None
+    first: dict[str, _Section] = {}
     id_sections: dict[str, _Section] = {}
-
-    def register_id(obj_id: str, section: _Section) -> bool:
-        if obj_id in RESERVED_IDS:
-            errors.append(
-                ParseError(
-                    section.line,
-                    1,
-                    ParseErrorKind.SEMANTIC_CONFLICT,
-                    f"id {obj_id!r} is reserved for simulator output rows",
-                )
-            )
-            return False
-        if obj_id in id_sections:
-            errors.append(
-                ParseError(
-                    section.line,
-                    1,
-                    ParseErrorKind.SEMANTIC_CONFLICT,
-                    f"id {obj_id!r} already declared on line {id_sections[obj_id].line}",
-                )
-            )
-            return False
-        id_sections[obj_id] = section
-        return True
-
     for section in sections:
-        if first.get(section.kind, section) is not section:
-            continue  # repeats of a single section, already reported
-        spec = _SCHEMA[section.kind]
-        r = _Reader(section, errors)
-        if section.kind == "weather" and _TRACE.key in section.entries:
-            weather_trace = r.read(_TRACE, required=True)
-            stray = [k.key for k in spec.keys if k.key in section.entries]
-            if stray:
-                r.used.update(stray)  # one conflict error, not one per key
-                errors.append(
-                    ParseError(
-                        section.entries[stray[0]].line,
-                        section.entries[stray[0]].key_column,
-                        ParseErrorKind.SEMANTIC_CONFLICT,
-                        "a [weather] section uses either 'trace' or model "
-                        "parameters, not both",
-                    )
-                )
-            r.reject_unknown()
+        kind, entries, before = section.kind, section.entries, len(errors)
+        repeated = first.setdefault(kind, section) is not section
+        if repeated and kind in ("simulation", "weather", "grid"):
+            fail(section.line, 1, conflict, f"section [{kind}] may appear at most once")
             continue
+        spec = _SCHEMA[kind]
+        keys = spec.keys
+        if kind == "weather" and _TRACE.key in entries:
+            keys = (_TRACE,)
+            stray = next((entries[k.key] for k in spec.keys if k.key in entries), None)
+            if stray is not None:
+                message = "a [weather] section uses either 'trace' or model parameters, not both"
+                fail(stray.line, stray.key_column, conflict, message)
         found = {}
-        for key in spec.keys:
-            value = r.read(key, required=key.attr not in spec.optional)
-            if value is not None:
-                found[key.attr] = value
-        r.reject_unknown()
-        if r.ok and ("id" not in found or register_id(found["id"], section)):
-            values[section.kind].append(found)
+        for key in keys:
+            entry = entries.get(key.key)
+            if entry is not None:
+                value = _read(key, entry, fail)
+                if value is not None:
+                    found[key.attr] = value
+            elif key.attr not in spec.optional:
+                message = f"section [{kind}] is missing required key {key.key!r}"
+                fail(section.line, 1, ParseErrorKind.MISSING_REQUIRED, message)
+        for entry in entries.values():
+            if entry.key not in _KNOWN_KEYS[kind]:
+                message = f"unknown key {entry.key!r} in section [{kind}]"
+                fail(entry.line, entry.key_column, ParseErrorKind.UNKNOWN_KEY, message)
+        if len(errors) > before:
+            continue
+        obj_id = found.get("id")
+        if obj_id in RESERVED_IDS:
+            fail(section.line, 1, conflict, f"id {obj_id!r} is reserved for simulator output rows")
+        elif obj_id in id_sections:
+            message = f"id {obj_id!r} already declared on line {id_sections[obj_id].line}"
+            fail(section.line, 1, conflict, message)
+        else:
+            values[kind].append(found)
+            if obj_id is not None:
+                id_sections[obj_id] = section
 
     if errors:
         raise ScenarioFormatError(errors)
@@ -512,11 +397,7 @@ def parse_scenario(text: str) -> Scenario:
         return tuple(_SCHEMA[kind].cls(**v) for v in values[kind])
 
     network = Network(
-        buses=build("bus"),
-        lines=build("line"),
-        loads=build("load"),
-        pvs=build("pv"),
-        winds=build("wind"),
+        *(build(kind) for kind in ("bus", "line", "load", "pv", "wind")),
         grid=next(iter(build("grid")), None),
     )
     for diag in validate(network):
@@ -529,9 +410,7 @@ def parse_scenario(text: str) -> Scenario:
             entry = section.entries.get(key)
             if entry is not None:
                 line_no, column = entry.line, entry.value_column
-        errors.append(
-            ParseError(line_no, column, ParseErrorKind.SEMANTIC_CONFLICT, diag.message)
-        )
+        fail(line_no, column, conflict, diag.message)
     if errors:
         raise ScenarioFormatError(errors)
 
@@ -543,25 +422,25 @@ def parse_scenario(text: str) -> Scenario:
     try:
         config = SimulationConfig(**simulation)
     except ValueError as exc:  # each value is in bounds, so the bases' pair is not
-        error = ParseError(
-            base_entry.line, base_entry.value_column, ParseErrorKind.SEMANTIC_CONFLICT, str(exc)
-        )
+        error = ParseError(base_entry.line, base_entry.value_column, conflict, str(exc))
         raise ScenarioFormatError([error]) from None
-    weather = None
-    if weather_trace is None:
-        weather = WeatherParams(**(values["weather"] or [{}])[0], seed=config.seed)
+    weather = (values["weather"] or [{}])[0]
+    weather_trace = weather.pop(_TRACE.attr, None)
     return Scenario(
         network=network,
         config=config,
-        weather=weather,
+        weather=None if weather_trace else WeatherParams(**weather, seed=config.seed),
         weather_trace=weather_trace,
     )
 
 
-def _pairs(kind: str, obj) -> list[tuple[str, str]]:
-    """obj's entries as (key, text) in canonical order; None attributes are left out."""
+def _pairs(kind: str, obj, keys: tuple[_Key, ...] = ()) -> list[tuple[str, str]]:
+    """obj's entries for keys (the kind's by default) as (key, text), in
+    canonical order; None attributes are left out.  Raise ValueError for a
+    text that is empty, holds '#', CR or LF, or has whitespace around it.
+    """
     pairs = []
-    for key in _SCHEMA[kind].keys:
+    for key in keys or _SCHEMA[kind].keys:
         value = getattr(obj, key.attr)
         if value is None:
             continue
@@ -569,6 +448,8 @@ def _pairs(kind: str, obj) -> list[tuple[str, str]]:
             text = format_number(value)
         else:
             text = value.value if isinstance(value, Enum) else str(value)
+            if not text or text.strip() != text or any(c in text for c in "#\r\n"):
+                raise ValueError(f"[{kind}] {key.key} = {text!r} would not read back as itself")
         pairs.append((key.key, text))
     return pairs
 
@@ -588,10 +469,12 @@ def emit_scenario(scenario: Scenario) -> str:
 
     Sections appear as simulation, weather, buses, lines, grid, loads,
     pvs, winds; optional keys are materialized with their effective
-    values so the output is self-contained and byte-stable.
+    values so the output is self-contained and byte-stable.  Raise
+    ValueError, naming the section kind and key, for a value the text
+    cannot hold, such as an id or trace path with '#' in it.
     """
     if scenario.weather_trace is not None:
-        weather = [(_TRACE.key, scenario.weather_trace)]
+        weather = _pairs("weather", scenario, (_TRACE,))
     else:
         weather = _pairs("weather", scenario.weather)
     blocks = [

@@ -506,6 +506,20 @@ class TestBadInput:
         assert text == expected.read_text().replace(*as_given)
 
 
+class TestLongInteger:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_steps_of_5000_digits_is_one_located_line(self, tmp_path, capsys, command):
+        scenario = _case2_with(tmp_path, ("steps = 48\n", "steps = " + "9" * 5000 + "\n"))
+        out = tmp_path / "r.csv"
+        argv = [command, scenario] + (["--out", str(out)] if command == "run" else [])
+        assert cli_main(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{scenario}:7:9: semantic_conflict: key 'steps' has 5000 digits")
+
+
 class TestRunProperty:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), write_trace=st.booleans())

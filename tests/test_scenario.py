@@ -398,9 +398,9 @@ class TestEmission:
 
 class TestFuzz:
     # What the parser makes of the 2,000 documents below: the SHA-256 of
-    # each outcome in turn, and how many errors of each kind they hold.
-    # Recorded when each section was still read through a stateful reader
-    # class, so that any change in a scenario, an error or its place shows.
+    # each outcome in turn, and how many errors of each kind they hold. A
+    # change to either changes a parsed scenario, an error or its place,
+    # which must be deliberate.
     OUTCOMES_SHA256 = "600b0777b55666b6f9e5987ffc5763e4d1037405b93108235223765da5e2fb2b"
     ERROR_KINDS = {
         "syntax": 9689,
@@ -441,6 +441,65 @@ class TestFuzz:
             digest.update(outcome.encode() + b"\0")
         assert dict(kinds) == self.ERROR_KINDS
         assert digest.hexdigest() == self.OUTCOMES_SHA256
+
+
+class TestIntegerDigits:
+    @pytest.mark.parametrize("key", ["steps", "start_hour", "seed"])
+    def test_more_digits_than_int_converts_is_a_located_error(self, key):
+        # int() refuses strings of over 4,300 digits by default.
+        entry = re.search(rf"(?m)^{key} = \S+$", MINIMAL)
+        text = MINIMAL[: entry.start()] + f"{key} = " + "9" * 5000 + MINIMAL[entry.end() :]
+        (err,) = errors_of(text)
+        assert (err.line, err.column) == (MINIMAL.count("\n", 0, entry.start()) + 1, len(key) + 4)
+        assert err.kind is ParseErrorKind.SEMANTIC_CONFLICT
+        assert err.message == f"key {key!r} has 5000 digits, too many for an integer"
+
+
+class TestLineEnds:
+    # str.splitlines() also breaks at these; a scenario line does not.
+    NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_character_inside_a_comment_stays_in_it(self, char):
+        text = f"# notes{char}more notes\n" + MINIMAL
+        assert parse_scenario(text) == parse_scenario(MINIMAL)
+        bad = text.replace("steps = 4", "steps = four")
+        (err,) = errors_of(bad)
+        assert err.line == bad.count("\n", 0, bad.index("steps = four")) + 1
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lf_crlf_and_cr_each_end_a_line(self, newline):
+        text = MINIMAL.replace("\n", newline)
+        assert parse_scenario(text) == parse_scenario(MINIMAL)
+        (err,) = errors_of(text.replace("steps = 4", "steps = four"))
+        assert err.line == MINIMAL.count("\n", 0, MINIMAL.index("steps = 4")) + 1
+
+
+class TestEmissionRefusal:
+    """emit_scenario refuses a value that would read back as another one."""
+
+    @pytest.mark.parametrize("trace", ["wx#1.csv", " wx.csv", "wx.csv ", "", "a\nb.csv", "a\rb.csv"])
+    def test_trace_path(self, trace):
+        scenario = dataclasses.replace(parse_scenario(MINIMAL), weather=None, weather_trace=trace)
+        with pytest.raises(ValueError, match=r"^\[weather\] trace = ") as exc:
+            emit_scenario(scenario)
+        assert repr(trace) in str(exc.value)
+
+    @pytest.mark.parametrize("load_id", ["house1#2", "house1 ", "", "a\nb"])
+    def test_id(self, load_id):
+        scenario = parse_scenario(MINIMAL)
+        net = scenario.network
+        loads = (dataclasses.replace(net.loads[0], id=load_id),)
+        scenario = dataclasses.replace(scenario, network=dataclasses.replace(net, loads=loads))
+        with pytest.raises(ValueError, match=r"^\[load\] id = ") as exc:
+            emit_scenario(scenario)
+        assert repr(load_id) in str(exc.value)
+
+    def test_a_trace_that_reads_back_is_written(self):
+        scenario = dataclasses.replace(
+            parse_scenario(MINIMAL), weather=None, weather_trace="data/wx-1.csv"
+        )
+        assert parse_scenario(emit_scenario(scenario)) == scenario
 
 
 CASE2 = bundled_scenario_text("case2")
