@@ -37,7 +37,7 @@ import numpy as np
 
 from .csvtext import loadtxt_columns
 from .generation import pv_power, wind_power
-from .grid import Network, PerUnitBase, build_admittance
+from .grid import NETWORK_OBJECT, WEATHER_OBJECT, Network, PerUnitBase, build_admittance
 from .powerflow import (
     METHOD_GAUSS_SEIDEL,
     TOLERANCE,
@@ -49,7 +49,7 @@ from .powerflow import (
     solve,
     total_line_losses,
 )
-from .scenario import NETWORK_OBJECT, WEATHER_OBJECT, Scenario, SimulationConfig
+from .scenario import Scenario, SimulationConfig
 from .weather import WeatherSeries, load_weather_csv, weather_series
 
 RESULT_COLUMNS = ("step", "hour", "object", "quantity", "value", "unit")
@@ -87,7 +87,9 @@ _RESULT_DTYPE = np.dtype(
 # 2-vCPU Xeon, one BLAS thread), two weeks of the street took 0.052, 0.040,
 # 0.036, 0.036, 0.035 and 0.033 reference-clock s (perfbench street_acpf)
 # and a year 1.75, 1.26, 1.11, 0.97, 0.94 and 0.96 s wall, with peak RSS
-# flat to 1 MiB, then 0.7 and 1.4 MB more.  At 1 MiB the 17-bus
+# flat to 1 MiB, then 0.7 and 1.4 MB more.  That sweep predates building the
+# Jacobian on Y's nonzero pattern alone, which made each stacked build
+# cheaper; it has not been repeated since.  At 1 MiB the 17-bus
 # street's 2m x (2m + 1) float64 matrix gives stacks of 124 steps; the
 # 160-bus feeder's (811,536 bytes) keeps one step per stack and the
 # one-system elimination, as any budget below two of them does.  Gauss-Seidel

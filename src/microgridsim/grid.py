@@ -10,6 +10,7 @@ can report every problem at once.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -201,6 +202,14 @@ FIELD_BOUNDS: dict[type, dict[str, Bound]] = {
     },
 }
 
+# What an object id may be: validate() requires it, and the .mgs parser
+# reads ids by it.  The result writer names its non-device rows by the
+# reserved ids, so no object may take them.
+_ID_RE = re.compile(r"[a-z0-9_]{1,32}")
+WEATHER_OBJECT = "weather"
+NETWORK_OBJECT = "network"
+RESERVED_IDS = (WEATHER_OBJECT, NETWORK_OBJECT)
+
 # The fields of each object type that name a bus; validate() requires
 # each to name one of the network's buses.
 BUS_FIELDS: dict[type, tuple[str, ...]] = {
@@ -290,7 +299,8 @@ def build_admittance(network: Network, base: PerUnitBase) -> AdmittanceMatrix:
 def validate(network: Network) -> list[Diagnostic]:
     """Check network consistency; an empty result means the network is valid.
 
-    Reports duplicate identifiers, numeric fields that are non-finite or
+    Reports ids that are not identifiers ([a-z0-9_], 1-32 chars) or are
+    reserved, duplicate identifiers, numeric fields that are non-finite or
     outside their FIELD_BOUNDS range, BUS_FIELDS that name no bus,
     disconnected buses, a slack count other than one, zero-impedance or
     self-looped lines, lines whose 1/z is not finite (a subnormal
@@ -318,6 +328,12 @@ def validate(network: Network) -> list[Diagnostic]:
     seen_ids: set[str] = set()
     for kind, objects in groups:
         for obj in objects:
+            if not (isinstance(obj.id, str) and _ID_RE.fullmatch(obj.id)):
+                message = f"{kind} id {obj.id!r} is not an identifier ([a-z0-9_], 1-32 chars)"
+                diags.append(Diagnostic("invalid_id", obj.id, message, "id"))
+            elif obj.id in RESERVED_IDS:
+                message = f"{kind} id {obj.id!r} is reserved for simulator output rows"
+                diags.append(Diagnostic("reserved_id", obj.id, message, "id"))
             if obj.id in seen_ids:
                 diags.append(
                     Diagnostic("duplicate_id", obj.id, f"duplicate id {obj.id!r} ({kind})")

@@ -156,15 +156,23 @@ def newton_jacobian(
     gives a stack of S Jacobians, (S, 2m, 2m), with the same entries as
     one state at a time.
 
-    Every entry is the per-element polar formula, evaluated in the same
-    operation order as an element-by-element loop over (i, k), so the
-    matrix is bitwise equal to that loop's (tests keep the loop as the
-    oracle).  |V_i|^2 goes through np.float_power, which calls C pow
-    like the scalar ``v ** 2`` does; the array ``vm ** 2`` multiplies
-    and differs in the last bit for some inputs.  The complex-derivative
-    form of MATPOWER's dSbus_dV and a LAPACK solve would be faster still,
-    but they change printed digits of the results CSVs, so they are not
-    used here.
+    The polar formulas are evaluated only at the off-diagonal pairs
+    where Y's PQ block is nonzero, as (..., nnz) arrays scattered into a
+    zeroed stack: a radial feeder has about three nonzeros a row (the
+    sparsity of Tinney & Hart, IEEE Trans. PAS-86(11), 1967).  Each such
+    entry, and each diagonal one, is evaluated in the operation order of
+    an element-by-element loop over (i, k), so it is bitwise equal to
+    that loop's (tests keep the loop as the oracle).  Every other entry
+    is +0.0, where the loop gives a signed zero, or NaN at a state that
+    is not finite: a zero's sign changes no elimination step on finite
+    values, and Newton-Raphson's stop rule ends a step on its non-finite
+    mismatch before it builds a Jacobian there.  On the diagonal,
+    |V_i|^2 goes through np.float_power, which calls C pow like the
+    scalar ``v ** 2`` does; the array ``vm ** 2`` multiplies and differs
+    in the last bit for some inputs.  The complex-derivative form of
+    MATPOWER's dSbus_dV and a LAPACK solve would be faster still, but
+    they change printed digits of the results CSVs, so they are not used
+    here.
     """
     pq = np.asarray(pq_indices, dtype=int)
     if injections is None:
@@ -172,23 +180,24 @@ def newton_jacobian(
     p, q = injections
     vm = np.asarray(v_mag, dtype=float)[..., pq]
     va = np.asarray(v_angle, dtype=float)[..., pq]
-    block = np.ix_(pq, pq)
-    g = admittance.conductance[block]
-    b = admittance.susceptance[block]
-    t = va[..., :, None] - va[..., None, :]
+    y = admittance.y[np.ix_(pq, pq)]
+    m = len(pq)
+    i, k = np.nonzero((y != 0) & ~np.eye(m, dtype=bool))
+    g, b = y.real[i, k], y.imag[i, k]
+    t = va[..., i] - va[..., k]
     cos_t, sin_t = np.cos(t), np.sin(t)
-    vv = vm[..., :, None] * vm[..., None, :]
+    vm_i = vm[..., i]
+    vv = vm_i * vm[..., k]
     gs_bc = g * sin_t - b * cos_t
     gc_bs = g * cos_t + b * sin_t
-    m = len(pq)
-    jac = np.empty((*vm.shape[:-1], 2 * m, 2 * m))
-    jac[..., :m, :m] = vv * gs_bc
-    jac[..., :m, m:] = vm[..., :, None] * gc_bs
-    jac[..., m:, :m] = -vv * gc_bs
-    jac[..., m:, m:] = vm[..., :, None] * gs_bc
+    jac = np.zeros((*vm.shape[:-1], 2 * m, 2 * m))
+    jac[..., i, k] = vv * gs_bc
+    jac[..., i, m + k] = vm_i * gc_bs
+    jac[..., m + i, k] = -vv * gc_bs
+    jac[..., m + i, m + k] = vm_i * gs_bc
 
     d = np.arange(m)
-    g_ii, b_ii, p_i, q_i = g[d, d], b[d, d], p[..., pq], q[..., pq]
+    g_ii, b_ii, p_i, q_i = y.real[d, d], y.imag[d, d], p[..., pq], q[..., pq]
     vm_sq = np.float_power(vm, 2)
     jac[..., d, d] = -q_i - b_ii * vm_sq
     jac[..., d, m + d] = p_i / vm + g_ii * vm

@@ -43,7 +43,9 @@ from typing import NamedTuple
 
 from .generation import SolarPanel, WindTurbine
 from .grid import (
+    _ID_RE,
     FIELD_BOUNDS,
+    RESERVED_IDS,
     Bound,
     Bus,
     BusKind,
@@ -59,14 +61,8 @@ from .weather import WeatherParams
 
 SOLVER_CHOICES = (METHOD_NEWTON_RAPHSON, METHOD_GAUSS_SEIDEL, "simple")
 
-# Object ids the result writer uses for non-device rows.
-WEATHER_OBJECT = "weather"
-NETWORK_OBJECT = "network"
-RESERVED_IDS = (WEATHER_OBJECT, NETWORK_OBJECT)
-
 _SECTION_RE = re.compile(r"^\s*\[([a-z_]+)\]\s*$")
 _ENTRY_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*=\s*(\S(?:.*\S)?)\s*$")
-_ID_RE = re.compile(r"^[a-z0-9_]{1,32}$")
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _NUMBER_RE = re.compile(r"^[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
 
@@ -196,7 +192,9 @@ _PEAK = _Key("peak_w", "peak_power", "number")
 _SCHEMA = {
     "simulation": _Kind.of(
         SimulationConfig,
-        _Key("steps", "steps", "int", Bound(1)),
+        # At most ten years of hourly steps: a larger count would only fail
+        # later, allocating gigabytes for its weather and results.
+        _Key("steps", "steps", "int", Bound(1, 87_600)),
         _Key("start_hour", "start_hour", "int", Bound(0, 23)),
         _Key("solver", "solver", SOLVER_CHOICES),
         _Key("seed", "seed", "int", Bound(0, 2**64 - 1)),
@@ -319,7 +317,7 @@ def _read(key: _Key, entry: _Entry, fail):
             message = f"key {entry.key!r} has {digits} digits, too many for an integer"
             return fail(*where, ParseErrorKind.SEMANTIC_CONFLICT, message)
     elif kind == "id":
-        noun, value = "an identifier ([a-z0-9_], 1-32 chars)", _ID_RE.match(text) and text
+        noun, value = "an identifier ([a-z0-9_], 1-32 chars)", _ID_RE.fullmatch(text) and text
     elif kind == "path":
         noun, value = "a path without whitespace", None if any(c.isspace() for c in text) else text
     else:

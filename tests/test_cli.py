@@ -338,10 +338,20 @@ _TINY_Z = (
     ("v_base_v = 230\n", "v_base_v = 1e-150\n"),
 )
 
+_HUGE_STEPS = ("steps = 48\n", "steps = " + "9" * 31 + "\n")
+
 # (argv, stderr text) of inputs that each must exit 1 with one line per
 # problem and no traceback; "{out}" is the --out path.
 BAD_INPUTS = {
     "steps 0": (lambda tmp: ["run", CASE1, "--steps", "0"], "--steps must be >= 1, got 0"),
+    "steps 87601": (
+        lambda tmp: ["run", CASE1, "--steps", "87601"],
+        "--steps must be <= 87600, got 87601",
+    ),
+    "steps 10**30": (
+        lambda tmp: ["run", CASE1, "--steps", str(10**30)],
+        f"--steps must be <= 87600, got {10**30}",
+    ),
     "seed -1": (lambda tmp: ["run", CASE1, "--seed", "-1"], "--seed must be >= 0, got -1"),
     "seed 2**64": (
         lambda tmp: ["run", CASE1, "--seed", str(2**64)],
@@ -451,6 +461,14 @@ BAD_INPUTS = {
             _PARALLEL_NEAR_SHORTS_ERROR,
         )
         for command in ("validate", "run --solver acpf", "run --solver gs", "run --solver simple")
+    },
+    # int() reads 31 digits; the bound rejects them before any allocation.
+    **{
+        f"{command} steps above the bound": (
+            lambda tmp, command=command: [command, _case2_with(tmp, _HUGE_STEPS)],
+            f"bases.mgs:7:9: type_mismatch: key 'steps' expects an integer <= 87600, got '{'9' * 31}'",
+        )
+        for command in ("validate", "run")
     },
     "validate underflowing impedance base": (
         lambda tmp: ["validate", _case2_with(tmp, *_TINY_Z)],

@@ -460,6 +460,22 @@ class TestJacobian:
                 loop_jacobian(vm, va, admittance, pq),
             )
 
+    @settings(max_examples=60)
+    @given(line_loss_cases(), st.data())
+    def test_pattern_entries_equal_the_loop_and_the_rest_are_positive_zero(self, case, data):
+        # The pattern is the diagonal and every pair where Y's PQ block is
+        # nonzero, in each of the four blocks; purely reactive lines are in it.
+        net, v_mag, v_angle = case
+        admittance = build_admittance(net, BASE)
+        slack = data.draw(st.integers(0, admittance.n - 1))
+        pq = [i for i in range(admittance.n) if i != slack]
+        block = admittance.y[np.ix_(pq, pq)]
+        pattern = np.tile((block != 0) | np.eye(len(pq), dtype=bool), (2, 2))
+        for vm, va in zip(v_mag, v_angle):
+            jac = newton_jacobian(vm, va, admittance, pq)
+            assert same_bits(jac[pattern], loop_jacobian(vm, va, admittance, pq)[pattern])
+            assert same_bits(jac[~pattern], np.zeros(np.count_nonzero(~pattern)))
+
     def test_given_injections_give_the_same_matrix(self):
         problem, _ = case2_problem()
         pq = problem.pq_indices
@@ -493,6 +509,16 @@ class TestStacks:
             for i in range(s):
                 assert np.array_equal(jac[i], loop_jacobian(vm[i], va[i], admittance, pq))
                 assert same_bits(jac[i], newton_jacobian(vm[i], va[i], admittance, pq))
+
+    @settings(max_examples=60)
+    @given(line_loss_cases(), st.data())
+    def test_stacked_jacobian_is_the_per_state_one_bit_for_bit(self, case, data):
+        net, v_mag, v_angle = case
+        admittance = build_admittance(net, BASE)
+        slack = data.draw(st.integers(0, admittance.n - 1))
+        pq = [i for i in range(admittance.n) if i != slack]
+        alone = [newton_jacobian(vm, va, admittance, pq) for vm, va in zip(v_mag, v_angle)]
+        assert same_bits(newton_jacobian(v_mag, v_angle, admittance, pq), alone)
 
     @given(sparse_stacks())
     def test_stacked_solve_equals_loop_per_slice(self, stack):

@@ -311,6 +311,7 @@ class TestSimulationConfigBounds:
         "changes, message",
         [
             ({"steps": 0}, "steps must be >= 1, got 0"),
+            ({"steps": 87_601}, "steps must be <= 87600, got 87601"),
             ({"start_hour": -1}, "start_hour must be >= 0, got -1"),
             ({"start_hour": 24}, "start_hour must be <= 23, got 24"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
@@ -453,6 +454,64 @@ class TestIntegerDigits:
         assert (err.line, err.column) == (MINIMAL.count("\n", 0, entry.start()) + 1, len(key) + 4)
         assert err.kind is ParseErrorKind.SEMANTIC_CONFLICT
         assert err.message == f"key {key!r} has 5000 digits, too many for an integer"
+
+
+class TestIds:
+    """validate() rejects every id the parser rejects, so a network it accepts reads back."""
+
+    @pytest.mark.parametrize(
+        "load_id, code",
+        [
+            ("House_A1", "invalid_id"),
+            ("x" * 33, "invalid_id"),
+            ("", "invalid_id"),
+            ("a1\n", "invalid_id"),
+            (None, "invalid_id"),
+            ("weather", "reserved_id"),
+            ("network", "reserved_id"),
+        ],
+    )
+    def test_case2_with_a_load_id_the_parser_rejects_fails_validate(self, load_id, code):
+        net = parse_scenario(bundled_scenario_text("case2")).network
+        loads = (dataclasses.replace(net.loads[0], id=load_id),) + net.loads[1:]
+        net = dataclasses.replace(net, loads=loads)
+        assert [(d.code, d.object_id, d.attribute) for d in validate(net)] == [(code, load_id, "id")]
+
+    @given(
+        st.lists(st.from_regex(r"[a-z0-9_]{1,32}", fullmatch=True), min_size=4, max_size=4, unique=True),
+        st.integers(0, 4),
+        st.sampled_from(["weather", "network", "House_A1", "a#1", " a1"]) | st.text(max_size=34),
+    )
+    def test_network_that_validate_accepts_round_trips(self, ids, replaced, other):
+        # Identifiers, one of which (unless replaced is 4) becomes `other`.
+        if replaced < 4:
+            ids[replaced] = other
+        slack, leaf, wire, sink = ids
+        network = Network(
+            buses=(Bus(slack, BusKind.SLACK, 230.0), Bus(leaf, BusKind.PQ, 230.0)),
+            lines=(Line(wire, slack, leaf, 0.01),),
+            loads=(LoadDevice(sink, leaf, 500.0),),
+        )
+        scenario = dataclasses.replace(parse_scenario(MINIMAL), network=network)
+        if validate(network):
+            # emit_scenario refuses the text, or parse_scenario rejects it.
+            with pytest.raises(ValueError):
+                parse_scenario(emit_scenario(scenario))
+        else:
+            assert parse_scenario(emit_scenario(scenario)) == scenario
+
+
+class TestStepsBound:
+    @pytest.mark.parametrize("steps, accepted", [(87_600, True), (87_601, False), (10**30, False)])
+    def test_steps_is_at_most_ten_years_of_hours(self, steps, accepted):
+        text = MINIMAL.replace("steps = 4", f"steps = {steps}")
+        if accepted:
+            assert parse_scenario(text).config.steps == steps
+            return
+        (err,) = errors_of(text)
+        assert (err.line, err.column) == (2, len("steps = ") + 1)
+        assert err.kind is ParseErrorKind.TYPE_MISMATCH
+        assert err.message == f"key 'steps' expects an integer <= 87600, got '{steps}'"
 
 
 class TestLineEnds:
