@@ -81,22 +81,20 @@ _RESULT_DTYPE = np.dtype(
 )
 
 # Bytes of per-step solver state (_step_bytes) that one stack of AC steps may
-# hold.  A stacked Newton-Raphson pivot makes about ten numpy calls whatever
+# hold.  A stack holds up to the budget of steps but solves only its distinct
+# injection rows (solve_steps): 154 of the 336 steps of two weeks of the
+# street.  A stacked Newton-Raphson pivot makes about ten numpy calls whatever
 # the stack's size, so larger stacks pay until those calls stop dominating.
-# From 256 KiB to 1.5 MiB in steps of 256 KiB (BENCH_23.json "sweep", a
-# 2-vCPU Xeon, one BLAS thread), two weeks of the street took 0.052, 0.040,
-# 0.036, 0.036, 0.035 and 0.033 reference-clock s (perfbench street_acpf)
-# and a year 1.75, 1.26, 1.11, 0.97, 0.94 and 0.96 s wall, with peak RSS
-# flat to 1 MiB, then 0.7 and 1.4 MB more.  That sweep predates building the
-# Jacobian on Y's nonzero pattern alone, which made each stacked build
-# cheaper; it has not been repeated since.  At 1 MiB the 17-bus
-# street's 2m x (2m + 1) float64 matrix gives stacks of 124 steps; the
-# 160-bus feeder's (811,536 bytes) keeps one step per stack and the
-# one-system elimination, as any budget below two of them does.  Gauss-Seidel
-# counts its complex voltage row, 16 bytes a bus: 3,855 steps of the street.
-# With level-scheduled sweeps a year of its gs ran in 8.9-11.1 s wall
-# (median 9.2) against 8.3-9.1 s (median 8.8) at 256 KiB, six alternated
-# runs each, and took 1.7 MB more peak RSS: 1 MiB is Newton-Raphson's knee.
+# From 256 KiB to 1.5 MiB in steps of 256 KiB (BENCH_31.json "supplementary",
+# a 2-vCPU Xeon, one BLAS thread), a year of the street took a median 0.94,
+# 0.51, 0.45, 0.41, 0.40 and 0.30 s wall under Newton-Raphson, with peak RSS
+# flat, and 3.50, 3.47, 3.25, 3.25, 3.30 and 3.56 s under Gauss-Seidel, whose
+# sweeps go a level of buses at a time, with 4.8 MB more peak RSS from 1 MiB
+# on.  At 1 MiB the 17-bus street's 2m x (2m + 1) float64 matrix gives stacks
+# of 124 steps; the 160-bus feeder's (811,536 bytes) keeps one step per stack
+# and the one-system elimination, as any budget below two of them does.
+# Gauss-Seidel counts its complex voltage row, 16 bytes a bus: 3,855 steps of
+# the street.  1.5 MiB sits just below two feeder matrices, so it stays 1 MiB.
 STACK_BYTES = 1024 * 1024
 
 

@@ -61,8 +61,9 @@ class PowerFlowProblem:
     p_injection/q_injection have shape (S, n - 1), a vector being one
     step: row s holds step s's injection at each bus of pq_indices, the
     non-slack buses in ascending order (a read-only intp array).  A
-    method's first solve of any step solves them all (solve_steps) and
-    keeps the outcomes, each bit for bit that of the step alone.
+    method's first solve of any step solves each distinct row once
+    (solve_steps) and keeps every step's outcome, each bit for bit that
+    of the step alone.
     """
 
     admittance: AdmittanceMatrix
@@ -348,30 +349,38 @@ def solve_steps(
 ) -> list[PowerFlowSolution | SingularMatrixError]:
     """Power flow from a flat start by `method`, for every step of a problem.
 
-    The steps share one loop.  Each iteration evaluates their mismatches
-    together, applies the stop rule to all of them as one boolean mask,
-    builds a solution for each step that stops, and updates the others;
-    the method picks only the cap, the state, its injections, how it
-    reads as |V| and theta, and the update.  Gauss-Seidel's injections
-    are S = V conj(Y V) of its complex V, which becomes |V| and theta
-    only for the steps that stop.  Either update serves the going steps at once:
+    A step's outcome depends only on Y and its (p, q) row, so the
+    distinct rows, told apart by their bits (-0.0 is not +0.0, and NaNs
+    match bit for bit), share one loop, and each step gets the outcome
+    of its row.  Each iteration evaluates the rows' mismatches together,
+    applies the stop rule to all of them as one boolean mask, builds a
+    solution for each row that stops, and updates the others; the method
+    picks only the cap, the state, its injections, how it reads as |V|
+    and theta, and the update.  Gauss-Seidel's injections are S =
+    V conj(Y V) of its complex V, which becomes |V| and theta only for
+    the rows that stop.  Either update serves the going rows at once:
     Newton-Raphson eliminates their Jacobians as one stack, and a
     Gauss-Seidel sweep updates a whole level of buses, which share no
     line, in all of them with one set of array operations.  The levels
     are found once per call (_gauss_seidel_levels), and a sweep that
     could differ from one in bus order is done again in bus order
-    (_gauss_seidel_sweeps).  A step that stops unconverged gets its worst
+    (_gauss_seidel_sweeps).  A row that stops unconverged gets its worst
     bus (_worst_bus) from the mismatch that stopped it.  Each step's
     solution is bit for bit the one it gets alone, and a Gauss-Seidel
-    one that of the scalar per-bus loop.  A step whose Jacobian
-    is singular gets its SingularMatrixError in place of a solution, and
-    the other steps go on; a zero Gauss-Seidel diagonal is every step's
-    error.  numpy's overflow and invalid-value warnings are silenced: the
-    solutions report them.
+    one that of the scalar per-bus loop.  A row whose Jacobian is
+    singular gets its SingularMatrixError, and the other rows go on; a
+    zero Gauss-Seidel diagonal is every step's error.  numpy's overflow
+    and invalid-value warnings are silenced: the solutions report them.
     """
     admittance, slack, pq = problem.admittance, problem.slack_index, problem.pq_indices
-    p_spec, q_spec = problem.p_injection, problem.q_injection
-    shape = (len(problem), admittance.n)
+    # The distinct rows of p||q's bits in the order of their first steps, and each step's row.
+    spec = np.concatenate([problem.p_injection, problem.q_injection], axis=1)
+    keys = np.ndarray(len(spec), (np.void, spec.itemsize * spec.shape[1]), spec)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first_steps = np.sort(first)
+    step_rows = np.searchsorted(first_steps, first[inverse.ravel()]).tolist()
+    p_spec, q_spec = problem.p_injection[first_steps], problem.q_injection[first_steps]
+    shape = (len(first_steps), admittance.n)
     if method == METHOD_NEWTON_RAPHSON:
         cap = NR_MAX_ITERATIONS
         state = (np.ones(shape), np.zeros(shape))
@@ -396,7 +405,7 @@ def solve_steps(
             [slice(r, r + 1) for r in np.argsort(order).tolist()],
         )
         # Complex V, and S* at the PQ buses in row order, (S, m) held
-        # bus-major as the sweeps read it (until steps stop and it is cut).
+        # bus-major as the sweeps read it (until rows stop and it is cut).
         state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec).T[order].T)
         injections = lambda v, _: _injections(v, y)
         # np.arctan2 gives the bits of np.angle with less overhead.
@@ -404,15 +413,15 @@ def solve_steps(
         update = partial(_gauss_seidel_sweeps, y, buses, diagonal[order][:, None], schedules, {})
     else:
         raise ValueError(f"unknown solver method {method!r}")
-    outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(problem)
-    steps = np.arange(len(problem))
-    # The steps whose Jacobian the last update found singular: they keep their error.
-    singular = np.zeros(len(problem), dtype=bool)
+    outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(first_steps)
+    rows = np.arange(len(first_steps))
+    # The rows whose Jacobian the last update found singular: they keep their error.
+    singular = np.zeros(len(first_steps), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in count():
             p_calc, q_calc = injections(*state)
             mismatch, worst = _mismatch(p_spec, q_spec, p_calc, q_calc, pq)
-            # The stop rule, negated: a step goes on while its mismatch is
+            # The stop rule, negated: a row goes on while its mismatch is
             # finite and above TOLERANCE and the cap is not reached.
             going = (worst > TOLERANCE) & np.isfinite(worst) & (it < cap) & ~singular
             if not going.all():
@@ -420,7 +429,7 @@ def solve_steps(
                 stop = np.flatnonzero(~(going | singular))
                 for i, v_mag, v_angle in zip(stop.tolist(), *polar(*(arr[stop] for arr in state))):
                     ok = bool(converged[i])
-                    outcomes[steps[i]] = PowerFlowSolution(
+                    outcomes[rows[i]] = PowerFlowSolution(
                         v_mag=v_mag,
                         v_angle=v_angle,
                         iterations=it,
@@ -430,15 +439,15 @@ def solve_steps(
                         worst_bus=None if ok else _worst_bus(mismatch[i], p_spec[i], q_spec[i], pq),
                     )
                 if not going.any():
-                    return outcomes
-                steps = steps[going]
+                    return [outcomes[row] for row in step_rows]
+                rows = rows[going]
                 state = tuple(arr[going] for arr in state)
                 p_spec, q_spec, mismatch, p_calc, q_calc = (
                     arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
                 )
-                singular = np.zeros(len(steps), dtype=bool)
+                singular = np.zeros(len(rows), dtype=bool)
             for i, error in update(state, mismatch, (p_calc, q_calc)):
-                outcomes[steps[i]] = error
+                outcomes[rows[i]] = error
                 singular[i] = True
 
 

@@ -697,6 +697,91 @@ class TestStacks:
                         assert not math.isfinite(expected.max_mismatch)
                         assert expected.iterations == i
 
+    @pytest.mark.parametrize("method", ["acpf", "gs"])
+    def test_repeated_rows_get_the_outcome_of_the_step_alone(self, monkeypatch, method):
+        # The 3-bus Y of test_singular_step_does_not_stop_the_others, whose
+        # Jacobians are all singular.  Steps 5-8 repeat steps 0-2 and 4;
+        # step 3 is step 0 with a -0.0, and step 9 is step 4 with the sign
+        # bit of its NaN set, so each of those two is a row of its own.
+        monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 200)
+        y = np.zeros((3, 3), dtype=complex)
+        for i, g in ((1, 5e-13), (2, 100.0)):
+            y[[0, i], [0, i]] += g
+            y[[0, i], [i, 0]] -= g
+        nan, inf = np.nan, np.inf
+        p = np.array(
+            [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [-0.0, 0.0], [nan, inf],
+             [0.1, 0.0], [0.0, 0.0], [nan, inf], [0.0, 0.1], [-nan, inf]]
+        )
+        q = np.zeros_like(p)
+        stack = PowerFlowProblem(AdmittanceMatrix(y), 0, p, q)
+        outcomes = stack.outcomes(method)
+        for s, repeat in ((0, 6), (1, 5), (2, 8), (4, 7)):
+            assert outcomes[s] is outcomes[repeat]
+        assert outcomes[0] is not outcomes[3] and outcomes[4] is not outcomes[9]
+        singular = {1, 2, 5, 8} if method == "acpf" else set()
+        for s in range(len(p)):
+            alone = PowerFlowProblem(stack.admittance, 0, p[s], q[s])
+            if s in singular:
+                for problem, step in ((stack, s), (alone, 0)):
+                    with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
+                        solve_newton_raphson(problem, step)
+            elif method == "acpf":
+                assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = loop_gauss_seidel(alone)
+                assert_same_bits(solve_gauss_seidel(stack, s), expected)
+
+    def test_stack_iterates_only_its_distinct_rows(self, monkeypatch):
+        # Six steps, three distinct rows: the first Jacobian stack and the
+        # first sweep are of all three rows, and none is of more.
+        base = problem_for(make_radial_network(random.Random(71), 6))
+        scales = np.array([0.5, 1.0, 0.5, 2.0, 1.0, 0.5])
+        p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
+        stack = PowerFlowProblem(base.admittance, base.slack_index, p, q)
+        sizes = {"acpf": [], "gs": []}
+        jacobian, sweeps = powerflow.newton_jacobian, powerflow._gauss_seidel_sweeps
+        monkeypatch.setattr(
+            powerflow,
+            "newton_jacobian",
+            lambda v_mag, *args: sizes["acpf"].append(len(v_mag)) or jacobian(v_mag, *args),
+        )
+        monkeypatch.setattr(
+            powerflow,
+            "_gauss_seidel_sweeps",
+            lambda *args: sizes["gs"].append(len(args[5][0])) or sweeps(*args),
+        )
+        for method in ("acpf", "gs"):
+            stack.outcomes(method)
+            assert sizes[method][0] == 3 and max(sizes[method]) == 3
+        for s in range(len(scales)):
+            alone = replace(base, p_injection=p[s], q_injection=q[s])
+            assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
+            assert_same_bits(solve_gauss_seidel(stack, s), loop_gauss_seidel(alone))
+
+    @given(
+        net=radial_feeders(),
+        pool=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 40.0), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=25)
+    def test_steps_drawn_from_few_rows_as_if_alone(self, net, pool, data):
+        # Steps repeat the rows of at most three load scales, so a stack
+        # solves fewer rows than it has steps; each step must equal its
+        # solve alone, by Newton-Raphson or the per-bus Gauss-Seidel loop.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(powerflow, "GS_MAX_ITERATIONS", 200)
+            base = problem_for(net)
+            picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=8))
+            scales = np.array(pool)[picks]
+            p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
+            stack = PowerFlowProblem(base.admittance, base.slack_index, p, q)
+            for s in range(len(scales)):
+                alone = replace(base, p_injection=p[s], q_injection=q[s])
+                assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
+                assert_same_bits(solve_gauss_seidel(stack, s), loop_gauss_seidel(alone))
+
     def test_stack_is_solved_once_and_gauss_seidel_alone(self, monkeypatch):
         net = make_radial_network(random.Random(71), 6)
         base = problem_for(net)
