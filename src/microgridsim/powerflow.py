@@ -35,10 +35,6 @@ GS_MAX_ITERATIONS = 5000
 METHOD_NEWTON_RAPHSON = "acpf"
 METHOD_GAUSS_SEIDEL = "gs"
 
-# The bits of float +inf as uint64: below them are +0.0 and the positive finite floats.
-_INF_BITS = np.float64(np.inf).view(np.uint64)
-
-
 class SingularMatrixError(RuntimeError):
     """Linear system (or GS diagonal) singular to working precision; pivot is its index, if any."""
 
@@ -344,6 +340,7 @@ def _worst_bus(
     return int(pq[np.argmax(worst)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_steps(
     problem: PowerFlowProblem, method: str
 ) -> list[PowerFlowSolution | SingularMatrixError]:
@@ -362,12 +359,12 @@ def solve_steps(
     Newton-Raphson eliminates their Jacobians as one stack, and a
     Gauss-Seidel sweep updates a whole level of buses, which share no
     line, in all of them with one set of array operations.  The levels
-    are found once per call (_gauss_seidel_levels), and a sweep that
-    could differ from one in bus order is done again in bus order
-    (_gauss_seidel_sweeps).  A row that stops unconverged gets its worst
-    bus (_worst_bus) from the mismatch that stopped it.  Each step's
-    solution is bit for bit the one it gets alone, and a Gauss-Seidel
-    one that of the scalar per-bus loop.  A row whose Jacobian is
+    are found once per call (_gauss_seidel_levels), and their order
+    defines a sweep (_gauss_seidel_sweeps).  A row that stops unconverged
+    gets its worst bus (_worst_bus) from the mismatch that stopped it.
+    Each step's solution is bit for bit the one it gets alone, and a
+    Gauss-Seidel one that of the scalar per-bus loop while its V stays
+    finite with real parts >= +0.  A row whose Jacobian is
     singular gets its SingularMatrixError, and the other rows go on; a
     zero Gauss-Seidel diagonal is every step's error.  numpy's overflow
     and invalid-value warnings are silenced: the solutions report them.
@@ -400,55 +397,51 @@ def solve_steps(
         order = np.argsort(level, kind="stable")
         buses = pq[order]
         bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
-        schedules = (
-            [slice(a, b) for a, b in zip(bounds, bounds[1:])],
-            [slice(r, r + 1) for r in np.argsort(order).tolist()],
-        )
+        levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         # Complex V, and S* at the PQ buses in row order, (S, m) held
         # bus-major as the sweeps read it (until rows stop and it is cut).
         state = (np.ones(shape, dtype=complex), np.conj(p_spec + 1j * q_spec).T[order].T)
         injections = lambda v, _: _injections(v, y)
         # np.arctan2 gives the bits of np.angle with less overhead.
         polar = lambda v, _: (np.abs(v), np.arctan2(v.imag, v.real))
-        update = partial(_gauss_seidel_sweeps, y, buses, diagonal[order][:, None], schedules, {})
+        update = partial(_gauss_seidel_sweeps, y, buses, diagonal[order][:, None], levels, {})
     else:
         raise ValueError(f"unknown solver method {method!r}")
     outcomes: list[PowerFlowSolution | SingularMatrixError | None] = [None] * len(first_steps)
     rows = np.arange(len(first_steps))
     # The rows whose Jacobian the last update found singular: they keep their error.
     singular = np.zeros(len(first_steps), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in count():
-            p_calc, q_calc = injections(*state)
-            mismatch, worst = _mismatch(p_spec, q_spec, p_calc, q_calc, pq)
-            # The stop rule, negated: a row goes on while its mismatch is
-            # finite and above TOLERANCE and the cap is not reached.
-            going = (worst > TOLERANCE) & np.isfinite(worst) & (it < cap) & ~singular
-            if not going.all():
-                converged = worst <= TOLERANCE
-                stop = np.flatnonzero(~(going | singular))
-                for i, v_mag, v_angle in zip(stop.tolist(), *polar(*(arr[stop] for arr in state))):
-                    ok = bool(converged[i])
-                    outcomes[rows[i]] = PowerFlowSolution(
-                        v_mag=v_mag,
-                        v_angle=v_angle,
-                        iterations=it,
-                        max_mismatch=float(worst[i]),
-                        slack_injection=(float(p_calc[i, slack]), float(q_calc[i, slack])),
-                        converged=ok,
-                        worst_bus=None if ok else _worst_bus(mismatch[i], p_spec[i], q_spec[i], pq),
-                    )
-                if not going.any():
-                    return [outcomes[row] for row in step_rows]
-                rows = rows[going]
-                state = tuple(arr[going] for arr in state)
-                p_spec, q_spec, mismatch, p_calc, q_calc = (
-                    arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
+    for it in count():
+        p_calc, q_calc = injections(*state)
+        mismatch, worst = _mismatch(p_spec, q_spec, p_calc, q_calc, pq)
+        # The stop rule, negated: a row goes on while its mismatch is
+        # finite and above TOLERANCE and the cap is not reached.
+        going = (worst > TOLERANCE) & np.isfinite(worst) & (it < cap) & ~singular
+        if not going.all():
+            converged = worst <= TOLERANCE
+            stop = np.flatnonzero(~(going | singular))
+            for i, v_mag, v_angle in zip(stop.tolist(), *polar(*(arr[stop] for arr in state))):
+                ok = bool(converged[i])
+                outcomes[rows[i]] = PowerFlowSolution(
+                    v_mag=v_mag,
+                    v_angle=v_angle,
+                    iterations=it,
+                    max_mismatch=float(worst[i]),
+                    slack_injection=(float(p_calc[i, slack]), float(q_calc[i, slack])),
+                    converged=ok,
+                    worst_bus=None if ok else _worst_bus(mismatch[i], p_spec[i], q_spec[i], pq),
                 )
-                singular = np.zeros(len(rows), dtype=bool)
-            for i, error in update(state, mismatch, (p_calc, q_calc)):
-                outcomes[rows[i]] = error
-                singular[i] = True
+            if not going.any():
+                return [outcomes[row] for row in step_rows]
+            rows = rows[going]
+            state = tuple(arr[going] for arr in state)
+            p_spec, q_spec, mismatch, p_calc, q_calc = (
+                arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
+            )
+            singular = np.zeros(len(rows), dtype=bool)
+        for i, error in update(state, mismatch, (p_calc, q_calc)):
+            outcomes[rows[i]] = error
+            singular[i] = True
 
 
 def _newton_step(
@@ -497,34 +490,29 @@ def _gauss_seidel_levels(y: np.ndarray, pq: np.ndarray) -> np.ndarray:
 
 
 def _gauss_seidel_sweeps(
-    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, schedules: tuple[list, list], plans: dict,
+    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, levels: list[slice], plans: dict,
     state: tuple, mismatch: np.ndarray, injections: tuple,
 ) -> tuple[()]:
     """One Gauss-Seidel sweep of every (V, S*) state of a stack at once, in place.
 
-    Update per PQ bus, in bus order: V_i <- (S_i*/V_i* - sum_{k != i}
-    Y_ik V_k) / Y_ii.  V_i changes only at bus i's own update, so at bus
-    i's turn Y_ii V_i and S_i*/V_i* are what they were at the sweep's
-    start.  They are taken there, for every PQ bus of every step, into
+    Update per PQ bus: V_i <- (S_i*/V_i* - sum_{k != i} Y_ik V_k) / Y_ii,
+    one level of buses at a time, lowest first (_gauss_seidel_level).
+    V_i changes only at bus i's own update, so Y_ii V_i and S_i*/V_i* are
+    taken at the sweep's start, for every PQ bus of every step, into
     bus-major (m, S) arrays whose row r serves PQ bus buses[r], with the
     buses in level order (_gauss_seidel_levels); y_ii holds Y_ii per
     row, (m, 1), and S* in the state's columns comes in row order too.
-    Each schedule is a list of row slices, one per level: the levels,
-    then one bus per level in bus order.  plans keeps the buffers and
+    levels holds each level's slice of rows, and plans the buffers and
     views of the last stack size swept (_gauss_seidel_plan).
 
-    The levels are updated one at a time (_gauss_seidel_level).  A bus
-    reads each neighbour's V in the version that bus order gives it: an
-    earlier neighbour's new V, a later one's old V.  A non-neighbour k
-    may be read in the other version, but its term Y_ik V_k is a zero.
-    For finite V it is a signed zero whose sign is that of a part of
-    V_k, and a zero changes a sum only where the sum is zero, and then
-    only its sign.  So the sweep is the bus-order sweep bit for bit
-    unless it flips the sign bit of a part of V at some PQ bus, or
-    leaves one that is not finite.  Then it is done again from its start
-    state by the second schedule: the same loop, in bus order.  Each
-    step gets the bits of the scalar update
-    ``(s / conj(v_i) - (y[i].dot(v) - y_ii * v_i)) / y_ii``:
+    The level order defines the sweep.  A bus reads each neighbour's V
+    in the version that bus order gives it: an earlier neighbour's new V,
+    a later one's old V.  A non-neighbour k may be read in the other
+    version, but while every PQ bus's V is finite with a real part >= +0,
+    Y_ik V_k is (+0, +0) in either version.  So the sweep equals the
+    bus-order sweep bit for bit there; past it, a zero's sign or the
+    spread of a NaN may differ.  Each bus gets the bits of the scalar
+    update ``(s / conj(v_i) - (y[i].dot(v) - y_ii * v_i)) / y_ii``:
 
     - the row sum is each step's own dense BLAS dot, taken by matmul of
       row i by the step's column, as ``y[i].dot(v)`` takes it; summing
@@ -544,44 +532,34 @@ def _gauss_seidel_sweeps(
     fresh = len(v) not in plans
     if fresh:
         plans.clear()
-        plans[len(v)] = _gauss_seidel_plan(y, buses, y_ii, schedules, len(v))
+        plans[len(v)] = _gauss_seidel_plan(y, buses, y_ii, levels, len(v))
     # The stack is cut only when steps stop, so while its size holds, V at
     # the PQ buses is the last sweep's new V, in this sweep's start.
     start, y_v, s_v, product, plan = next(plans[len(v)])
     if fresh:
         # (take with mode "raise" would fill a copy of out and then copy it.)
         np.take(v.T, buses, axis=0, out=start, mode="clip")
-    for levels in plan:
-        # From V: Y_ii V_i, then V*, then S*/V*.
-        np.multiply(y_re, start.real, out=y_v.real)
-        np.multiply(y_im, start.imag, out=product)
-        np.subtract(y_v.real, product, out=y_v.real)
-        np.multiply(y_re, start.imag, out=y_v.imag)
-        np.multiply(y_im, start.real, out=product)
-        np.add(y_v.imag, product, out=y_v.imag)
-        np.conjugate(start, out=s_v)
-        np.divide(s_conj.T, s_v, out=s_v)
-        _gauss_seidel_level(v, levels)
-        # y_v now holds the new V.  A product's sign bit is the XOR of its
-        # factors' (IEEE 754), and a product with a factor that is not
-        # finite is not finite either.  So a start part times its new part
-        # is below +inf as uint64 bits unless the sign flipped or the new
-        # part is not finite; one that overflows only redoes the sweep.
-        signs = np.multiply(start.view(float), y_v.view(float), out=s_v.view(float))
-        if len(levels) == buses.size or signs.view(np.uint64).max(initial=0) < _INF_BITS:
-            return ()
-        v.T[buses] = start
+    # From V: Y_ii V_i, then V*, then S*/V*.
+    np.multiply(y_re, start.real, out=y_v.real)
+    np.multiply(y_im, start.imag, out=product)
+    np.subtract(y_v.real, product, out=y_v.real)
+    np.multiply(y_re, start.imag, out=y_v.imag)
+    np.multiply(y_im, start.real, out=product)
+    np.add(y_v.imag, product, out=y_v.imag)
+    np.conjugate(start, out=s_v)
+    np.divide(s_conj.T, s_v, out=s_v)
+    _gauss_seidel_level(v, plan)
     return ()
 
 
 def _gauss_seidel_plan(
-    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, schedules: tuple[list, list], steps: int
+    y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, levels: list[slice], steps: int
 ) -> Iterator[tuple]:
-    """The buffers of sweeps of `steps` steps, and each schedule's levels as views of them.
+    """The buffers of sweeps of `steps` steps, and each level as views of them.
 
     Yields (start, y_v, s_v, product, plan) without end: bus-major
-    (m, steps) arrays, complex but for product, and for each schedule a
-    list of levels, (y_v rows, s_v rows, dots as (l, steps) and as
+    (m, steps) arrays, complex but for product, and plan, a list of one
+    tuple per level: (y_v rows, s_v rows, dots as (l, steps) and as
     (l, steps, 1, 1), buses, Y rows as (l, 1, 1, n), Y_ii rows).  Two
     buffers take turns as start and y_v, so each sweep's start is the
     last sweep's y_v.  They are made once per stack size: fresh ones each
@@ -590,22 +568,21 @@ def _gauss_seidel_plan(
     """
     start, y_v, s_v = np.empty((3, buses.size, steps), dtype=complex)
     product = np.empty(y_v.shape)
-    widest = max((rows.stop - rows.start for rows in schedules[0]), default=0)
+    widest = max((rows.stop - rows.start for rows in levels), default=0)
     dots = np.empty(widest * steps, dtype=complex)
 
-    def views(y_v: np.ndarray) -> list[list[tuple]]:
-        def level(rows: slice) -> tuple:
-            out, idx = y_v[rows], buses[rows]
-            dot = dots[: out.size].reshape(out.shape)
-            return out, s_v[rows], dot, dot.reshape(*out.shape, 1, 1), idx, y[idx, None, None], y_ii[rows]
+    def level(y_v: np.ndarray, rows: slice) -> tuple:
+        out, idx = y_v[rows], buses[rows]
+        dot = dots[: out.size].reshape(out.shape)
+        return out, s_v[rows], dot, dot.reshape(*out.shape, 1, 1), idx, y[idx, None, None], y_ii[rows]
 
-        return [[level(rows) for rows in schedule] for schedule in schedules]
-
-    return cycle([(start, y_v, s_v, product, views(y_v)), (y_v, start, s_v, product, views(start))])
+    return cycle(
+        (a, b, s_v, product, [level(b, rows) for rows in levels]) for a, b in ((start, y_v), (y_v, start))
+    )
 
 
 def _gauss_seidel_level(v: np.ndarray, levels: list[tuple]) -> None:
-    """The Gauss-Seidel update of each level of a _gauss_seidel_plan schedule in turn, in place.
+    """The Gauss-Seidel update of each level of a sweep's plan in turn, in place.
 
     One matmul takes every bus's dot with every step's column of V, two
     subtractions and a division by Y_ii turn the level's rows of y_v

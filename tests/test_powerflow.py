@@ -18,6 +18,7 @@ from microgridsim import (
     Line,
     LoadDevice,
     Network,
+    NonConvergenceError,
     PowerFlowProblem,
     SingularMatrixError,
     SolverOptions,
@@ -888,6 +889,22 @@ class TestGaussSeidel:
             with pytest.raises(SingularMatrixError, match="^zero admittance diagonal at bus index 1$"):
                 solve_gauss_seidel(stack, s)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_var_load_in_a_stack_warns_nothing(self):
+        # S* of q = -inf has a 0 * inf real part: it is formed, like the
+        # rest of the loop, with numpy's invalid-value warning silenced.
+        base = problem_for(make_radial_network(random.Random(71), 6))
+        p = np.repeat(base.p_injection, 2, axis=0)
+        q = np.repeat(base.q_injection, 2, axis=0)
+        q[1, 2] = -np.inf
+        outcomes = PowerFlowProblem(base.admittance, base.slack_index, p, q).outcomes("gs")
+        assert outcomes[0].converged
+        assert (outcomes[1].iterations, outcomes[1].worst_bus) == (0, base.pq_indices[2])
+        for s in range(2):
+            with np.errstate(invalid="ignore"):
+                expected = loop_gauss_seidel(replace(base, p_injection=p[s], q_injection=q[s]))
+            assert_same_bits(outcomes[s], expected)
+
     def test_iteration_cap_returns_non_converged(self, monkeypatch):
         monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 3)
         problem, _ = case2_problem()
@@ -930,7 +947,7 @@ class TestGaussSeidel:
 
 
 def redo_counterexample() -> PowerFlowProblem:
-    """Five buses, bus 0 the slack, where a level sweep must be done again in bus order.
+    """Five buses, bus 0 the slack, where the level sweep and the bus-order sweep part.
 
     Buses 1 and 2 share level 0, and bus 2 reads bus 1's V through a zero
     term.  Bus 1 hangs off the slack by a tiny admittance and carries a
@@ -960,7 +977,11 @@ def assert_steps_match_loop(base: PowerFlowProblem, scales) -> None:
 
 
 class TestGaussSeidelLevels:
-    """A sweep updates one level of PQ buses at once, bit for bit as in bus order."""
+    """A sweep updates one level of PQ buses at once.
+
+    The level order defines the sweep.  It equals the bus-order sweep bit
+    for bit while every PQ bus's V is finite with a real part >= +0.
+    """
 
     @given(net=meshed_networks())
     def test_neighbours_sit_in_different_levels(self, net):
@@ -1008,7 +1029,7 @@ class TestGaussSeidelLevels:
             assert (base.p_injection == 0).sum() >= n_buses // 2
             assert_steps_match_loop(base, [1.0, 2.0])
 
-    def test_a_sweep_that_leaves_v_not_finite_is_done_again_in_bus_order(self, monkeypatch):
+    def test_the_level_order_defines_a_sweep_that_leaves_v_not_finite(self, monkeypatch):
         problem = redo_counterexample()
         level = powerflow._gauss_seidel_levels(problem.admittance.y, problem.pq_indices)
         assert level.tolist() == [0, 0, 1, 2]
@@ -1017,18 +1038,42 @@ class TestGaussSeidelLevels:
 
         def spy(v, levels):
             real(v, levels)
-            calls.append((len(levels), np.abs(v[0])))
+            calls.append(len(levels))
 
         monkeypatch.setattr(powerflow, "_gauss_seidel_level", spy)
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_gauss_seidel(problem)
             expected = loop_gauss_seidel(problem)
-        # By levels, bus 2 is finite; in bus order, it is not.
-        assert [n for n, _ in calls] == [3, 4]
-        assert np.isinf(calls[0][1][1]) and calls[0][1][2] == pytest.approx(0.99989655)
-        assert np.isinf(sol.v_mag[1]) and np.isnan(sol.v_mag[2:]).all()
-        assert sol.iterations == 1
-        assert_same_bits(sol, expected)
+        # One pass over the three levels: bus 2, swept with bus 1, reads
+        # bus 1's old V and stays finite, where in bus order it is NaN.
+        assert calls == [3]
+        assert sol.iterations == 1 and not sol.converged and sol.worst_bus == 1
+        assert sol.v_mag[[0, 2]].tolist() == [1.0, pytest.approx(0.99989655)]
+        assert np.isinf(sol.v_mag[1]) and np.isnan(sol.v_mag[3:]).all()
+        assert np.isnan(expected.v_mag[2])
+        assert (sol.iterations, sol.converged, sol.worst_bus) == (
+            expected.iterations, expected.converged, expected.worst_bus
+        )
+        assert str(NonConvergenceError(0, sol, "b1")) == str(NonConvergenceError(0, expected, "b1"))
+
+    def test_sweeps_that_flip_an_imaginary_sign_match_bus_order(self, monkeypatch):
+        # A reactive feeder whose angles cross zero: the sweeps in which the
+        # sign of an imaginary part of V changes are the ones that a zero
+        # term read in the other version could change.  Each step must
+        # still equal the per-bus loop bit for bit.
+        flips = []
+        real = powerflow._gauss_seidel_level
+
+        def spy(v, levels):
+            before = np.signbit(v.imag)
+            real(v, levels)
+            flips.append(bool((np.signbit(v.imag) != before).any()))
+
+        monkeypatch.setattr(powerflow, "_gauss_seidel_level", spy)
+        base = problem_for(random_reactive_network(random.Random(4), 10))
+        assert_steps_match_loop(base, [0.5, 1.0, 2.0])
+        # Past the flat start's first sweep, too.
+        assert any(flips[1:])
 
     def test_large_random_feeder_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(powerflow, "GS_MAX_ITERATIONS", 30)
