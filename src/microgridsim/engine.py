@@ -81,20 +81,13 @@ _RESULT_DTYPE = np.dtype(
 )
 
 # Bytes of per-step solver state (_step_bytes) that one stack of AC steps may
-# hold.  A stack holds up to the budget of steps but solves only its distinct
-# injection rows (solve_steps): 154 of the 336 steps of two weeks of the
-# street.  A stacked Newton-Raphson pivot makes about ten numpy calls whatever
-# the stack's size, so larger stacks pay until those calls stop dominating.
-# From 256 KiB to 1.5 MiB in steps of 256 KiB (BENCH_31.json "supplementary",
-# a 2-vCPU Xeon, one BLAS thread), a year of the street took a median 0.94,
-# 0.51, 0.45, 0.41, 0.40 and 0.30 s wall under Newton-Raphson, with peak RSS
-# flat, and 3.50, 3.47, 3.25, 3.25, 3.30 and 3.56 s under Gauss-Seidel, whose
-# sweeps go a level of buses at a time, with 4.8 MB more peak RSS from 1 MiB
-# on.  At 1 MiB the 17-bus street's 2m x (2m + 1) float64 matrix gives stacks
-# of 124 steps; the 160-bus feeder's (811,536 bytes) keeps one step per stack
-# and the one-system elimination, as any budget below two of them does.
-# Gauss-Seidel counts its complex voltage row, 16 bytes a bus: 3,855 steps of
-# the street.  1.5 MiB sits just below two feeder matrices, so it stays 1 MiB.
+# hold: Newton-Raphson's 2m x (2m + 1) float64 matrix (124 steps of the 17-bus
+# street), or Gauss-Seidel's voltage row, 16 bytes a bus (3,855 steps).  From
+# 256 KiB to 1.5 MiB, a street year under Newton-Raphson took a median 0.72,
+# 0.45, 0.35, 0.28, 0.28 and 0.25 s wall, peak RSS flat (BENCH_33.json
+# "supplementary"); Gauss-Seidel gained nothing and took 4.8 MB more from 1 MiB
+# on (BENCH_31.json).  1.5 MiB is just below two 160-bus feeder matrices, which
+# keep one step per stack and the one-system elimination: it stays 1 MiB.
 STACK_BYTES = 1024 * 1024
 
 

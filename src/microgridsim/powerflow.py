@@ -14,10 +14,15 @@ mismatch is not finite.  So their results are directly comparable.  A
 step that stops unconverged names the PQ bus with its worst final
 mismatch.  The tolerance and the caps are module constants, read when a
 method first solves a problem's steps.
+
+What depends on Y alone is kept per AdmittanceMatrix while it lives
+(_PLANS): its PQ block's nonzero pairs, and the record of the flat start
+Jacobian's elimination, which solves every first Newton-Raphson update.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, cycle
@@ -34,6 +39,10 @@ GS_MAX_ITERATIONS = 5000
 # The solver names of the .mgs format and the CLI.
 METHOD_NEWTON_RAPHSON = "acpf"
 METHOD_GAUSS_SEIDEL = "gs"
+
+# Per admittance matrix: Y's PQ pattern by the PQ indices' bytes, J0's record by slack.
+_PLANS: weakref.WeakKeyDictionary[AdmittanceMatrix, dict] = weakref.WeakKeyDictionary()
+
 
 class SingularMatrixError(RuntimeError):
     """Linear system (or GS diagonal) singular to working precision; pivot is its index, if any."""
@@ -156,7 +165,8 @@ def newton_jacobian(
     The polar formulas are evaluated only at the off-diagonal pairs
     where Y's PQ block is nonzero, as (..., nnz) arrays scattered into a
     zeroed stack: a radial feeder has about three nonzeros a row (the
-    sparsity of Tinney & Hart, IEEE Trans. PAS-86(11), 1967).  Each such
+    sparsity of Tinney & Hart, IEEE Trans. PAS-86(11), 1967), found once
+    per admittance matrix and PQ indices (_PLANS).  Each such
     entry, and each diagonal one, is evaluated in the operation order of
     an element-by-element loop over (i, k), so it is bitwise equal to
     that loop's (tests keep the loop as the oracle).  Every other entry
@@ -177,10 +187,13 @@ def newton_jacobian(
     p, q = injections
     vm = np.asarray(v_mag, dtype=float)[..., pq]
     va = np.asarray(v_angle, dtype=float)[..., pq]
-    y = admittance.y[np.ix_(pq, pq)]
     m = len(pq)
-    i, k = np.nonzero((y != 0) & ~np.eye(m, dtype=bool))
-    g, b = y.real[i, k], y.imag[i, k]
+    plan = _PLANS.setdefault(admittance, {})
+    if (key := pq.tobytes()) not in plan:
+        y = admittance.y[np.ix_(pq, pq)]
+        i, k = np.nonzero((y != 0) & ~np.eye(m, dtype=bool))
+        plan[key] = i, k, y.real[i, k], y.imag[i, k], y.real.diagonal().copy(), y.imag.diagonal().copy()
+    i, k, g, b, g_ii, b_ii = plan[key]
     t = va[..., i] - va[..., k]
     cos_t, sin_t = np.cos(t), np.sin(t)
     vm_i = vm[..., i]
@@ -194,7 +207,7 @@ def newton_jacobian(
     jac[..., m + i, m + k] = vm_i * gs_bc
 
     d = np.arange(m)
-    g_ii, b_ii, p_i, q_i = y.real[d, d], y.imag[d, d], p[..., pq], q[..., pq]
+    p_i, q_i = p[..., pq], q[..., pq]
     vm_sq = np.float_power(vm, 2)
     jac[..., d, d] = -q_i - b_ii * vm_sq
     jac[..., d, m + d] = p_i / vm + g_ii * vm
@@ -203,15 +216,16 @@ def newton_jacobian(
     return jac
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_linear(a: np.ndarray, b: np.ndarray, errors: list | None = None) -> np.ndarray:
     """Solve a dense real system by Gaussian elimination with partial pivoting.
 
     a is (n, n) and b (n,), or a stack of S systems, a (S, n, n) and
     b (S, n).  A system is singular when its best available pivot falls
     below 1e-12 in magnitude.  Alone, it raises SingularMatrixError; in a
-    stack, its solution comes back as NaN and the other systems are
-    solved.  Each other system's solution equals the one it gets alone,
-    value for value: a zero in it may differ in sign.
+    stack, its solution comes back as NaN, (its index, the error it
+    raises alone) is appended to errors if given, and the other systems
+    are solved.  Each other system's solution equals the one it gets
+    alone, value for value: a zero in it may differ in sign.
 
     b rides along as column n of one working copy, so a row swap and an
     update cover both.  Each pivot updates only the rows below it whose
@@ -240,30 +254,53 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(small | np.isnan(x).any(axis=1)).tolist():
         try:
             x[i] = _eliminate(a[i], b[i])
-        except SingularMatrixError:
+        except SingularMatrixError as exc:
             x[i] = np.nan
+            if errors is not None:
+                errors.append((i, exc))
     return x
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_linear for one system."""
+def _eliminate(a: np.ndarray, b: np.ndarray, record: list | None = None) -> np.ndarray:
+    """solve_linear for one system.
+
+    record, if given, gets each pivot's (row, rows it updates, their
+    (rows, 1) factors, U's row from the diagonal on) in b's numbering.
+    """
     n = a.shape[0]
-    ab = np.hstack([a, b[:, None]])
+    ab, where = np.hstack([a, b[:, None]]), np.arange(n)
     for k in range(n):
         pivot_row = int(np.abs(ab[k:, k]).argmax()) + k
         if abs(ab[pivot_row, k]) < 1e-12:
             raise SingularMatrixError(f"pivot {k} below 1e-12", k)
         if pivot_row != k:
             ab[[k, pivot_row]] = ab[[pivot_row, k]]
-        col = ab[k + 1 :, k]
-        rows = col.nonzero()[0]
-        if rows.size:
-            factors = col[rows] / ab[k, k]
-            ab[rows + (k + 1), k + 1 :] -= factors[:, None] * ab[k, k + 1 :]
+            where[k], where[pivot_row] = where[pivot_row], where[k]
+        rows = ab[k + 1 :, k].nonzero()[0] + (k + 1)
+        factors = ab[rows, k, None] / ab[k, k]
+        ab[rows, k + 1 :] -= factors * ab[k, k + 1 :]
+        if record is not None:
+            record.append((where[k], where[rows], factors, ab[k, k:n].copy()))
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
         x[k] = (ab[k, n] - ab[k, k + 1 : n] @ x[k + 1 :]) / ab[k, k]
     return x
+
+
+def _replay(record: list, b: np.ndarray) -> np.ndarray:
+    """_eliminate(a, b[s]) for each row of b (S, n), bit for bit, from its record of a.
+
+    Each pivot's ``b[r] -= f[r] * b[k]`` is what _eliminate does to the b
+    riding along with a, on (n, S) rows that stay where they are; the back
+    substitution takes each system's own BLAS dot, as _eliminate_stack does.
+    """
+    c = b.T.copy()
+    for row, rows, factors, _ in record:
+        c[rows] -= factors * c[row]
+    x = np.zeros((*b.shape, 1))
+    for k, (row, _, _, u) in reversed(list(enumerate(record))):
+        x[:, k, 0] = (c[row] - np.matmul(u[None, 1:], x[:, k + 1 :])[:, 0, 0]) / u[0]
+    return x[..., 0]
 
 
 def _eliminate_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,28 +383,27 @@ def solve_steps(
 ) -> list[PowerFlowSolution | SingularMatrixError]:
     """Power flow from a flat start by `method`, for every step of a problem.
 
-    A step's outcome depends only on Y and its (p, q) row, so the
-    distinct rows, told apart by their bits (-0.0 is not +0.0, and NaNs
-    match bit for bit), share one loop, and each step gets the outcome
-    of its row.  Each iteration evaluates the rows' mismatches together,
-    applies the stop rule to all of them as one boolean mask, builds a
-    solution for each row that stops, and updates the others; the method
-    picks only the cap, the state, its injections, how it reads as |V|
-    and theta, and the update.  Gauss-Seidel's injections are S =
-    V conj(Y V) of its complex V, which becomes |V| and theta only for
-    the rows that stop.  Either update serves the going rows at once:
-    Newton-Raphson eliminates their Jacobians as one stack, and a
-    Gauss-Seidel sweep updates a whole level of buses, which share no
-    line, in all of them with one set of array operations.  The levels
-    are found once per call (_gauss_seidel_levels), and their order
-    defines a sweep (_gauss_seidel_sweeps).  A row that stops unconverged
-    gets its worst bus (_worst_bus) from the mismatch that stopped it.
-    Each step's solution is bit for bit the one it gets alone, and a
-    Gauss-Seidel one that of the scalar per-bus loop while its V stays
-    finite with real parts >= +0.  A row whose Jacobian is
-    singular gets its SingularMatrixError, and the other rows go on; a
-    zero Gauss-Seidel diagonal is every step's error.  numpy's overflow
-    and invalid-value warnings are silenced: the solutions report them.
+    A step's outcome depends only on Y and its (p, q) row, so the distinct
+    rows, told apart by their bits (-0.0 is not +0.0, and NaNs match bit for
+    bit), share one loop, and each step gets the outcome of its row.  Each
+    iteration evaluates the rows' mismatches together, applies the stop rule
+    to all of them as one boolean mask, builds a solution for each row that
+    stops, and updates the others; the method picks only the cap, the state,
+    its injections, how it reads as |V| and theta, and the update.
+    Gauss-Seidel's injections are S = V conj(Y V) of its complex V, which
+    becomes |V| and theta only for the rows that stop.  Either update serves
+    the going rows at once: Newton-Raphson solves its first from the record
+    of J0's elimination and later Jacobians as one stack (_newton_step), and
+    a Gauss-Seidel sweep updates a whole level of buses, which share no
+    line, in all rows with one set of array operations; the levels, found
+    once per call, define a sweep (_gauss_seidel_sweeps).  A row that stops
+    unconverged gets its worst bus (_worst_bus) from the mismatch that
+    stopped it.  Each step's solution is bit for bit the one it gets alone,
+    and a Gauss-Seidel one that of the scalar per-bus loop while its V stays
+    finite with real parts >= +0.  A row whose Jacobian is singular gets its
+    SingularMatrixError, and the other rows go on; a zero Gauss-Seidel
+    diagonal is every step's error.  numpy's overflow and invalid-value
+    warnings are silenced: the solutions report them.
     """
     admittance, slack, pq = problem.admittance, problem.slack_index, problem.pq_indices
     # The distinct rows of p||q's bits in the order of their first steps, and each step's row.
@@ -383,7 +419,7 @@ def solve_steps(
         state = (np.ones(shape), np.zeros(shape))
         injections = lambda v_mag, v_angle: compute_injections(v_mag, v_angle, admittance)
         polar = lambda v_mag, v_angle: (v_mag, v_angle)
-        update = partial(_newton_step, admittance, pq)
+        update = partial(_newton_step, admittance, slack, pq)
     elif method == METHOD_GAUSS_SEIDEL:
         y = admittance.y
         diagonal = y[pq, pq]
@@ -439,34 +475,45 @@ def solve_steps(
                 arr[going] for arr in (p_spec, q_spec, mismatch, p_calc, q_calc)
             )
             singular = np.zeros(len(rows), dtype=bool)
-        for i, error in update(state, mismatch, (p_calc, q_calc)):
+        for i, error in update(state, mismatch, (p_calc, q_calc), it):
             outcomes[rows[i]] = error
             singular[i] = True
 
 
 def _newton_step(
-    admittance: AdmittanceMatrix, pq: np.ndarray, state: tuple[np.ndarray, np.ndarray],
-    mismatch: np.ndarray, injections: tuple[np.ndarray, np.ndarray],
+    admittance: AdmittanceMatrix, slack: int, pq: np.ndarray, state: tuple[np.ndarray, np.ndarray],
+    mismatch: np.ndarray, injections: tuple[np.ndarray, np.ndarray], it: int,
 ) -> list[tuple[int, SingularMatrixError]]:
-    """One Newton-Raphson iteration of a stack of (|V|, theta) states, in place.
+    """Newton-Raphson iteration `it` of a stack of (|V|, theta) states, in place.
 
     J dx = mismatch gives each state's angle and magnitude corrections.
-    The Jacobians are built and solved as one stack.  A lone state, and
-    each state whose correction came back all NaN, as a singular one
-    does, is solved as one system, which makes fewer numpy calls per
-    pivot and raises a singular Jacobian's error.  Returns (index, error)
-    for each state whose Jacobian is singular.
+    Every state starts flat, so at iteration 0 all share one Jacobian J0,
+    bit for bit.  Once per admittance matrix and slack, J0 is built for
+    one state and eliminated with its mismatch riding along; the record
+    (_eliminate), kept in the matrix's plan, solves every other state
+    (_replay).  Later Jacobians are solved as one stack, or a lone one as
+    one system, which makes fewer numpy calls per pivot.  Returns (index,
+    error) for each state whose Jacobian is singular: the error of its
+    one-system solve, made once.  A singular J0 is not kept.
     """
     v_mag, v_angle = state
-    m = len(pq)
-    jac = newton_jacobian(v_mag, v_angle, admittance, pq, injections)
-    dx = solve_linear(jac, mismatch) if len(jac) > 1 else np.full(mismatch.shape, np.nan)
-    errors = []
-    for i in np.flatnonzero(np.isnan(dx).all(axis=1)).tolist():
-        try:
-            dx[i] = solve_linear(jac[i], mismatch[i])
-        except SingularMatrixError as exc:
-            errors.append((i, exc))
+    m, errors, plan = len(pq), [], _PLANS.setdefault(admittance, {})
+    try:
+        if it == 0 and slack in plan:
+            dx = _replay(plan[slack], mismatch)
+        elif it == 0:
+            jac = newton_jacobian(v_mag[:1], v_angle[:1], admittance, pq, [s[:1] for s in injections])
+            record = []
+            dx = _eliminate(jac[0], mismatch[0], record)[None]
+            plan[slack] = record
+            if len(mismatch) > 1:
+                dx = np.vstack([dx, _replay(record, mismatch[1:])])
+        else:
+            jac = newton_jacobian(v_mag, v_angle, admittance, pq, injections)
+            lone = len(jac) == 1
+            dx = solve_linear(jac[0], mismatch[0])[None] if lone else solve_linear(jac, mismatch, errors)
+    except SingularMatrixError as exc:
+        return [(i, SingularMatrixError(str(exc), exc.pivot)) for i in range(len(mismatch))]
     v_angle[:, pq] += dx[:, :m]
     v_mag[:, pq] += dx[:, m:]
     return errors
@@ -491,7 +538,7 @@ def _gauss_seidel_levels(y: np.ndarray, pq: np.ndarray) -> np.ndarray:
 
 def _gauss_seidel_sweeps(
     y: np.ndarray, buses: np.ndarray, y_ii: np.ndarray, levels: list[slice], plans: dict,
-    state: tuple, mismatch: np.ndarray, injections: tuple,
+    state: tuple, mismatch: np.ndarray, injections: tuple, it: int,
 ) -> tuple[()]:
     """One Gauss-Seidel sweep of every (V, S*) state of a stack at once, in place.
 
@@ -525,7 +572,7 @@ def _gauss_seidel_sweeps(
     - array complex division and subtraction round as the scalar ones do
       (Python complex division would not).
 
-    The mismatch and injections are unused.
+    The mismatch, injections and iteration are unused.
     """
     v, s_conj = state
     y_re, y_im = y_ii.real, y_ii.imag

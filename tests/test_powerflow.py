@@ -1,8 +1,10 @@
 """Solver tests: injections, Jacobian, linear solve, NR/GS, lossless balance."""
 
+import gc
 import math
 import random
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -735,8 +737,9 @@ class TestStacks:
                 assert_same_bits(solve_gauss_seidel(stack, s), expected)
 
     def test_stack_iterates_only_its_distinct_rows(self, monkeypatch):
-        # Six steps, three distinct rows: the first Jacobian stack and the
-        # first sweep are of all three rows, and none is of more.
+        # Six steps, three distinct rows: the first sweep is of all three
+        # rows, the first Jacobian is the flat start's J0 alone, and no
+        # Jacobian stack or sweep is of more than three rows.
         base = problem_for(make_radial_network(random.Random(71), 6))
         scales = np.array([0.5, 1.0, 0.5, 2.0, 1.0, 0.5])
         p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
@@ -753,9 +756,9 @@ class TestStacks:
             "_gauss_seidel_sweeps",
             lambda *args: sizes["gs"].append(len(args[5][0])) or sweeps(*args),
         )
-        for method in ("acpf", "gs"):
+        for method, first in (("acpf", 1), ("gs", 3)):
             stack.outcomes(method)
-            assert sizes[method][0] == 3 and max(sizes[method]) == 3
+            assert sizes[method][0] == first and max(sizes[method]) == 3
         for s in range(len(scales)):
             alone = replace(base, p_injection=p[s], q_injection=q[s])
             assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
@@ -854,6 +857,162 @@ class TestStacks:
                 PowerFlowProblem(y, 0, np.zeros(shape_p), np.zeros(shape_q))
         with pytest.raises(ValueError, match="slack index 3 out of range"):
             PowerFlowProblem(y, 3, np.zeros((4, 2)), np.zeros((4, 2)))
+
+
+class TestFlatStartRecord:
+    """J0, the flat start's Jacobian, eliminated once per admittance matrix and slack."""
+
+    @staticmethod
+    def flat_jacobian(problem: PowerFlowProblem) -> np.ndarray:
+        n = problem.admittance.n
+        flat = (np.ones((1, n)), np.zeros((1, n)))
+        return newton_jacobian(*flat, problem.admittance, problem.pq_indices)[0]
+
+    @staticmethod
+    def count_eliminations(monkeypatch) -> list[bool]:
+        """Patch powerflow._eliminate to note, per call, whether it keeps a record."""
+        calls, eliminate = [], powerflow._eliminate
+        monkeypatch.setattr(
+            powerflow,
+            "_eliminate",
+            lambda a, b, record=None: calls.append(record is not None) or eliminate(a, b, record),
+        )
+        return calls
+
+    @given(net=radial_feeders() | interior_slack_feeders(), data=st.data())
+    @settings(max_examples=40)
+    def test_replay_is_the_lone_elimination_bit_for_bit(self, net, data):
+        # Right-hand sides hold signed zeros and entries near 1e300, whose
+        # row operations overflow to inf and NaN.
+        problem = problem_for(net)
+        jac = self.flat_jacobian(problem)
+        entries = (
+            st.sampled_from([0.0, -0.0])
+            | st.floats(-1.0, 1.0)
+            | st.floats(1e299, 1e301)
+            | st.floats(-1e301, -1e299)
+        )
+        rows = data.draw(st.integers(1, 4))
+        b = data.draw(arrays(float, (rows, len(jac)), elements=entries))
+        record = []
+        with np.errstate(all="ignore"):
+            first = powerflow._eliminate(jac, b[0], record)
+            replayed = powerflow._replay(record, b)
+            alone = [powerflow._eliminate(jac, row) for row in b]
+        assert len(record) == len(jac)
+        assert same_bits(first, alone[0])
+        assert same_bits(replayed, alone)
+
+    @given(
+        net=radial_feeders() | interior_slack_feeders(),
+        scales=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5),
+    )
+    @settings(max_examples=25)
+    def test_each_step_as_if_alone_on_its_own_matrix(self, net, scales):
+        # A copy of the admittance matrix has a plan of its own, so each
+        # step alone eliminates J0 with its own mismatch riding along.
+        base = problem_for(net)
+        p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
+        stack = PowerFlowProblem(base.admittance, base.slack_index, p, q)
+        for s in range(len(scales)):
+            own = AdmittanceMatrix(base.admittance.y)
+            alone = PowerFlowProblem(own, base.slack_index, p[s], q[s])
+            assert_same_bits(solve_newton_raphson(stack, s), solve_newton_raphson(alone))
+
+    def test_singular_flat_start_gives_every_row_the_lone_error(self, monkeypatch):
+        # Bus 1 hangs off the slack by 100 pu and bus 2 by 5e-13 pu, below
+        # the pivot threshold: J0 is singular at its angle column of bus 2.
+        y = np.zeros((3, 3), dtype=complex)
+        for i, g in ((1, 100.0), (2, 5e-13)):
+            y[[0, i], [0, i]] += g
+            y[[0, i], [i, 0]] -= g
+        p = np.array([[0.1, 0.0], [0.2, 0.1], [0.0, 0.3]])
+        stack = PowerFlowProblem(AdmittanceMatrix(y), 0, p, np.zeros_like(p))
+        calls = self.count_eliminations(monkeypatch)
+        outcomes = stack.outcomes("acpf")
+        assert calls == [True]
+        jac = self.flat_jacobian(stack)
+        for s, outcome in enumerate(outcomes):
+            with pytest.raises(SingularMatrixError) as lone:
+                solve_linear(jac, np.concatenate([p[s], np.zeros(2)]))
+            assert isinstance(outcome, SingularMatrixError)
+            assert (str(outcome), outcome.pivot) == (str(lone.value), lone.value.pivot)
+            assert outcome.pivot == 1
+        assert len({id(outcome) for outcome in outcomes}) == len(outcomes)
+
+    def test_one_record_per_admittance_and_slack(self, monkeypatch):
+        base = problem_for(make_radial_network(random.Random(5), 8))
+        admittance, scales = base.admittance, [0.5, 2.0]
+        calls = self.count_eliminations(monkeypatch)
+        solve_newton_raphson(base)
+        p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
+        scaled = PowerFlowProblem(admittance, 0, p, q)
+        scaled.outcomes("acpf")
+        assert calls.count(True) == 1
+        # Another slack is another J0.
+        moved = PowerFlowProblem(admittance, 3, base.p_injection, base.q_injection)
+        solve_newton_raphson(moved)
+        assert calls.count(True) == 2
+        assert {0, 3} <= set(powerflow._PLANS[admittance])
+        # The plan holds nothing that keeps its matrix alive.
+        ref = weakref.ref(admittance)
+        del base, admittance, scaled, moved
+        gc.collect()
+        assert ref() is None
+
+    def test_singular_flat_start_is_not_kept(self, monkeypatch):
+        # Each stack on the matrix eliminates J0 again and gets its error;
+        # the errors raised hold nothing that keeps the matrix alive.
+        y = np.zeros((2, 2), dtype=complex)
+        y[[0, 1], [0, 1]], y[[0, 1], [1, 0]] = 5e-13, -5e-13
+        admittance = AdmittanceMatrix(y)
+        calls = self.count_eliminations(monkeypatch)
+        for p in ([0.1], [[0.1], [0.2]]):
+            problem = PowerFlowProblem(admittance, 0, p, np.zeros_like(p))
+            with pytest.raises(SingularMatrixError, match="^pivot 0 below 1e-12$"):
+                solve_newton_raphson(problem)
+        assert calls == [True, True]
+        assert 0 not in powerflow._PLANS[admittance]
+        ref = weakref.ref(admittance)
+        del admittance, problem
+        gc.collect()
+        assert ref() is None
+
+    def test_later_singular_stack_is_eliminated_alone_once(self, monkeypatch):
+        # Every Jacobian after J0 is zero, so each row of the stack meets
+        # pivot 0 at iteration 1: the stack re-solves each alone once, and
+        # that solve's error is the row's.
+        base = problem_for(make_radial_network(random.Random(7), 5))
+        scales = [0.5, 1.0, 2.0]
+        p, q = np.outer(scales, base.p_injection), np.outer(scales, base.q_injection)
+        stack = PowerFlowProblem(base.admittance, 0, p, q)
+        jacobian = powerflow.newton_jacobian
+
+        def zero_past_flat_start(v_mag, v_angle, *args):
+            jac = jacobian(v_mag, v_angle, *args)
+            return np.zeros_like(jac) if (v_mag != 1).any() or v_angle.any() else jac
+
+        monkeypatch.setattr(powerflow, "newton_jacobian", zero_past_flat_start)
+        calls = self.count_eliminations(monkeypatch)
+        outcomes = stack.outcomes("acpf")
+        assert calls == [True] + [False] * len(scales)
+        for outcome in outcomes:
+            assert isinstance(outcome, SingularMatrixError)
+            assert (str(outcome), outcome.pivot) == ("pivot 0 below 1e-12", 0)
+
+    def test_jacobian_pattern_is_kept_per_pq_indices(self):
+        admittance = build_admittance(make_radial_network(random.Random(9), 7), BASE)
+        n = admittance.n
+        np_rng = np.random.default_rng(9)
+        vm, va = np_rng.uniform(0.95, 1.05, (2, n)), np_rng.uniform(-0.2, 0.2, (2, n))
+        for slack in (0, 4, 0):
+            pq = [i for i in range(n) if i != slack]
+            jac = newton_jacobian(vm, va, admittance, pq)
+            assert same_bits(jac, newton_jacobian(vm, va, AdmittanceMatrix(admittance.y), pq))
+            for i in range(len(jac)):
+                assert np.array_equal(jac[i], loop_jacobian(vm[i], va[i], admittance, pq))
+        # One pattern per PQ set.
+        assert sum(isinstance(key, bytes) for key in powerflow._PLANS[admittance]) == 2
 
 
 class TestGaussSeidel:
